@@ -12,7 +12,7 @@ use coda_cluster::{run_cooperative, AnalyticsTask, ComputeNode, Scheduler, SimNe
 use coda_core::{Evaluator, Pipeline};
 use coda_data::{synth, CvStrategy, Dataset, Metric, Transformer};
 use coda_ml::LinearRegression;
-use coda_obs::Obs;
+use coda_obs::{Obs, WallClock};
 use coda_store::{
     CachingClient, ChangeMonitor, DeltaCodec, HomeDataStore, PushMode, RecomputeTrigger,
 };
@@ -367,8 +367,11 @@ fn exp_f2() {
     let graph = small_graph();
     let mut rows = Vec::new();
     for n in [1usize, 2, 4, 8] {
-        let without = run_cooperative(&graph, &ds, CvStrategy::kfold(5), Metric::Rmse, n, false);
-        let with = run_cooperative(&graph, &ds, CvStrategy::kfold(5), Metric::Rmse, n, true);
+        let clock = WallClock::new();
+        let without =
+            run_cooperative(&graph, &ds, CvStrategy::kfold(5), Metric::Rmse, n, false, &clock);
+        let with =
+            run_cooperative(&graph, &ds, CvStrategy::kfold(5), Metric::Rmse, n, true, &clock);
         rows.push(vec![
             n.to_string(),
             format!("{}", without.total_evaluations),
@@ -762,7 +765,7 @@ fn exp_d3() {
 /// D4 — robustness: the seeded chaos driver sweeps fault intensity over a
 /// 4-client cooperative run and reports what the resilience machinery did.
 fn exp_d4(obs: Option<&Obs>) {
-    use coda_cluster::{run_chaos_coop, run_chaos_coop_obs, ChaosCoopConfig};
+    use coda_cluster::{run_chaos_coop, ChaosCoopConfig};
     let base = ChaosCoopConfig {
         seed: 17,
         n_clients: 4,
@@ -801,8 +804,8 @@ fn exp_d4(obs: Option<&Obs>) {
     ];
     let mut rows = Vec::new();
     for (name, cfg) in &scenarios {
-        let r = run_chaos_coop_obs(cfg, obs);
-        assert_eq!(r, run_chaos_coop(cfg), "same seed must replay identically");
+        let r = run_chaos_coop(cfg, 1, obs);
+        assert_eq!(r, run_chaos_coop(cfg, 1, None), "same seed must replay identically");
         rows.push(vec![
             name.to_string(),
             format!("{}/{}", r.completed, r.n_keys),
@@ -925,10 +928,10 @@ fn exp_d5(obs: Option<&Obs>) {
 /// digest.
 fn exp_d6(obs: Option<&Obs>) {
     use coda_chaos::CrashPlan;
-    use coda_cluster::{run_crash_recovery, run_crash_recovery_obs, CrashRecoveryConfig};
+    use coda_cluster::{run_crash_recovery, CrashRecoveryConfig};
 
     let base = CrashRecoveryConfig::default();
-    let baseline = run_crash_recovery(&base);
+    let baseline = run_crash_recovery(&base, 1, None);
     assert_eq!(baseline.failovers, 0, "the crash-free run must not move the home role");
 
     let scenarios: Vec<(&str, CrashRecoveryConfig)> = vec![
@@ -950,8 +953,8 @@ fn exp_d6(obs: Option<&Obs>) {
     ];
     let mut rows = Vec::new();
     for (name, cfg) in &scenarios {
-        let r = run_crash_recovery_obs(cfg, obs);
-        assert_eq!(r, run_crash_recovery(cfg), "same seed must replay identically");
+        let r = run_crash_recovery(cfg, 1, obs);
+        assert_eq!(r, run_crash_recovery(cfg, 1, None), "same seed must replay identically");
         assert_eq!(r.digest, baseline.digest, "{name}: must converge to the no-crash state");
         assert_eq!(r.recovery_mismatches, 0, "{name}: WAL replay must be byte-identical");
         rows.push(vec![

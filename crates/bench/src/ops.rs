@@ -16,7 +16,7 @@
 
 use bytes::Bytes;
 use coda_chaos::CrashPlan;
-use coda_cluster::{run_crash_recovery_obs, CrashRecoveryConfig};
+use coda_cluster::{run_crash_recovery, CrashRecoveryConfig};
 use coda_core::{Evaluator, TegBuilder};
 use coda_data::{synth, CvStrategy, Metric};
 use coda_ml::{LinearRegression, RidgeRegression, StandardScaler};
@@ -326,7 +326,7 @@ pub fn run_ops_scenario_full(seed: u64, fault: bool) -> (OpsScenario, ScenarioAr
             };
             let drill_obs = Obs::deterministic();
             let cfg = CrashRecoveryConfig { plan, ..CrashRecoveryConfig::default() };
-            let _ = run_crash_recovery_obs(&cfg, Some(&drill_obs));
+            let _ = run_crash_recovery(&cfg, 1, Some(&drill_obs));
             for (name, v) in &drill_obs.registry().snapshot().counters {
                 obs.count(name, *v);
             }

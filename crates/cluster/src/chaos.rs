@@ -64,7 +64,7 @@ impl Default for ChaosCoopConfig {
 
 /// What happened in one chaos run — the ground truth the acceptance test
 /// and the D4 experiment compare across seeds.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ChaosCoopReport {
     /// Work items configured.
     pub n_keys: usize,
@@ -219,32 +219,24 @@ fn score_for(idx: usize) -> f64 {
 }
 
 /// Runs one seeded chaos scenario to completion (or the round cap).
-pub fn run_chaos_coop(cfg: &ChaosCoopConfig) -> ChaosCoopReport {
-    run_chaos_coop_obs(cfg, None)
-}
-
-/// Like [`run_chaos_coop`], but with optional observability: every work
-/// item gets a `chaos.key` root span, each claim → work → complete cycle a
-/// `chaos.attempt` child, and protocol events (claims, takeovers, journal
-/// writes, replays, crash losses) attach to those spans — the DARR's own
-/// `darr.claim`/`darr.complete`/`darr.merge` spans link in through the
-/// carried [`SpanContext`], so the whole run yields one coherent trace
-/// forest. If the observer's clock is a manual clock it is kept in
-/// lockstep with the driver's logical time, so two same-seed runs emit
-/// byte-identical trace logs.
-pub fn run_chaos_coop_obs(cfg: &ChaosCoopConfig, obs: Option<&Obs>) -> ChaosCoopReport {
-    run_chaos_coop_sharded(cfg, 1, obs)
-}
-
-/// The sharded generalization of [`run_chaos_coop_obs`]: the repository is
-/// `n_shards` independent DARR lanes, and every key routes to the lane
-/// [`coda_store::shard_of`] picks from its stable `dataset|pipeline`
-/// routing key — the same hash the serving tier and the data tier use.
-/// Lane clocks advance in lockstep (rounds and retry backoffs tick all of
-/// them), so per-key protocol behavior — claims, lease expiry, takeovers,
-/// journal replay — is invariant in the shard count, and a 1-shard run
-/// reproduces the historical single-DARR driver exactly.
-pub fn run_chaos_coop_sharded(
+///
+/// The repository is `n_shards` independent DARR lanes, and every key
+/// routes to the lane [`coda_store::shard_of`] picks from its stable
+/// `dataset|pipeline` routing key — the same hash the serving tier and the
+/// data tier use. Lane clocks advance in lockstep (rounds and retry
+/// backoffs tick all of them), so per-key protocol behavior — claims, lease
+/// expiry, takeovers, journal replay — is invariant in the shard count, and
+/// a 1-shard run is the historical single-DARR driver exactly.
+///
+/// With `obs`, every work item gets a `chaos.key` root span, each claim →
+/// work → complete cycle a `chaos.attempt` child, and protocol events
+/// (claims, takeovers, journal writes, replays, crash losses) attach to
+/// those spans — the DARR's own `darr.claim`/`darr.complete`/`darr.merge`
+/// spans link in through the carried [`SpanContext`], so the whole run
+/// yields one coherent trace forest. If the observer's clock is a manual
+/// clock it is kept in lockstep with the driver's logical time, so two
+/// same-seed runs emit byte-identical trace logs.
+pub fn run_chaos_coop(
     cfg: &ChaosCoopConfig,
     n_shards: usize,
     obs: Option<&Obs>,
@@ -305,22 +297,7 @@ pub fn run_chaos_coop_sharded(
         })
         .collect();
 
-    let mut report = ChaosCoopReport {
-        n_keys: cfg.n_keys,
-        completed: 0,
-        computed: 0,
-        reused: 0,
-        journaled: 0,
-        replayed: 0,
-        duplicates: 0,
-        takeovers: 0,
-        lost_to_crash: 0,
-        rounds: 0,
-        crashes_seen: 0,
-        restarts_seen: 0,
-        retry: RetryStats::default(),
-        faults: FaultStats::default(),
-    };
+    let mut report = ChaosCoopReport { n_keys: cfg.n_keys, ..ChaosCoopReport::default() };
     // keys that ever answered HeldBy: a later successful claim on one of
     // these (with no stored result) is a takeover of an expired lease
     let mut held_seen: BTreeSet<usize> = BTreeSet::new();
@@ -417,7 +394,7 @@ pub fn run_chaos_coop_sharded(
                             trace(ctx, "chaos.duplicate", &client.name, &record.key.pipeline);
                         } else {
                             trace(ctx, "chaos.replay", &client.name, &record.key.pipeline);
-                            lanes[lane_of[idx]].merge_record_in(record, ctx);
+                            lanes[lane_of[idx]].merge_record(record, ctx);
                             report.replayed += 1;
                             close_key(obs, &key_spans, &mut key_open, idx, "replayed");
                         }
@@ -522,7 +499,7 @@ mod tests {
             crash: None,
             ..ChaosCoopConfig::default()
         };
-        let report = run_chaos_coop(&cfg);
+        let report = run_chaos_coop(&cfg, 1, None);
         assert_eq!(report.completed, cfg.n_keys);
         assert_eq!(report.journaled, 0);
         assert_eq!(report.duplicates, 0);
@@ -534,7 +511,7 @@ mod tests {
 
     #[test]
     fn chaotic_run_completes_all_work() {
-        let report = run_chaos_coop(&ChaosCoopConfig::default());
+        let report = run_chaos_coop(&ChaosCoopConfig::default(), 1, None);
         assert_eq!(report.completed, report.n_keys, "no result may be lost");
         assert!(report.rounds < ChaosCoopConfig::default().max_rounds, "run must converge");
         // every computation is accounted: online completions plus replayed
@@ -558,15 +535,16 @@ mod tests {
     #[test]
     fn same_seed_replays_identically() {
         let cfg = ChaosCoopConfig::default();
-        let a = run_chaos_coop(&cfg);
-        let b = run_chaos_coop(&cfg);
+        let a = run_chaos_coop(&cfg, 1, None);
+        let b = run_chaos_coop(&cfg, 1, None);
         assert_eq!(a, b, "identical seeds must produce identical counters");
     }
 
     #[test]
     fn different_seeds_diverge() {
-        let a = run_chaos_coop(&ChaosCoopConfig::default());
-        let b = run_chaos_coop(&ChaosCoopConfig { seed: 99, ..ChaosCoopConfig::default() });
+        let a = run_chaos_coop(&ChaosCoopConfig::default(), 1, None);
+        let b =
+            run_chaos_coop(&ChaosCoopConfig { seed: 99, ..ChaosCoopConfig::default() }, 1, None);
         // both complete, but the fault sequences differ
         assert_eq!(a.completed, a.n_keys);
         assert_eq!(b.completed, b.n_keys);
@@ -579,9 +557,9 @@ mod tests {
         // the whole report — retries, takeovers, journal traffic — must be
         // invariant in the lane count
         let cfg = ChaosCoopConfig::default();
-        let unsharded = run_chaos_coop(&cfg);
+        let unsharded = run_chaos_coop(&cfg, 1, None);
         for n_shards in [1usize, 2, 4] {
-            let sharded = run_chaos_coop_sharded(&cfg, n_shards, None);
+            let sharded = run_chaos_coop(&cfg, n_shards, None);
             assert_eq!(sharded, unsharded, "{n_shards} lanes must be invisible");
         }
     }
@@ -597,7 +575,7 @@ mod tests {
             claim_duration: 100,
             ..ChaosCoopConfig::default()
         };
-        let report = run_chaos_coop(&cfg);
+        let report = run_chaos_coop(&cfg, 1, None);
         assert_eq!(report.completed, cfg.n_keys);
         assert!(report.lost_to_crash >= 1, "the crash must interrupt work");
         assert!(report.takeovers >= 1, "expired claims must be taken over");

@@ -6,10 +6,11 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use coda_core::{Evaluator, Teg};
+use coda_chaos::RetryPolicy;
+use coda_core::{Evaluator, Pipeline, Teg};
 use coda_darr::{ComputationKey, CoopOutcome, CooperativeClient, Darr};
 use coda_data::{CvStrategy, Dataset, Metric};
-use coda_obs::{Clock, WallClock};
+use coda_obs::Clock;
 
 /// Outcome of a cooperative (or independent) multi-client run.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,31 +51,20 @@ fn computation_key(
 /// With `use_darr` the clients cooperate through a shared repository;
 /// without it every client evaluates everything (the paper's baseline).
 ///
-/// Timing uses the ambient [`WallClock`]; deterministic harnesses should
-/// call [`run_cooperative_with_clock`] with a `ManualClock` instead.
+/// Each cooperating client drives [`CooperativeClient::run`] with an
+/// unbounded zero-backoff policy: a key another client holds is revisited
+/// until the holder stores its result (reused here) or releases the claim
+/// (taken over here) — a waiting client neither takes over a live holder
+/// nor gives up on it.
+///
+/// `clock` times `wall_ms`: under a `ManualClock` the report is
+/// byte-identical across same-seed runs, which is what lets chaos replays
+/// and CI assertions compare whole reports.
 ///
 /// # Panics
 ///
 /// Panics if the graph has no valid pipelines or `n_clients == 0`.
 pub fn run_cooperative(
-    graph: &Teg,
-    data: &Dataset,
-    cv: CvStrategy,
-    metric: Metric,
-    n_clients: usize,
-    use_darr: bool,
-) -> CoopRunReport {
-    run_cooperative_with_clock(graph, data, cv, metric, n_clients, use_darr, &WallClock::new())
-}
-
-/// [`run_cooperative`] with an explicit [`Clock`] for `wall_ms`: under a
-/// `ManualClock` the report is byte-identical across same-seed runs, which
-/// is what lets chaos replays and CI assertions compare whole reports.
-///
-/// # Panics
-///
-/// Panics if the graph has no valid pipelines or `n_clients == 0`.
-pub fn run_cooperative_with_clock(
     graph: &Teg,
     data: &Dataset,
     cv: CvStrategy,
@@ -93,6 +83,7 @@ pub fn run_cooperative_with_clock(
     let reused = AtomicUsize::new(0);
     let evaluator = Evaluator::new(cv.clone(), metric);
     let best = parking_lot::Mutex::new(metric.worst());
+    let wait_for_holders = RetryPolicy::fixed(0.0, u32::MAX);
 
     let start_ms = clock.now_ms();
     std::thread::scope(|scope| {
@@ -104,72 +95,46 @@ pub fn run_cooperative_with_clock(
             let evaluator = &evaluator;
             let cv = &cv;
             let best = &best;
+            let wait_for_holders = &wait_for_holders;
             scope.spawn(move || {
                 let client_name = format!("client-{c}");
-                let coop = CooperativeClient::new(darr, client_name.clone(), 60_000);
-                // rotate the work order so claims spread across clients
-                let offset = c * n_pipelines / n_clients;
-                let mut deferred: Vec<usize> = Vec::new();
                 let record_best = |score: f64| {
                     let mut b = best.lock();
                     if metric.is_better(score, *b) {
                         *b = score;
                     }
                 };
-                for i in 0..n_pipelines {
-                    let idx = (i + offset) % n_pipelines;
-                    let pipeline = &pipelines[idx];
-                    if !use_darr {
+                // rotate the work order so claims spread across clients
+                let offset = c * n_pipelines / n_clients;
+                let order: Vec<&Pipeline> =
+                    (0..n_pipelines).map(|i| &pipelines[(i + offset) % n_pipelines]).collect();
+                if !use_darr {
+                    for pipeline in order {
                         if let Ok(scores) = evaluator.evaluate_pipeline(pipeline, data) {
                             evaluations.fetch_add(1, Ordering::SeqCst);
                             record_best(scores.iter().sum::<f64>() / scores.len() as f64);
                         }
-                        continue;
                     }
-                    let key = computation_key("shared", 1, pipeline.spec().key(), cv, metric);
-                    match coop.process(&key, || {
-                        evaluations.fetch_add(1, Ordering::SeqCst);
-                        let scores = evaluator
-                            .evaluate_pipeline(pipeline, data)
-                            .map_err(|e| e.to_string())?;
-                        let mean = scores.iter().sum::<f64>() / scores.len() as f64;
-                        Ok((mean, scores, format!("{client_name} via {}", cv)))
-                    }) {
-                        CoopOutcome::Computed(r) => record_best(r.score),
-                        CoopOutcome::Reused(r) => {
-                            reused.fetch_add(1, Ordering::SeqCst);
-                            record_best(r.score);
-                        }
-                        CoopOutcome::SkippedHeld(_) => deferred.push(idx),
-                        CoopOutcome::Failed(_) => {}
-                    }
+                    return;
                 }
-                // wait for claims held elsewhere to resolve
-                for idx in deferred {
-                    let pipeline = &pipelines[idx];
-                    let key = computation_key("shared", 1, pipeline.spec().key(), cv, metric);
-                    let mut spins = 0usize;
-                    loop {
-                        if let Some(r) = darr.lookup(&key) {
-                            reused.fetch_add(1, Ordering::SeqCst);
-                            record_best(r.score);
-                            break;
-                        }
-                        spins += 1;
-                        if spins > 200_000 {
-                            // the holder died: take the claim ourselves
-                            darr.advance_clock(100_000);
-                            if darr.try_claim(&key, &client_name, 60_000).is_claimed() {
-                                evaluations.fetch_add(1, Ordering::SeqCst);
-                                if let Ok(scores) = evaluator.evaluate_pipeline(pipeline, data) {
-                                    let mean = scores.iter().sum::<f64>() / scores.len() as f64;
-                                    darr.complete(&key, &client_name, mean, scores, "takeover");
-                                    record_best(mean);
-                                }
-                            }
-                            break;
-                        }
-                        std::thread::yield_now();
+                let keys: Vec<ComputationKey> = order
+                    .iter()
+                    .map(|p| computation_key("shared", 1, p.spec().key(), cv, metric))
+                    .collect();
+                let coop = CooperativeClient::new(darr, client_name.clone(), 60_000);
+                let (summary, outcomes) = coop.run(&keys, wait_for_holders, None, |key| {
+                    evaluations.fetch_add(1, Ordering::SeqCst);
+                    let idx =
+                        keys.iter().position(|k| k == key).ok_or("key outside the work list")?;
+                    let scores =
+                        evaluator.evaluate_pipeline(order[idx], data).map_err(|e| e.to_string())?;
+                    let mean = scores.iter().sum::<f64>() / scores.len() as f64;
+                    Ok((mean, scores, format!("{client_name} via {}", cv)))
+                });
+                reused.fetch_add(summary.reused, Ordering::SeqCst);
+                for outcome in outcomes {
+                    if let CoopOutcome::Computed(r) | CoopOutcome::Reused(r) = outcome {
+                        record_best(r.score);
                     }
                 }
             });
@@ -195,6 +160,7 @@ mod tests {
     use coda_core::TegBuilder;
     use coda_data::{synth, NoOp};
     use coda_ml::{KnnRegressor, LinearRegression, RidgeRegression, StandardScaler};
+    use coda_obs::WallClock;
 
     fn graph() -> Teg {
         TegBuilder::new()
@@ -208,10 +174,16 @@ mod tests {
             .unwrap()
     }
 
+    /// `n` wall-clocked clients over [`graph`] with `folds`-fold CV.
+    fn run(ds: &Dataset, folds: usize, n: usize, use_darr: bool) -> CoopRunReport {
+        let cv = CvStrategy::kfold(folds);
+        run_cooperative(&graph(), ds, cv, Metric::Rmse, n, use_darr, &WallClock::new())
+    }
+
     #[test]
     fn without_darr_every_client_computes_everything() {
         let ds = synth::linear_regression(80, 3, 0.1, 201);
-        let report = run_cooperative(&graph(), &ds, CvStrategy::kfold(3), Metric::Rmse, 3, false);
+        let report = run(&ds, 3, 3, false);
         assert_eq!(report.n_pipelines, 6);
         assert_eq!(report.total_evaluations, 18);
         assert_eq!(report.redundant_evaluations, 12);
@@ -221,7 +193,7 @@ mod tests {
     #[test]
     fn with_darr_work_is_partitioned() {
         let ds = synth::linear_regression(80, 3, 0.1, 202);
-        let report = run_cooperative(&graph(), &ds, CvStrategy::kfold(3), Metric::Rmse, 3, true);
+        let report = run(&ds, 3, 3, true);
         assert_eq!(report.n_pipelines, 6);
         assert_eq!(report.total_evaluations, 6, "cooperation must eliminate redundant evaluations");
         assert_eq!(report.redundant_evaluations, 0);
@@ -234,8 +206,8 @@ mod tests {
     #[test]
     fn single_client_darr_matches_plain() {
         let ds = synth::linear_regression(60, 2, 0.1, 203);
-        let with = run_cooperative(&graph(), &ds, CvStrategy::kfold(3), Metric::Rmse, 1, true);
-        let without = run_cooperative(&graph(), &ds, CvStrategy::kfold(3), Metric::Rmse, 1, false);
+        let with = run(&ds, 3, 1, true);
+        let without = run(&ds, 3, 1, false);
         assert_eq!(with.total_evaluations, without.total_evaluations);
         assert!((with.best_score - without.best_score).abs() < 1e-12);
     }
@@ -247,15 +219,7 @@ mod tests {
         let run = || {
             let clock = ManualClock::new();
             clock.set_ms(1_000.0);
-            run_cooperative_with_clock(
-                &graph(),
-                &ds,
-                CvStrategy::kfold(3),
-                Metric::Rmse,
-                2,
-                true,
-                &clock,
-            )
+            run_cooperative(&graph(), &ds, CvStrategy::kfold(3), Metric::Rmse, 2, true, &clock)
         };
         let (a, b) = (run(), run());
         assert_eq!(a.wall_ms, 0.0, "manual clock never advances on its own");
@@ -265,7 +229,7 @@ mod tests {
     #[test]
     fn best_score_is_linear_model_on_linear_data() {
         let ds = synth::linear_regression(100, 3, 0.05, 204);
-        let report = run_cooperative(&graph(), &ds, CvStrategy::kfold(4), Metric::Rmse, 2, true);
+        let report = run(&ds, 4, 2, true);
         assert!(report.best_score < 0.1, "best rmse {}", report.best_score);
     }
 }

@@ -38,21 +38,13 @@ pub mod recovery;
 pub mod registry;
 pub mod webservice;
 
-pub use chaos::{
-    run_chaos_coop, run_chaos_coop_obs, run_chaos_coop_sharded, ChaosCoopConfig, ChaosCoopReport,
-};
-pub use coop::{run_cooperative, run_cooperative_with_clock, CoopRunReport};
+pub use chaos::{run_chaos_coop, ChaosCoopConfig, ChaosCoopReport};
+pub use coop::{run_cooperative, CoopRunReport};
 pub use failure::{DetectorConfig, FailureDetector, Liveness};
 pub use lifecycle::{BatchRecord, ModelLifecycle, RetrainPolicy};
 pub use network::SimNetwork;
 pub use node::{AnalyticsTask, ComputeNode};
 pub use placement::{ExecutionOutcome, Placement, PlacementDecision, Scheduler};
-pub use recovery::{
-    run_crash_recovery, run_crash_recovery_obs, run_crash_recovery_sharded, CrashRecoveryConfig,
-    CrashRecoveryReport,
-};
-pub use registry::{
-    run_job, run_job_observed, run_job_with_retry, run_job_with_retry_obs, ComponentRegistry,
-    JobError, JobSpec, SpecValue,
-};
+pub use recovery::{run_crash_recovery, CrashRecoveryConfig, CrashRecoveryReport};
+pub use registry::{run_job, ComponentRegistry, JobError, JobSpec, SpecValue};
 pub use webservice::SimWebService;

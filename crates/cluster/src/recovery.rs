@@ -91,7 +91,7 @@ impl Default for CrashRecoveryConfig {
 /// What happened in one kill-restart run — the ground truth the
 /// acceptance test compares against the crash-free baseline and across
 /// same-seed replays.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CrashRecoveryReport {
     /// Driver rounds executed.
     pub rounds: usize,
@@ -227,56 +227,38 @@ fn catch_up(home: &mut DurableStore, replica: &mut DurableStore, objects: &[Stri
 }
 
 /// Runs one kill-restart scenario to completion (or the round cap).
-pub fn run_crash_recovery(cfg: &CrashRecoveryConfig) -> CrashRecoveryReport {
-    run_crash_recovery_obs(cfg, None)
-}
-
-/// Like [`run_crash_recovery`], but with optional observability: the run
-/// gets a `recovery.run` root span with crash / promotion / reap /
-/// rejoin point events, WAL replays run in `store.wal_replay` child
-/// spans, and the detector, failover gate, DARR and stores all count live
-/// into the attached registry (`coda_cluster_failovers_total`,
-/// `coda_darr_claims_reaped_total`, `coda_store_wal_replays`, …). A
-/// manual observer clock is kept in lockstep with driver time, so two
-/// same-seed runs emit byte-identical trace logs and metrics.
-pub fn run_crash_recovery_obs(cfg: &CrashRecoveryConfig, obs: Option<&Obs>) -> CrashRecoveryReport {
-    run_crash_recovery_sharded(cfg, 1, obs)
-}
-
-/// The sharded generalization of [`run_crash_recovery_obs`]: the workload
-/// partitions into `n_shards` independent home/replica *lanes* by the
-/// tier-wide stable routing hash ([`coda_store::shard_of`]) — objects by
-/// id, work items by their `dataset|pipeline` key — and each lane runs
-/// the full kill-restart driver over its slice. Lane `k`'s nodes are
-/// named `s{k}-node-0` / `s{k}-node-1`, so a [`CrashPlan`] can target one
-/// shard's home without touching the rest; points addressed to other
-/// lanes simply never fire in this one. With `n_shards == 1` the node
-/// names stay `node-0`/`node-1` and the run is byte-for-byte the
-/// historical unsharded driver.
 ///
-/// The aggregated report sums counters across lanes, takes the maximum
-/// round count, joins the per-lane homes with `,` into `final_home`, and
-/// concatenates the per-lane digests (also kept individually in
-/// `shard_digests`).
-pub fn run_crash_recovery_sharded(
+/// The workload partitions into `n_shards` independent home/replica
+/// *lanes* by the tier-wide stable routing hash ([`coda_store::shard_of`])
+/// — objects by id, work items by their `dataset|pipeline` key — and each
+/// lane runs the full kill-restart driver over its slice. Lane `k`'s nodes
+/// are named `s{k}-node-0` / `s{k}-node-1`, so a [`CrashPlan`] can target
+/// one shard's home without touching the rest; points addressed to other
+/// lanes simply never fire in this one. With `n_shards == 1` the node
+/// names stay `node-0`/`node-1` and the run is byte-for-byte the historical
+/// unsharded driver. The aggregated report sums counters across lanes,
+/// takes the maximum round count, joins the per-lane homes with `,` into
+/// `final_home`, and concatenates the per-lane digests (also kept
+/// individually in `shard_digests`).
+///
+/// With `obs`, each lane gets a `recovery.run` root span with crash /
+/// promotion / reap / rejoin point events, WAL replays run in
+/// `store.wal_replay` child spans, and the detector, failover gate, DARR
+/// and stores all count live into the attached registry
+/// (`coda_cluster_failovers_total`, `coda_darr_claims_reaped_total`,
+/// `coda_store_wal_replays`, …). A manual observer clock is kept in
+/// lockstep with driver time, so two same-seed runs emit byte-identical
+/// trace logs and metrics.
+pub fn run_crash_recovery(
     cfg: &CrashRecoveryConfig,
     n_shards: usize,
     obs: Option<&Obs>,
 ) -> CrashRecoveryReport {
     assert!(n_shards >= 1, "need at least one shard lane");
-    if n_shards == 1 {
-        let lane = LaneSpec {
-            prefix: String::new(),
-            objects: (0..cfg.n_objects).map(|j| format!("obj-{j}")).collect(),
-            puts: (0..cfg.n_puts).collect(),
-            items: (0..cfg.n_items).collect(),
-        };
-        return run_lane(cfg, obs, &lane);
-    }
     let reports: Vec<CrashRecoveryReport> = (0..n_shards)
         .map(|k| {
             let lane = LaneSpec {
-                prefix: format!("s{k}-"),
+                prefix: if n_shards == 1 { String::new() } else { format!("s{k}-") },
                 objects: (0..cfg.n_objects)
                     .map(|j| format!("obj-{j}"))
                     .filter(|id| coda_store::shard_of(id, n_shards) == k)
@@ -294,24 +276,7 @@ pub fn run_crash_recovery_sharded(
         })
         .collect();
 
-    let mut agg = CrashRecoveryReport {
-        rounds: 0,
-        crashes: 0,
-        restarts: 0,
-        failovers: 0,
-        suspicions: 0,
-        deaths: 0,
-        reaped_claims: 0,
-        wal_replayed_records: 0,
-        byte_identical_recoveries: 0,
-        recovery_mismatches: 0,
-        takeovers: 0,
-        completed: 0,
-        final_home: String::new(),
-        home_ops: 0,
-        digest: String::new(),
-        shard_digests: Vec::new(),
-    };
+    let mut agg = CrashRecoveryReport::default();
     let mut homes = Vec::with_capacity(reports.len());
     for r in reports {
         agg.rounds = agg.rounds.max(r.rounds);
@@ -408,24 +373,7 @@ fn run_lane(cfg: &CrashRecoveryConfig, obs: Option<&Obs>, lane: &LaneSpec) -> Cr
     }
 
     let idx_of = |name: &str| names.iter().position(|n| n == name).unwrap_or(0);
-    let mut report = CrashRecoveryReport {
-        rounds: 0,
-        crashes: 0,
-        restarts: 0,
-        failovers: 0,
-        suspicions: 0,
-        deaths: 0,
-        reaped_claims: 0,
-        wal_replayed_records: 0,
-        byte_identical_recoveries: 0,
-        recovery_mismatches: 0,
-        takeovers: 0,
-        completed: 0,
-        final_home: String::new(),
-        home_ops: 0,
-        digest: String::new(),
-        shard_digests: Vec::new(),
-    };
+    let mut report = CrashRecoveryReport::default();
     let mut completed: BTreeSet<usize> = BTreeSet::new();
     let mut orphaned: BTreeSet<usize> = BTreeSet::new();
     let mut in_flight: Option<(usize, String)> = None;
@@ -445,7 +393,7 @@ fn run_lane(cfg: &CrashRecoveryConfig, obs: Option<&Obs>, lane: &LaneSpec) -> Cr
         for node in schedule.due_restarts(now_ms) {
             let i = idx_of(&node);
             let Some(image) = images[i].take() else { continue };
-            let (recovered, replayed) = DurableStore::recover_in(image, obs, root);
+            let (recovered, replayed) = DurableStore::recover(image, obs, root);
             report.wal_replayed_records += replayed as u64;
             match saved_exports[i].take() {
                 Some(expected) if recovered.export_state() == expected => {
@@ -660,7 +608,7 @@ mod tests {
     #[test]
     fn crash_free_baseline_converges_without_failovers() {
         let cfg = CrashRecoveryConfig::default();
-        let report = run_crash_recovery(&cfg);
+        let report = run_crash_recovery(&cfg, 1, None);
         assert_eq!(report.completed, cfg.n_items);
         assert_eq!(report.crashes, 0);
         assert_eq!(report.failovers, 0, "no crash = no failover, ever");
@@ -673,12 +621,12 @@ mod tests {
 
     #[test]
     fn home_crash_fails_over_reaps_and_matches_the_baseline_digest() {
-        let baseline = run_crash_recovery(&CrashRecoveryConfig::default());
+        let baseline = run_crash_recovery(&CrashRecoveryConfig::default(), 1, None);
         let cfg = CrashRecoveryConfig {
             plan: CrashPlan::new().with_crash_at("node-0", 10, None),
             ..CrashRecoveryConfig::default()
         };
-        let report = run_crash_recovery(&cfg);
+        let report = run_crash_recovery(&cfg, 1, None);
         assert_eq!(report.crashes, 1);
         assert_eq!(report.failovers, 1, "the replica must be promoted");
         assert_eq!(report.final_home, "node-1");
@@ -692,12 +640,12 @@ mod tests {
 
     #[test]
     fn restarted_home_replays_byte_identically_and_rejoins() {
-        let baseline = run_crash_recovery(&CrashRecoveryConfig::default());
+        let baseline = run_crash_recovery(&CrashRecoveryConfig::default(), 1, None);
         let cfg = CrashRecoveryConfig {
             plan: CrashPlan::new().with_crash_at("node-0", 10, Some(600.0)),
             ..CrashRecoveryConfig::default()
         };
-        let report = run_crash_recovery(&cfg);
+        let report = run_crash_recovery(&cfg, 1, None);
         assert_eq!(report.crashes, 1);
         assert_eq!(report.restarts, 1);
         assert_eq!(report.byte_identical_recoveries, 1, "WAL replay must be exact");
@@ -709,12 +657,12 @@ mod tests {
 
     #[test]
     fn replica_crash_never_moves_the_home_role() {
-        let baseline = run_crash_recovery(&CrashRecoveryConfig::default());
+        let baseline = run_crash_recovery(&CrashRecoveryConfig::default(), 1, None);
         let cfg = CrashRecoveryConfig {
             plan: CrashPlan::new().with_crash_at("node-1", 5, Some(400.0)),
             ..CrashRecoveryConfig::default()
         };
-        let report = run_crash_recovery(&cfg);
+        let report = run_crash_recovery(&cfg, 1, None);
         assert_eq!(report.crashes, 1);
         assert_eq!(report.restarts, 1);
         assert_eq!(report.failovers, 0, "the home never crashed");
@@ -729,20 +677,20 @@ mod tests {
             plan: CrashPlan::new().with_crash_at("node-0", 14, Some(500.0)),
             ..CrashRecoveryConfig::default()
         };
-        let a = run_crash_recovery(&cfg);
-        let b = run_crash_recovery(&cfg);
+        let a = run_crash_recovery(&cfg, 1, None);
+        let b = run_crash_recovery(&cfg, 1, None);
         assert_eq!(a, b, "identical configs must replay bit-identically");
     }
 
     #[test]
     fn early_crash_without_restart_still_converges() {
-        let baseline = run_crash_recovery(&CrashRecoveryConfig::default());
+        let baseline = run_crash_recovery(&CrashRecoveryConfig::default(), 1, None);
         for at_op in [1u64, 2, 3] {
             let cfg = CrashRecoveryConfig {
                 plan: CrashPlan::new().with_crash_at("node-0", at_op, None),
                 ..CrashRecoveryConfig::default()
             };
-            let report = run_crash_recovery(&cfg);
+            let report = run_crash_recovery(&cfg, 1, None);
             assert_eq!(report.completed, cfg.n_items, "crash at op {at_op}");
             assert_eq!(report.digest, baseline.digest, "crash at op {at_op}");
         }

@@ -15,12 +15,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use coda_chaos::{RetryPolicy, RetryStats};
 use coda_core::{Evaluator, Node, Pipeline};
-use coda_darr::{ComputationKey, CoopOutcome, CooperativeClient, Darr};
+use coda_darr::{AnalyticsRecord, ComputationKey, CoopOutcome, CooperativeClient, Darr};
 use coda_data::{
     BoxedEstimator, BoxedTransformer, CvStrategy, Dataset, Metric, NoOp, ParamValue, Params,
 };
-use coda_obs::{Obs, SpanContext};
+use coda_obs::Obs;
 use serde::{Deserialize, Serialize, Value};
 
 /// Error produced by spec resolution or execution.
@@ -30,22 +31,14 @@ pub enum JobError {
     UnknownComponent(String),
     /// The metric name is not recognized.
     UnknownMetric(String),
-    /// Another client holds the claim on this computation — transient; a
-    /// retry policy can wait for the holder to finish or its lease to
-    /// expire.
+    /// Another client still held the claim on this computation when the
+    /// job's retry policy gave up.
     ClaimHeld {
         /// The claim holder's client name.
         owner: String,
     },
     /// The job failed during evaluation.
     Execution(String),
-}
-
-impl JobError {
-    /// True for errors a retry can resolve (currently only a held claim).
-    pub fn is_transient(&self) -> bool {
-        matches!(self, JobError::ClaimHeld { .. })
-    }
 }
 
 impl fmt::Display for JobError {
@@ -285,153 +278,97 @@ impl Default for ComponentRegistry {
 }
 
 /// Executes a job spec against a dataset, cooperating through the DARR:
-/// results already computed (by anyone) are reused; otherwise this client
-/// claims, computes with the spec's K-fold CV, and stores the result.
+/// results already computed (by anyone) are reused; otherwise `client`
+/// claims, computes with the spec's K-fold CV, and stores the result. A
+/// claim another client holds is revisited under `policy` (see
+/// [`CooperativeClient::run`]): the holder either finishes — its result is
+/// then reused — or its lease expires and `client` takes over. Returns the
+/// result plus the retry accounting.
+///
+/// With `obs` the job runs under a `cluster.job` span that parents the
+/// cooperative protocol's spans, and its lifecycle counts into the
+/// registry: `coda_cluster_jobs_submitted` → `_completed` / `_held` /
+/// `_failed`, plus `coda_cluster_job_retries`.
 ///
 /// # Errors
 ///
-/// [`JobError`] for bad specs or failed evaluation; a held claim surfaces
-/// as an error the caller may retry.
+/// [`JobError`] for bad specs or failed evaluation; a claim still held when
+/// the policy gives up surfaces as [`JobError::ClaimHeld`].
 pub fn run_job(
     registry: &ComponentRegistry,
     spec: &JobSpec,
     data: &Dataset,
     darr: &Darr,
-    client_name: &str,
-) -> Result<coda_darr::AnalyticsRecord, JobError> {
-    run_job_in(registry, spec, data, darr, client_name, None, None)
-}
-
-/// [`run_job`] with in-band trace context: when `obs` is attached the
-/// cooperative client traces its `darr.process` subtree, and `parent` links
-/// that subtree under the dispatching span (a `cluster.job` or a chaos
-/// driver's per-key root).
-pub fn run_job_in(
-    registry: &ComponentRegistry,
-    spec: &JobSpec,
-    data: &Dataset,
-    darr: &Darr,
-    client_name: &str,
+    client: &str,
+    policy: &RetryPolicy,
     obs: Option<&Obs>,
-    parent: Option<SpanContext>,
-) -> Result<coda_darr::AnalyticsRecord, JobError> {
-    let metric =
-        Metric::parse(&spec.metric).ok_or_else(|| JobError::UnknownMetric(spec.metric.clone()))?;
-    let pipeline = registry.build_pipeline(spec)?;
-    let key = spec.computation_key();
-    let mut client = CooperativeClient::new(darr, client_name, 60_000);
-    if let Some(o) = obs {
-        client = client.with_obs(o.clone());
-    }
-    let outcome = client.process_in(&key, parent, || {
-        let evaluator = Evaluator::new(CvStrategy::kfold(spec.cv_folds), metric);
-        let scores = evaluator.evaluate_pipeline(&pipeline, data).map_err(|e| e.to_string())?;
-        let mean = scores.iter().sum::<f64>() / scores.len() as f64;
-        Ok((mean, scores, format!("job spec: {}", spec.to_json())))
-    });
-    match outcome {
-        CoopOutcome::Computed(r) | CoopOutcome::Reused(r) => Ok(r),
-        CoopOutcome::SkippedHeld(owner) => Err(JobError::ClaimHeld { owner }),
-        CoopOutcome::Failed(e) => Err(JobError::Execution(e)),
-    }
-}
-
-/// [`run_job`] with job-lifecycle observability: the whole job runs under a
-/// `cluster.job` span whose context propagates into the cooperative
-/// protocol, and every lifecycle transition counts into the registry
-/// (`coda_cluster_jobs_submitted` → `_completed` / `_held` / `_failed`).
-pub fn run_job_observed(
-    registry: &ComponentRegistry,
-    spec: &JobSpec,
-    data: &Dataset,
-    darr: &Darr,
-    client_name: &str,
-    obs: &Obs,
-) -> Result<coda_darr::AnalyticsRecord, JobError> {
-    let span = obs.span("cluster.job", &[("client", client_name), ("dataset", &spec.dataset_id)]);
-    obs.count("coda_cluster_jobs_submitted", 1);
-    let result =
-        run_job_in(registry, spec, data, darr, client_name, Some(obs), Some(span.context()));
-    let transition = match &result {
-        Ok(_) => "coda_cluster_jobs_completed",
-        Err(JobError::ClaimHeld { .. }) => "coda_cluster_jobs_held",
-        Err(_) => "coda_cluster_jobs_failed",
-    };
-    obs.count(transition, 1);
-    result
-}
-
-/// [`run_job`] under a retry policy: a held claim backs off by advancing the
-/// DARR's logical clock (so the holder either finishes — the result is then
-/// reused — or its lease expires and this client takes over). Permanent
-/// errors return immediately. Returns the result plus retry accounting.
-pub fn run_job_with_retry(
-    registry: &ComponentRegistry,
-    spec: &JobSpec,
-    data: &Dataset,
-    darr: &Darr,
-    client_name: &str,
-    policy: &coda_chaos::RetryPolicy,
-) -> (Result<coda_darr::AnalyticsRecord, JobError>, coda_chaos::RetryStats) {
-    run_job_with_retry_obs(registry, spec, data, darr, client_name, policy, None)
-}
-
-/// [`run_job_with_retry`] with optional observability: lifecycle
-/// transitions count as in [`run_job_observed`], plus one
-/// `coda_cluster_job_retries` per placement retry against a held claim.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_with_retry_obs(
-    registry: &ComponentRegistry,
-    spec: &JobSpec,
-    data: &Dataset,
-    darr: &Darr,
-    client_name: &str,
-    policy: &coda_chaos::RetryPolicy,
-    obs: Option<&Obs>,
-) -> (Result<coda_darr::AnalyticsRecord, JobError>, coda_chaos::RetryStats) {
-    let span = obs
-        .map(|o| o.span("cluster.job", &[("client", client_name), ("dataset", &spec.dataset_id)]));
-    let ctx = span.as_ref().map(|s| s.context());
-    let count = |name: &str| {
+) -> (Result<AnalyticsRecord, JobError>, RetryStats) {
+    let span =
+        obs.map(|o| o.span("cluster.job", &[("client", client), ("dataset", &spec.dataset_id)]));
+    let count = |name: &str, n: u64| {
         if let Some(o) = obs {
-            o.count(name, 1);
+            o.count(name, n);
         }
     };
-    count("coda_cluster_jobs_submitted");
-    let mut state = policy.state();
-    loop {
-        state.begin_attempt();
-        match run_job_in(registry, spec, data, darr, client_name, obs, ctx) {
-            Ok(record) => {
-                count("coda_cluster_jobs_completed");
-                return (Ok(record), state.finish(true));
+    count("coda_cluster_jobs_submitted", 1);
+    let prepared = Metric::parse(&spec.metric)
+        .ok_or_else(|| JobError::UnknownMetric(spec.metric.clone()))
+        .and_then(|metric| Ok((metric, registry.build_pipeline(spec)?)));
+    let (result, stats) = match prepared {
+        Ok((metric, pipeline)) => {
+            let mut coop = CooperativeClient::new(darr, client, 60_000);
+            if let Some(o) = obs {
+                coop = coop.with_obs(o.clone());
             }
-            Err(e) if e.is_transient() => match state.next_backoff_ms() {
-                Some(backoff) => {
-                    count("coda_cluster_job_retries");
-                    if let (Some(o), Some(c)) = (obs, ctx) {
-                        let ms = format!("{backoff:.3}");
-                        o.event_in(c, "cluster.job_retry", &[("backoff_ms", &ms)]);
-                    }
-                    darr.advance_clock(backoff.ceil() as u64);
-                }
-                None => {
-                    count("coda_cluster_jobs_held");
-                    return (Err(e), state.finish(false));
-                }
-            },
-            Err(e) => {
-                count("coda_cluster_jobs_failed");
-                return (Err(e), state.finish(false));
-            }
+            let evaluator = Evaluator::new(CvStrategy::kfold(spec.cv_folds), metric);
+            let key = spec.computation_key();
+            let ctx = span.as_ref().map(|s| s.context());
+            let (summary, mut outcomes) = coop.run(std::slice::from_ref(&key), policy, ctx, |_| {
+                let scores =
+                    evaluator.evaluate_pipeline(&pipeline, data).map_err(|e| e.to_string())?;
+                let mean = scores.iter().sum::<f64>() / scores.len() as f64;
+                Ok((mean, scores, format!("job spec: {}", spec.to_json())))
+            });
+            let result = match outcomes.pop() {
+                Some(
+                    CoopOutcome::Computed(r) | CoopOutcome::Reused(r) | CoopOutcome::Journaled(r),
+                ) => Ok(r),
+                Some(CoopOutcome::SkippedHeld(owner)) => Err(JobError::ClaimHeld { owner }),
+                Some(CoopOutcome::Failed(e)) => Err(JobError::Execution(e)),
+                None => Err(JobError::Execution("the cooperative run yielded no outcome".into())),
+            };
+            (result, summary.retry)
         }
+        // a spec that never reaches the DARR makes exactly one attempt
+        Err(e) => {
+            let mut state = policy.state();
+            state.begin_attempt();
+            (Err(e), state.finish(false))
+        }
+    };
+    if stats.retries > 0 {
+        count("coda_cluster_job_retries", u64::from(stats.retries));
     }
+    count(
+        match &result {
+            Ok(_) => "coda_cluster_jobs_completed",
+            Err(JobError::ClaimHeld { .. }) => "coda_cluster_jobs_held",
+            Err(_) => "coda_cluster_jobs_failed",
+        },
+        1,
+    );
+    (result, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use coda_data::synth;
+
+    /// One attempt: a held claim surfaces at once.
+    fn once() -> RetryPolicy {
+        RetryPolicy::fixed(0.0, 1)
+    }
 
     fn spec() -> JobSpec {
         let mut params = BTreeMap::new();
@@ -464,12 +401,12 @@ mod tests {
         assert!(registry.names().contains(&"pca"));
         let darr = Darr::new();
         let ds = synth::linear_regression(90, 5, 0.2, 401);
-        let record = run_job(&registry, &spec(), &ds, &darr, "client-a").unwrap();
+        let record = run_job(&registry, &spec(), &ds, &darr, "client-a", &once(), None).0.unwrap();
         assert!(record.score.is_finite());
         assert_eq!(record.fold_scores.len(), 3);
         assert!(record.explanation.contains("job spec"));
         // a second client reuses instead of recomputing
-        let again = run_job(&registry, &spec(), &ds, &darr, "client-b").unwrap();
+        let again = run_job(&registry, &spec(), &ds, &darr, "client-b", &once(), None).0.unwrap();
         assert_eq!(again.producer, "client-a");
         assert_eq!(darr.stats().stored, 1);
     }
@@ -495,7 +432,7 @@ mod tests {
         let darr = Darr::new();
         let ds = synth::linear_regression(30, 3, 0.2, 402);
         assert!(matches!(
-            run_job(&registry, &bad_metric, &ds, &darr, "c"),
+            run_job(&registry, &bad_metric, &ds, &darr, "c", &once(), None).0,
             Err(JobError::UnknownMetric(_))
         ));
     }
@@ -518,18 +455,15 @@ mod tests {
         let ds = synth::linear_regression(60, 4, 0.2, 403);
         let s = spec();
         darr.try_claim(&s.computation_key(), "someone-else", 60_000);
-        match run_job(&registry, &s, &ds, &darr, "client-a") {
-            Err(JobError::ClaimHeld { owner }) => {
-                assert_eq!(owner, "someone-else");
-                assert!(JobError::ClaimHeld { owner }.is_transient());
-            }
+        match run_job(&registry, &s, &ds, &darr, "client-a", &once(), None).0 {
+            Err(JobError::ClaimHeld { owner }) => assert_eq!(owner, "someone-else"),
             other => panic!("expected ClaimHeld, got {other:?}"),
         }
     }
 
     #[test]
-    fn run_job_with_retry_takes_over_expired_claim() {
-        use coda_chaos::RetryPolicy;
+    fn retry_policy_takes_over_expired_claim() {
+        let obs = Obs::deterministic();
         let registry = ComponentRegistry::standard();
         let darr = Darr::new();
         let ds = synth::linear_regression(60, 4, 0.2, 404);
@@ -537,23 +471,34 @@ mod tests {
         // a dead client holds the claim for 100 ticks
         darr.try_claim(&s.computation_key(), "dead", 100);
         let policy = RetryPolicy::fixed(60.0, 5);
-        let (result, stats) = run_job_with_retry(&registry, &s, &ds, &darr, "client-a", &policy);
+        let (result, stats) = run_job(&registry, &s, &ds, &darr, "client-a", &policy, Some(&obs));
         let record = result.unwrap();
         assert_eq!(record.producer, "client-a");
         assert!(stats.retries >= 1);
         assert_eq!(stats.successes, 1);
+        let snap = obs.registry().snapshot();
+        assert_eq!(snap.counter("coda_cluster_jobs_submitted"), 1);
+        assert_eq!(snap.counter("coda_cluster_jobs_completed"), 1);
+        assert_eq!(snap.counter("coda_cluster_job_retries"), u64::from(stats.retries));
+        assert_eq!(snap.counter("coda_darr_takeovers"), 1);
+        let forest = obs.forest();
+        let job = forest.spans().find(|sp| sp.name == "cluster.job").unwrap();
+        assert!(forest
+            .spans()
+            .filter(|sp| sp.name == "darr.process")
+            .all(|sp| sp.parent == Some(job.ctx.span_id)));
 
         // non-transient errors do not retry
         let mut bad = spec();
         bad.metric = "vibes".to_string();
-        let (result, stats) = run_job_with_retry(&registry, &bad, &ds, &darr, "c", &policy);
+        let (result, stats) = run_job(&registry, &bad, &ds, &darr, "c", &policy, Some(&obs));
         assert!(matches!(result, Err(JobError::UnknownMetric(_))));
         assert_eq!(stats.attempts, 1);
+        assert_eq!(obs.registry().snapshot().counter("coda_cluster_jobs_failed"), 1);
     }
 
     #[test]
     fn retry_deadline_caps_a_never_released_claim() {
-        use coda_chaos::RetryPolicy;
         let registry = ComponentRegistry::standard();
         let darr = Darr::new();
         let ds = synth::linear_regression(60, 4, 0.2, 405);
@@ -562,7 +507,7 @@ mod tests {
         // without a total-budget cap this retries until the attempt limit
         darr.try_claim(&s.computation_key(), "immortal", u64::MAX / 2);
         let policy = RetryPolicy::fixed(30.0, 1_000).with_deadline(100.0);
-        let (result, stats) = run_job_with_retry(&registry, &s, &ds, &darr, "client-a", &policy);
+        let (result, stats) = run_job(&registry, &s, &ds, &darr, "client-a", &policy, None);
         assert!(matches!(result, Err(JobError::ClaimHeld { .. })));
         assert_eq!(stats.deadline_hits, 1, "the budget cap must end the retrying");
         assert!(stats.total_backoff_ms <= 100.0, "backoff never exceeds the budget");

@@ -46,9 +46,6 @@ pub struct CacheStats {
     pub bytes: u64,
     /// Transformer refits avoided — one per cache hit.
     pub refits_avoided: u64,
-    /// Whole jobs skipped because the DARR already held their exact spec
-    /// key (the cooperative warm-start path; see `coda-darr`).
-    pub warm_start_skips: u64,
 }
 
 impl CacheStats {
@@ -72,7 +69,6 @@ impl CacheStats {
         self.misses += other.misses;
         self.bytes += other.bytes;
         self.refits_avoided += other.refits_avoided;
-        self.warm_start_skips += other.warm_start_skips;
     }
 }
 
@@ -82,7 +78,6 @@ impl coda_obs::Publish for CacheStats {
         registry.count("coda_core_cache_misses", self.misses);
         registry.count("coda_core_cache_bytes", self.bytes);
         registry.count("coda_core_cache_refits_avoided", self.refits_avoided);
-        registry.count("coda_core_cache_warm_start_skips", self.warm_start_skips);
     }
 }
 
@@ -90,13 +85,12 @@ impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "hits {} / misses {} ({:.0}% hit rate), {} bytes, {} refits avoided, {} warm-start skips",
+            "hits {} / misses {} ({:.0}% hit rate), {} bytes, {} refits avoided",
             self.hits,
             self.misses,
             self.hit_rate() * 100.0,
             self.bytes,
-            self.refits_avoided,
-            self.warm_start_skips
+            self.refits_avoided
         )
     }
 }
@@ -174,7 +168,6 @@ impl TransformCache {
             misses: self.misses.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
             refits_avoided: hits,
-            warm_start_skips: 0,
         }
     }
 }
@@ -282,15 +275,10 @@ mod tests {
 
     #[test]
     fn stats_merge_accumulates() {
-        let mut a =
-            CacheStats { hits: 1, misses: 2, bytes: 3, refits_avoided: 1, warm_start_skips: 0 };
-        let b =
-            CacheStats { hits: 10, misses: 20, bytes: 30, refits_avoided: 10, warm_start_skips: 5 };
+        let mut a = CacheStats { hits: 1, misses: 2, bytes: 3, refits_avoided: 1 };
+        let b = CacheStats { hits: 10, misses: 20, bytes: 30, refits_avoided: 10 };
         a.merge(&b);
-        assert_eq!(
-            a,
-            CacheStats { hits: 11, misses: 22, bytes: 33, refits_avoided: 11, warm_start_skips: 5 }
-        );
-        assert!(a.to_string().contains("warm-start"));
+        assert_eq!(a, CacheStats { hits: 11, misses: 22, bytes: 33, refits_avoided: 11 });
+        assert!(a.to_string().contains("refits avoided"));
     }
 }

@@ -1,85 +1,119 @@
 //! Cooperative evaluation driver: a client works through a list of
 //! computations against the DARR, reusing stored results, claiming untried
 //! ones, and computing only what no other client has covered — the
-//! cooperation protocol of Fig. 2.
+//! cooperation protocol of Fig. 2. While the client's [`DarrLink`] is down
+//! it keeps computing locally, journaling results that are replayed into
+//! the repository (keep-newer merge) once the link is back: cooperation
+//! degrades — claims cannot be checked offline — but no result is lost.
+
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use coda_chaos::{RetryPolicy, RetryStats};
-use coda_core::CacheStats;
 use coda_obs::{Obs, SpanContext};
 
 use crate::record::{AnalyticsRecord, ComputationKey};
 use crate::repo::{ClaimOutcome, Darr};
 
-/// What happened for one computation in a cooperative pass.
+/// What happened for one computation in a cooperative run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoopOutcome {
     /// The client computed it (held the claim).
     Computed(AnalyticsRecord),
     /// A stored result was reused — a redundant computation avoided.
     Reused(AnalyticsRecord),
-    /// Another client holds the claim; skipped for now.
+    /// The client computed it locally while the link was down; the record
+    /// waits in the journal until it is replayed.
+    Journaled(AnalyticsRecord),
+    /// Another client still holds the claim.
     SkippedHeld(String),
     /// The computation failed; the claim was released.
     Failed(String),
 }
 
-/// Accounting from a retry-aware worklist pass.
+/// Per-client counters from one [`CooperativeClient::run`]. Each key counts
+/// once, at its final outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RetryReport {
-    /// Aggregated retry/backoff accounting over all deferred keys.
-    pub stats: RetryStats,
-    /// Keys this client computed after another client's claim lease
-    /// expired (takeovers of presumed-dead owners).
-    pub takeovers: usize,
-}
-
-impl coda_obs::Publish for RetryReport {
-    fn publish(&self, registry: &coda_obs::MetricsRegistry) {
-        self.stats.publish(registry);
-        registry.count("coda_darr_takeovers", self.takeovers as u64);
-    }
-}
-
-/// Per-client counters from a cooperative pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoopSummary {
-    /// Computations this client performed.
+    /// Computations this client performed online.
     pub computed: usize,
     /// Results reused from the DARR.
     pub reused: usize,
-    /// Computations skipped because another client held the claim.
+    /// Keys still held by another client when the retry policy gave up.
     pub skipped: usize,
     /// Failures.
     pub failed: usize,
+    /// Keys computed here after winning a claim on revisit — the holder's
+    /// lease expired or it released the claim.
+    pub takeovers: usize,
+    /// Keys computed locally and journaled while the link was down.
+    pub journaled: usize,
+    /// Journaled records the repository accepted on replay.
+    pub replayed: usize,
+    /// Retry/backoff accounting, one call per key.
+    pub retry: RetryStats,
 }
 
-impl coda_obs::Publish for CoopSummary {
-    fn publish(&self, registry: &coda_obs::MetricsRegistry) {
-        registry.count("coda_darr_computed", self.computed as u64);
-        registry.count("coda_darr_reused", self.reused as u64);
-        registry.count("coda_darr_skipped_held", self.skipped as u64);
-        registry.count("coda_darr_failed", self.failed as u64);
+/// A client's (possibly partitioned) connection to the shared repository.
+#[derive(Debug)]
+pub struct DarrLink<'a> {
+    darr: &'a Darr,
+    up: AtomicBool,
+}
+
+impl<'a> DarrLink<'a> {
+    /// A connected link to `darr`.
+    fn new(darr: &'a Darr) -> Self {
+        DarrLink { darr, up: AtomicBool::new(true) }
+    }
+
+    /// True when the repository is reachable.
+    pub fn is_up(&self) -> bool {
+        self.up.load(Ordering::SeqCst)
+    }
+
+    /// Partitions (`false`) or heals (`true`) the link.
+    pub fn set_up(&self, up: bool) {
+        self.up.store(up, Ordering::SeqCst);
+    }
+
+    /// The repository, when reachable.
+    fn darr(&self) -> Option<&'a Darr> {
+        self.is_up().then_some(self.darr)
     }
 }
 
-/// A cooperating client bound to a shared [`Darr`].
+/// A cooperating client bound to a shared [`Darr`] through its own
+/// [`DarrLink`].
 #[derive(Debug)]
 pub struct CooperativeClient<'a> {
-    darr: &'a Darr,
+    link: DarrLink<'a>,
     name: String,
     claim_duration: u64,
     obs: Option<Obs>,
+    /// Results computed while the link was down, waiting for replay.
+    journal: Mutex<Vec<AnalyticsRecord>>,
+    /// Logical timestamp for journaled records; bumped per record so replay
+    /// ordering is well defined while the DARR clock is unreachable.
+    local_clock: AtomicU64,
 }
 
 impl<'a> CooperativeClient<'a> {
     /// Creates a client named `name` with the given claim lease duration.
     pub fn new<S: Into<String>>(darr: &'a Darr, name: S, claim_duration: u64) -> Self {
-        CooperativeClient { darr, name: name.into(), claim_duration, obs: None }
+        CooperativeClient {
+            link: DarrLink::new(darr),
+            name: name.into(),
+            claim_duration,
+            obs: None,
+            journal: Mutex::new(Vec::new()),
+            local_clock: AtomicU64::new(0),
+        }
     }
 
-    /// Attaches an observability handle: per-key outcomes, takeovers and
-    /// warm-start skips count live into its registry under `coda_darr_*`
-    /// names, and each processed key is traced as a `darr.process` span.
+    /// Attaches an observability handle: per-key outcomes and takeovers
+    /// count live into its registry under `coda_darr_*` names, and each
+    /// attempt at a key is traced as a `darr.process` span.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = Some(obs);
         self
@@ -96,30 +130,111 @@ impl<'a> CooperativeClient<'a> {
         &self.name
     }
 
-    /// Processes one computation: reuse, claim + compute, or skip.
-    /// `compute` runs only when the claim is held and returns
-    /// `(score, fold_scores, explanation)` or an error message.
-    pub fn process<F>(&self, key: &ComputationKey, compute: F) -> CoopOutcome
-    where
-        F: FnOnce() -> Result<(f64, Vec<f64>, String), String>,
-    {
-        self.process_in(key, None, compute)
+    /// The client's link to the repository (partition it with
+    /// [`DarrLink::set_up`]).
+    pub fn link(&self) -> &DarrLink<'a> {
+        &self.link
     }
 
-    /// [`CooperativeClient::process`] inside a causal trace: the
-    /// `darr.process` span becomes a child of the carried `parent`
-    /// context (a dispatching job, a chaos driver's attempt, …), and the
-    /// span's own context propagates into the repository's claim and
-    /// complete operations — so the whole reuse/claim/compute story for
-    /// one key reads as a single subtree.
-    pub fn process_in<F>(
+    /// Results journaled and not yet replayed.
+    pub fn journaled(&self) -> usize {
+        self.journal.lock().len()
+    }
+
+    /// Works through `keys` with the cooperation protocol of Fig. 2 and
+    /// returns the summary plus each key's final outcome, in `keys` order.
+    /// `compute` runs only when this client must produce a result and
+    /// returns `(score, fold_scores, explanation)` or an error message.
+    ///
+    /// 1. First pass, per key: reuse a stored result, or claim → compute →
+    ///    complete (releasing the claim when `compute` fails), or defer a
+    ///    key another client holds.
+    /// 2. Second pass: revisit each deferred key under `policy`, advancing
+    ///    the DARR clock by each backoff so the holder's lease ages, and
+    ///    yielding the thread between zero-tick attempts. A holder that
+    ///    finished turns the key into `Reused`; a claim won on revisit is a
+    ///    takeover. Keys still held when the policy gives up stay
+    ///    `SkippedHeld`.
+    /// 3. While the link is down, keys are computed locally into the
+    ///    journal, which is replayed by keep-newer merge once the link is
+    ///    back — before the next online key and at the end of the run.
+    ///
+    /// Every `darr.process` span, with the repository's `darr.claim`,
+    /// `darr.complete` and `darr.merge` spans, nests under `parent`.
+    pub fn run<F>(
+        &self,
+        keys: &[ComputationKey],
+        policy: &RetryPolicy,
+        parent: Option<SpanContext>,
+        mut compute: F,
+    ) -> (CoopSummary, Vec<CoopOutcome>)
+    where
+        F: FnMut(&ComputationKey) -> Result<(f64, Vec<f64>, String), String>,
+    {
+        let mut summary = CoopSummary::default();
+        let mut outcomes = Vec::with_capacity(keys.len());
+        for key in keys {
+            summary.replayed += self.replay(parent);
+            outcomes.push(self.process(key, parent, &mut compute));
+        }
+        for (key, outcome) in keys.iter().zip(&mut outcomes) {
+            let mut state = policy.state();
+            state.begin_attempt(); // the first pass was attempt 1
+            while matches!(outcome, CoopOutcome::SkippedHeld(_)) {
+                let Some(darr) = self.link.darr() else { break };
+                let Some(backoff) = state.next_backoff_ms() else { break };
+                match backoff.ceil() as u64 {
+                    0 => std::thread::yield_now(),
+                    ticks => darr.advance_clock(ticks),
+                }
+                state.begin_attempt();
+                *outcome = self.process(key, parent, &mut compute);
+                if matches!(outcome, CoopOutcome::Computed(_)) {
+                    summary.takeovers += 1;
+                    self.obs_count("coda_darr_takeovers", 1);
+                }
+            }
+            let resolved = matches!(
+                outcome,
+                CoopOutcome::Computed(_) | CoopOutcome::Reused(_) | CoopOutcome::Journaled(_)
+            );
+            summary.retry.merge(&state.finish(resolved));
+        }
+        summary.replayed += self.replay(parent);
+        for outcome in &outcomes {
+            match outcome {
+                CoopOutcome::Computed(_) => {
+                    summary.computed += 1;
+                    self.obs_count("coda_darr_computed", 1);
+                }
+                CoopOutcome::Reused(_) => {
+                    summary.reused += 1;
+                    self.obs_count("coda_darr_reused", 1);
+                }
+                CoopOutcome::SkippedHeld(_) => {
+                    summary.skipped += 1;
+                    self.obs_count("coda_darr_skipped_held", 1);
+                }
+                CoopOutcome::Failed(_) => {
+                    summary.failed += 1;
+                    self.obs_count("coda_darr_failed", 1);
+                }
+                CoopOutcome::Journaled(_) => summary.journaled += 1,
+            }
+        }
+        (summary, outcomes)
+    }
+
+    /// One attempt at one key, traced as a `darr.process` span whose
+    /// context propagates into the repository's claim and complete.
+    fn process<F>(
         &self,
         key: &ComputationKey,
         parent: Option<SpanContext>,
-        compute: F,
+        compute: &mut F,
     ) -> CoopOutcome
     where
-        F: FnOnce() -> Result<(f64, Vec<f64>, String), String>,
+        F: FnMut(&ComputationKey) -> Result<(f64, Vec<f64>, String), String>,
     {
         let span = self.obs.as_ref().map(|o| {
             o.tracer().span_with_parent(
@@ -129,177 +244,58 @@ impl<'a> CooperativeClient<'a> {
             )
         });
         let ctx = span.as_ref().map(|s| s.context()).or(parent);
-        let outcome =
-            match self.darr.try_claim_in(key, &self.name, self.claim_duration, ctx) {
-                ClaimOutcome::AlreadyComputed(record) => CoopOutcome::Reused(record),
-                ClaimOutcome::HeldBy(owner) => CoopOutcome::SkippedHeld(owner),
-                ClaimOutcome::Claimed => match compute() {
-                    Ok((score, folds, explanation)) => CoopOutcome::Computed(
-                        self.darr.complete_in(key, &self.name, score, folds, &explanation, ctx),
-                    ),
-                    Err(e) => {
-                        self.darr.release_claim(key, &self.name);
-                        CoopOutcome::Failed(e)
-                    }
-                },
+        let Some(darr) = self.link.darr() else {
+            return match compute(key) {
+                Ok((score, fold_scores, explanation)) => {
+                    let record = AnalyticsRecord {
+                        key: key.clone(),
+                        score,
+                        fold_scores,
+                        explanation,
+                        producer: self.name.clone(),
+                        stored_at: self.local_clock.fetch_add(1, Ordering::SeqCst) + 1,
+                    };
+                    self.journal.lock().push(record.clone());
+                    CoopOutcome::Journaled(record)
+                }
+                Err(e) => CoopOutcome::Failed(e),
             };
-        let metric = match &outcome {
-            CoopOutcome::Computed(_) => "coda_darr_computed",
-            CoopOutcome::Reused(_) => "coda_darr_reused",
-            CoopOutcome::SkippedHeld(_) => "coda_darr_skipped_held",
-            CoopOutcome::Failed(_) => "coda_darr_failed",
         };
-        self.obs_count(metric, 1);
-        outcome
-    }
-
-    /// Runs a full work list, returning the summary and per-key outcomes.
-    pub fn run_worklist<F>(
-        &self,
-        keys: &[ComputationKey],
-        mut compute: F,
-    ) -> (CoopSummary, Vec<CoopOutcome>)
-    where
-        F: FnMut(&ComputationKey) -> Result<(f64, Vec<f64>, String), String>,
-    {
-        let mut summary = CoopSummary::default();
-        let mut outcomes = Vec::with_capacity(keys.len());
-        for key in keys {
-            let outcome = self.process(key, || compute(key));
-            match &outcome {
-                CoopOutcome::Computed(_) => summary.computed += 1,
-                CoopOutcome::Reused(_) => summary.reused += 1,
-                CoopOutcome::SkippedHeld(_) => summary.skipped += 1,
-                CoopOutcome::Failed(_) => summary.failed += 1,
-            }
-            outcomes.push(outcome);
-        }
-        (summary, outcomes)
-    }
-
-    /// Resolves the keys whose exact computation key already has a record
-    /// in the DARR — the warm-start set — without generating any claim
-    /// traffic. Returns the resolved `(index, record)` pairs, the indices
-    /// still needing work (both in original `keys` order), and
-    /// [`CacheStats`] accounting each resolution as a `warm_start_skip`.
-    pub fn warm_start(
-        &self,
-        keys: &[ComputationKey],
-    ) -> (Vec<(usize, AnalyticsRecord)>, Vec<usize>, CacheStats) {
-        let mut resolved = Vec::new();
-        let mut remaining = Vec::new();
-        for (idx, key) in keys.iter().enumerate() {
-            match self.darr.lookup(key) {
-                Some(record) => resolved.push((idx, record)),
-                None => remaining.push(idx),
-            }
-        }
-        let stats = CacheStats { warm_start_skips: resolved.len() as u64, ..CacheStats::default() };
-        self.obs_count("coda_darr_warm_start_skips", resolved.len() as u64);
-        (resolved, remaining, stats)
-    }
-
-    /// Like [`CooperativeClient::run_worklist`], but with a warm-start
-    /// pass first: keys whose exact spec key already has a local record
-    /// resolve to [`CoopOutcome::Reused`] immediately (no claim traffic),
-    /// and only the remainder goes through the claim/compute protocol.
-    /// Outcomes come back in the original `keys` order; the returned
-    /// [`CacheStats`] counts one `warm_start_skip` per job skipped.
-    pub fn run_worklist_warm<F>(
-        &self,
-        keys: &[ComputationKey],
-        mut compute: F,
-    ) -> (CoopSummary, Vec<CoopOutcome>, CacheStats)
-    where
-        F: FnMut(&ComputationKey) -> Result<(f64, Vec<f64>, String), String>,
-    {
-        let (resolved, remaining, stats) = self.warm_start(keys);
-        let cold: Vec<ComputationKey> = remaining.iter().map(|&i| keys[i].clone()).collect();
-        let (mut summary, cold_outcomes) = self.run_worklist(&cold, &mut compute);
-        summary.reused += resolved.len();
-        let mut outcomes: Vec<Option<CoopOutcome>> = vec![None; keys.len()];
-        for (idx, record) in resolved {
-            outcomes[idx] = Some(CoopOutcome::Reused(record));
-        }
-        for (&idx, outcome) in remaining.iter().zip(cold_outcomes) {
-            outcomes[idx] = Some(outcome);
-        }
-        let outcomes = outcomes.into_iter().map(Option::unwrap).collect();
-        (summary, outcomes, stats)
-    }
-
-    /// Like [`CooperativeClient::run_worklist`], but keys skipped because
-    /// another client held the claim are *revisited* under `policy`: each
-    /// retry backs off by advancing the shared DARR clock (so the holder's
-    /// lease can expire), then reclaims. A key whose holder finished in the
-    /// meantime resolves to `Reused`; a key whose holder's lease expired is
-    /// taken over and `Computed` here. Keys still held when the policy
-    /// exhausts stay `SkippedHeld`.
-    pub fn run_worklist_with_retry<F>(
-        &self,
-        keys: &[ComputationKey],
-        mut compute: F,
-        policy: &RetryPolicy,
-    ) -> (CoopSummary, Vec<CoopOutcome>, RetryReport)
-    where
-        F: FnMut(&ComputationKey) -> Result<(f64, Vec<f64>, String), String>,
-    {
-        let (mut summary, mut outcomes) = self.run_worklist(keys, &mut compute);
-        let mut report = RetryReport::default();
-        for idx in 0..outcomes.len() {
-            if !matches!(outcomes[idx], CoopOutcome::SkippedHeld(_)) {
-                continue;
-            }
-            let key = &keys[idx];
-            let mut state = policy.state();
-            state.begin_attempt(); // the first pass was attempt 1
-            let resolved = loop {
-                let Some(backoff) = state.next_backoff_ms() else {
-                    break None;
-                };
-                // back off in DARR logical time so the holder's lease ages
-                self.darr.advance_clock(backoff.ceil() as u64);
-                state.begin_attempt();
-                match self.process(key, || compute(key)) {
-                    CoopOutcome::SkippedHeld(_) => continue,
-                    other => break Some(other),
+        match darr.try_claim_in(key, &self.name, self.claim_duration, ctx) {
+            ClaimOutcome::AlreadyComputed(record) => CoopOutcome::Reused(record),
+            ClaimOutcome::HeldBy(owner) => CoopOutcome::SkippedHeld(owner),
+            ClaimOutcome::Claimed => match compute(key) {
+                Ok((score, folds, explanation)) => CoopOutcome::Computed(darr.complete_in(
+                    key,
+                    &self.name,
+                    score,
+                    folds,
+                    &explanation,
+                    ctx,
+                )),
+                Err(e) => {
+                    darr.release_claim(key, &self.name);
+                    CoopOutcome::Failed(e)
                 }
-            };
-            match resolved {
-                Some(outcome) => {
-                    match &outcome {
-                        CoopOutcome::Computed(_) => {
-                            summary.skipped -= 1;
-                            summary.computed += 1;
-                            report.takeovers += 1;
-                            self.obs_count("coda_darr_takeovers", 1);
-                        }
-                        CoopOutcome::Reused(_) => {
-                            summary.skipped -= 1;
-                            summary.reused += 1;
-                        }
-                        CoopOutcome::Failed(_) => {
-                            summary.skipped -= 1;
-                            summary.failed += 1;
-                        }
-                        // the retry loop only breaks on non-held outcomes;
-                        // if that ever changes the key simply stays skipped
-                        CoopOutcome::SkippedHeld(_) => {}
-                    }
-                    report.stats.merge(&state.finish(true));
-                    outcomes[idx] = outcome;
-                }
-                None => report.stats.merge(&state.finish(false)),
-            }
+            },
         }
-        (summary, outcomes, report)
+    }
+
+    /// Replays the journal into the repository when the link is up,
+    /// returning how many records it applied — a record another client
+    /// stored with a newer timestamp during the partition wins, and the
+    /// journaled copy is dropped rather than duplicated.
+    fn replay(&self, parent: Option<SpanContext>) -> usize {
+        let Some(darr) = self.link.darr() else { return 0 };
+        let drained = std::mem::take(&mut *self.journal.lock());
+        drained.into_iter().map(|record| usize::from(darr.merge_record(record, parent))).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
     fn keys(n: usize) -> Vec<ComputationKey> {
@@ -308,16 +304,26 @@ mod tests {
             .collect()
     }
 
+    /// One attempt per key: a held key is skipped, never revisited.
+    fn once() -> RetryPolicy {
+        RetryPolicy::fixed(0.0, 1)
+    }
+
+    fn ok(_: &ComputationKey) -> Result<(f64, Vec<f64>, String), String> {
+        Ok((1.0, vec![], String::new()))
+    }
+
     #[test]
     fn single_client_computes_everything_once() {
         let darr = Darr::new();
         let client = CooperativeClient::new(&darr, "a", 100);
         let work = keys(5);
-        let (summary, _) = client
-            .run_worklist(&work, |k| Ok((k.pipeline.len() as f64, vec![], "test".to_string())));
+        let (summary, _) = client.run(&work, &once(), None, |k| {
+            Ok((k.pipeline.len() as f64, vec![], "test".to_string()))
+        });
         assert_eq!(summary.computed, 5);
         // a second pass reuses all five
-        let (summary2, outcomes) = client.run_worklist(&work, |_| unreachable!());
+        let (summary2, outcomes) = client.run(&work, &once(), None, |_| unreachable!());
         assert_eq!(summary2.reused, 5);
         assert!(matches!(outcomes[0], CoopOutcome::Reused(_)));
     }
@@ -328,8 +334,8 @@ mod tests {
         let a = CooperativeClient::new(&darr, "a", 100);
         let b = CooperativeClient::new(&darr, "b", 100);
         let work = keys(10);
-        let (sa, _) = a.run_worklist(&work[..6], |_| Ok((0.0, vec![], String::new())));
-        let (sb, _) = b.run_worklist(&work, |_| Ok((0.0, vec![], String::new())));
+        let (sa, _) = a.run(&work[..6], &once(), None, ok);
+        let (sb, _) = b.run(&work, &once(), None, ok);
         assert_eq!(sa.computed, 6);
         assert_eq!(sb.computed, 4);
         assert_eq!(sb.reused, 6);
@@ -342,151 +348,113 @@ mod tests {
         let darr = Darr::new();
         let a = CooperativeClient::new(&darr, "a", 100);
         let b = CooperativeClient::new(&darr, "b", 100);
-        let k = &keys(1)[0];
-        let outcome = a.process(k, || Err("boom".to_string()));
-        assert!(matches!(outcome, CoopOutcome::Failed(_)));
+        let work = keys(1);
+        let (summary, outcomes) = a.run(&work, &once(), None, |_| Err("boom".to_string()));
+        assert_eq!(summary.failed, 1);
+        assert!(matches!(outcomes[0], CoopOutcome::Failed(_)));
         // b can immediately claim and finish
-        let outcome = b.process(k, || Ok((1.0, vec![], String::new())));
-        assert!(matches!(outcome, CoopOutcome::Computed(_)));
+        let (_, outcomes) = b.run(&work, &once(), None, ok);
+        assert!(matches!(outcomes[0], CoopOutcome::Computed(_)));
     }
 
     #[test]
     fn held_claim_is_skipped() {
         let darr = Darr::new();
-        let k = &keys(1)[0];
-        darr.try_claim(k, "other", 100);
+        let work = keys(1);
+        darr.try_claim(&work[0], "other", 100);
         let a = CooperativeClient::new(&darr, "a", 100);
-        let outcome = a.process(k, || unreachable!());
-        assert_eq!(outcome, CoopOutcome::SkippedHeld("other".to_string()));
+        let (summary, outcomes) = a.run(&work, &once(), None, |_| unreachable!());
+        assert_eq!(summary.skipped, 1);
+        assert_eq!(outcomes[0], CoopOutcome::SkippedHeld("other".to_string()));
     }
 
     #[test]
     fn retry_takes_over_expired_claim() {
-        use coda_chaos::RetryPolicy;
         let darr = Darr::new();
         let work = keys(1);
         // a client that died mid-compute holds the claim for 50 ticks
         darr.try_claim(&work[0], "dead", 50);
         let a = CooperativeClient::new(&darr, "a", 100);
-        let policy = RetryPolicy::fixed(30.0, 5);
-        let (summary, outcomes, report) =
-            a.run_worklist_with_retry(&work, |_| Ok((1.0, vec![], String::new())), &policy);
+        let (summary, outcomes) = a.run(&work, &RetryPolicy::fixed(30.0, 5), None, ok);
         assert_eq!(summary.computed, 1);
         assert_eq!(summary.skipped, 0);
-        assert_eq!(report.takeovers, 1);
-        assert!(report.stats.retries >= 1);
+        assert_eq!(summary.takeovers, 1);
+        assert!(summary.retry.retries >= 1);
         assert!(matches!(outcomes[0], CoopOutcome::Computed(_)));
         assert_eq!(darr.lookup(&work[0]).unwrap().producer, "a");
     }
 
     #[test]
     fn retry_reuses_result_finished_by_holder() {
-        use coda_chaos::RetryPolicy;
         let darr = Darr::new();
         let work = keys(2);
         // "other" holds p1 and finishes it while we compute p0
         darr.try_claim(&work[1], "other", 1000);
         let a = CooperativeClient::new(&darr, "a", 100);
-        let policy = RetryPolicy::fixed(10.0, 4);
-        let (summary, outcomes, report) = a.run_worklist_with_retry(
-            &work,
-            |k| {
-                if k == &work[0] {
-                    darr.complete(&work[1], "other", 0.7, vec![], "done elsewhere");
-                }
-                Ok((1.0, vec![], String::new()))
-            },
-            &policy,
-        );
+        let (summary, outcomes) = a.run(&work, &RetryPolicy::fixed(10.0, 4), None, |k| {
+            if k == &work[0] {
+                darr.complete(&work[1], "other", 0.7, vec![], "done elsewhere");
+            }
+            Ok((1.0, vec![], String::new()))
+        });
         assert_eq!(summary.computed, 1);
         assert_eq!(summary.reused, 1);
-        assert_eq!(report.takeovers, 0, "a reuse is not a takeover");
+        assert_eq!(summary.takeovers, 0, "a reuse is not a takeover");
         assert!(matches!(outcomes[1], CoopOutcome::Reused(_)));
     }
 
     #[test]
     fn retry_exhausts_against_live_holder() {
-        use coda_chaos::RetryPolicy;
         let darr = Darr::new();
         let work = keys(1);
         darr.try_claim(&work[0], "busy", 1_000_000);
         let a = CooperativeClient::new(&darr, "a", 100);
-        let policy = RetryPolicy::fixed(10.0, 3);
-        let (summary, outcomes, report) =
-            a.run_worklist_with_retry(&work, |_| unreachable!(), &policy);
+        let (summary, outcomes) =
+            a.run(&work, &RetryPolicy::fixed(10.0, 3), None, |_| unreachable!());
         assert_eq!(summary.skipped, 1);
-        assert_eq!(report.takeovers, 0);
-        assert_eq!(report.stats.exhausted, 1);
+        assert_eq!(summary.takeovers, 0);
+        assert_eq!(summary.retry.exhausted, 1);
         assert!(matches!(outcomes[0], CoopOutcome::SkippedHeld(_)));
     }
 
     #[test]
-    fn warm_start_partitions_known_and_unknown_keys() {
+    fn registry_counts_each_key_once_at_its_final_outcome() {
+        let obs = Obs::deterministic();
         let darr = Darr::new();
-        let client = CooperativeClient::new(&darr, "a", 100);
-        let work = keys(4);
-        // records already exist for keys 1 and 3
-        darr.try_claim(&work[1], "earlier", 100);
-        darr.complete(&work[1], "earlier", 0.5, vec![], "old");
-        darr.try_claim(&work[3], "earlier", 100);
-        darr.complete(&work[3], "earlier", 0.9, vec![], "old");
-        let (resolved, remaining, stats) = client.warm_start(&work);
-        assert_eq!(resolved.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(remaining, vec![0, 2]);
-        assert_eq!(stats.warm_start_skips, 2);
-        assert_eq!(stats.hits + stats.misses, 0, "warm start is not a prefix lookup");
-    }
-
-    #[test]
-    fn warm_worklist_skips_known_keys_without_claim_traffic() {
-        let darr = Darr::new();
-        let client = CooperativeClient::new(&darr, "a", 100);
-        let work = keys(5);
-        darr.try_claim(&work[2], "earlier", 100);
-        darr.complete(&work[2], "earlier", 0.5, vec![], "old");
-        let computed = Arc::new(AtomicUsize::new(0));
-        let computed2 = Arc::clone(&computed);
-        let (summary, outcomes, stats) = client.run_worklist_warm(&work, |_| {
-            computed2.fetch_add(1, Ordering::SeqCst);
+        let work = keys(3);
+        // the first pass skips p0 and p1: p0's holder finishes while we
+        // compute p2, and p1's dead holder's lease lapses on the revisit
+        darr.try_claim(&work[0], "other", 1000);
+        darr.try_claim(&work[1], "dead", 15);
+        let a = CooperativeClient::new(&darr, "a", 100).with_obs(obs.clone());
+        let (summary, outcomes) = a.run(&work, &RetryPolicy::fixed(10.0, 4), None, |k| {
+            if k == &work[2] {
+                darr.complete(&work[0], "other", 0.7, vec![], "done elsewhere");
+            }
             Ok((1.0, vec![], String::new()))
         });
-        assert_eq!(computed.load(Ordering::SeqCst), 4, "only cold keys computed");
-        assert_eq!(summary.computed, 4);
-        assert_eq!(summary.reused, 1);
-        assert_eq!(stats.warm_start_skips, 1);
-        assert_eq!(outcomes.len(), 5, "outcomes stay in original key order");
-        for (i, outcome) in outcomes.iter().enumerate() {
-            if i == 2 {
-                assert!(matches!(outcome, CoopOutcome::Reused(r) if r.producer == "earlier"));
-            } else {
-                assert!(matches!(outcome, CoopOutcome::Computed(_)));
-            }
-        }
+        assert!(matches!(outcomes[0], CoopOutcome::Reused(_)), "reused on the revisit");
+        assert_eq!((summary.computed, summary.reused, summary.skipped), (2, 1, 0));
+        assert_eq!(summary.takeovers, 1);
+        let snap = obs.registry().snapshot();
+        assert_eq!(snap.counter("coda_darr_computed"), summary.computed as u64);
+        assert_eq!(snap.counter("coda_darr_reused"), summary.reused as u64);
+        assert_eq!(snap.counter("coda_darr_skipped_held"), 0, "no key ended up skipped");
+        assert_eq!(snap.counter("coda_darr_failed"), 0);
+        assert_eq!(snap.counter("coda_darr_takeovers"), summary.takeovers as u64);
     }
 
     #[test]
-    fn warm_worklist_on_empty_darr_is_all_cold() {
-        let darr = Darr::new();
-        let client = CooperativeClient::new(&darr, "a", 100);
-        let work = keys(3);
-        let (summary, _, stats) =
-            client.run_worklist_warm(&work, |_| Ok((1.0, vec![], String::new())));
-        assert_eq!(summary.computed, 3);
-        assert_eq!(stats.warm_start_skips, 0);
-    }
-
-    #[test]
-    fn process_in_traces_the_whole_key_as_one_subtree() {
-        use coda_obs::{Obs, TraceForest};
+    fn run_traces_the_whole_key_as_one_subtree() {
+        use coda_obs::TraceForest;
         let obs = Obs::deterministic();
         let darr = Darr::new();
         darr.attach_obs(obs.clone());
         let client = CooperativeClient::new(&darr, "a", 100).with_obs(obs.clone());
         let job = obs.tracer().begin_span("cluster.job", None, &[]);
-        let outcome =
-            client.process_in(&keys(1)[0], Some(job), || Ok((1.0, vec![], String::new())));
+        let (summary, _) = client.run(&keys(1), &once(), Some(job), ok);
         obs.tracer().end_span(job, &[]);
-        assert!(matches!(outcome, CoopOutcome::Computed(_)));
+        assert_eq!(summary.computed, 1);
         let forest = TraceForest::from_events(&obs.tracer().events());
         assert!(forest.orphans().is_empty());
         assert_eq!(forest.unresolved_points(), 0);
@@ -497,6 +465,38 @@ mod tests {
             assert_eq!(span.parent, Some(process.ctx.span_id), "{name} nests under the process");
             assert_eq!(span.ctx.trace_id, job.trace_id, "one trace end to end");
         }
+    }
+
+    #[test]
+    fn heal_mid_worklist_replays_before_the_next_online_key() {
+        let darr = Darr::new();
+        let client = CooperativeClient::new(&darr, "a", 100);
+        let work = keys(4);
+        client.link().set_up(false);
+        let mut seen = 0;
+        let (summary, _) = client.run(&work, &once(), None, |_| {
+            seen += 1;
+            if seen == 2 {
+                // the partition heals while we are mid-list
+                client.link().set_up(true);
+            }
+            Ok((1.0, vec![], String::new()))
+        });
+        assert_eq!(summary.journaled, 2);
+        assert_eq!(summary.computed, 2);
+        assert_eq!(summary.replayed, 2);
+        assert_eq!(darr.len(), 4, "nothing lost across the heal");
+    }
+
+    #[test]
+    fn offline_compute_failure_is_counted_not_journaled() {
+        let darr = Darr::new();
+        let client = CooperativeClient::new(&darr, "a", 100);
+        client.link().set_up(false);
+        let (summary, outcomes) = client.run(&keys(1), &once(), None, |_| Err("boom".to_string()));
+        assert_eq!(summary.failed, 1);
+        assert_eq!(summary.journaled, 0);
+        assert!(matches!(outcomes[0], CoopOutcome::Failed(_)));
     }
 
     #[test]
@@ -511,7 +511,7 @@ mod tests {
             let work = work.clone();
             handles.push(std::thread::spawn(move || {
                 let client = CooperativeClient::new(&darr, format!("c{t}"), 1000);
-                client.run_worklist(&work, |_| {
+                client.run(&work, &once(), None, |_| {
                     computations.fetch_add(1, Ordering::SeqCst);
                     Ok((0.0, vec![], String::new()))
                 })

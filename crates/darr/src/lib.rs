@@ -29,9 +29,7 @@
 pub mod coop;
 pub mod record;
 pub mod repo;
-pub mod resilient;
 
-pub use coop::{CoopOutcome, CoopSummary, CooperativeClient, RetryReport};
+pub use coop::{CoopOutcome, CoopSummary, CooperativeClient, DarrLink};
 pub use record::{AnalyticsRecord, ComputationKey};
 pub use repo::{ClaimOutcome, Darr, DarrStats};
-pub use resilient::{DarrLink, ResilientClient, ResilientSummary, WriteBehindJournal};

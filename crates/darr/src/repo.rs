@@ -44,17 +44,6 @@ pub struct DarrStats {
     pub claims_reaped: u64,
 }
 
-impl coda_obs::Publish for DarrStats {
-    fn publish(&self, registry: &coda_obs::MetricsRegistry) {
-        registry.count("coda_darr_lookup_hits", self.hits);
-        registry.count("coda_darr_lookup_misses", self.misses);
-        registry.count("coda_darr_records_stored", self.stored);
-        registry.count("coda_darr_claims_granted", self.claims_granted);
-        registry.count("coda_darr_claims_refused", self.claims_refused);
-        registry.count("coda_darr_claims_reaped_total", self.claims_reaped);
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Claim {
     owner: String,
@@ -71,9 +60,8 @@ struct Inner {
     obs: Option<Obs>,
 }
 
-/// Counts into the attached registry (no-op without one). Uses the same
-/// `coda_darr_*` names as [`DarrStats`]'s `Publish` impl — attach *or*
-/// publish, not both, to avoid double counting.
+/// Counts into the attached registry (no-op without one) — the one place
+/// the repository's `coda_darr_*` counters are emitted.
 fn obs_count(inner: &Inner, name: &str, n: u64) {
     if let Some(o) = &inner.obs {
         o.count(name, n);
@@ -371,10 +359,14 @@ impl Darr {
         record
     }
 
-    /// [`Darr::merge_record`] inside a causal trace: the journal-replay
-    /// merge runs in a `darr.merge` child span of the replaying client's
-    /// carried context, its applied/ignored outcome recorded as an event.
-    pub fn merge_record_in(&self, record: AnalyticsRecord, parent: Option<SpanContext>) -> bool {
+    /// Merges one externally-produced record (e.g. replayed from a client's
+    /// journal after a partition healed), keeping the *newer* `stored_at`
+    /// on conflict — the same rule as [`Darr::import_records`]. Releases
+    /// any claim on the key and returns true when the record was applied.
+    /// With a carried `parent` context (and an attached [`Obs`]) the merge
+    /// runs in a `darr.merge` child span, its applied/ignored outcome
+    /// recorded as an event.
+    pub fn merge_record(&self, record: AnalyticsRecord, parent: Option<SpanContext>) -> bool {
         let obs = self.obs_handle();
         let span = match (parent, obs.as_ref()) {
             (Some(p), Some(o)) => Some(o.tracer().span_child(
@@ -384,33 +376,26 @@ impl Darr {
             )),
             _ => None,
         };
-        let applied = self.merge_record(record);
+        let applied = {
+            let mut inner = self.inner.write();
+            let keep_incoming = inner
+                .records
+                .get(&record.key)
+                .map(|existing| record.stored_at > existing.stored_at)
+                .unwrap_or(true);
+            if keep_incoming {
+                inner.claims.remove(&record.key);
+                inner.records.insert(record.key.clone(), record);
+                inner.stats.stored += 1;
+                obs_count(&inner, "coda_darr_records_stored", 1);
+            }
+            keep_incoming
+        };
         if let (Some(s), Some(o)) = (&span, obs.as_ref()) {
             let label = if applied { "applied" } else { "ignored" };
             o.event_in(s.context(), "darr.merge_outcome", &[("outcome", label)]);
         }
         applied
-    }
-
-    /// Merges one externally-produced record (e.g. replayed from a client's
-    /// write-behind journal after a partition healed), keeping the *newer*
-    /// `stored_at` on conflict — the same rule as [`Darr::import_records`].
-    /// Releases any claim on the key and returns true when the record was
-    /// applied.
-    pub fn merge_record(&self, record: AnalyticsRecord) -> bool {
-        let mut inner = self.inner.write();
-        let keep_incoming = inner
-            .records
-            .get(&record.key)
-            .map(|existing| record.stored_at > existing.stored_at)
-            .unwrap_or(true);
-        if keep_incoming {
-            inner.claims.remove(&record.key);
-            inner.records.insert(record.key.clone(), record);
-            inner.stats.stored += 1;
-            obs_count(&inner, "coda_darr_records_stored", 1);
-        }
-        keep_incoming
     }
 
     /// Serializes every stored record to JSON lines — the repository is a
@@ -657,7 +642,7 @@ mod tests {
             producer: "b".to_string(),
             stored_at: 5,
         };
-        assert!(!darr.merge_record(old));
+        assert!(!darr.merge_record(old, None));
         assert_eq!(darr.lookup(&key("p")).unwrap().producer, "a");
         // a newer one wins and releases any claim on the key
         darr.try_claim(&key("p2"), "c", 100);
@@ -669,7 +654,7 @@ mod tests {
             producer: "b".to_string(),
             stored_at: 50,
         };
-        assert!(darr.merge_record(newer));
+        assert!(darr.merge_record(newer, None));
         match darr.try_claim(&key("p2"), "d", 100) {
             ClaimOutcome::AlreadyComputed(r) => assert_eq!(r.producer, "b"),
             other => panic!("expected AlreadyComputed, got {other:?}"),

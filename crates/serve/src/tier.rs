@@ -217,16 +217,7 @@ pub struct ServeTier {
 }
 
 impl ServeTier {
-    /// Starts `cfg.n_shards` worker threads, uninstrumented.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_shards`, `queue_capacity` or `batch_max` is zero.
-    pub fn start(cfg: &ServeConfig) -> Self {
-        Self::start_obs(cfg, None)
-    }
-
-    /// Starts the tier with optional observability: shed/depth/batch/op
+    /// Starts `cfg.n_shards` worker threads. With `obs`, shed/depth/batch/op
     /// counts and recovery accounting flow into the registry under
     /// `coda_serve_*` names.
     ///
@@ -526,7 +517,8 @@ mod tests {
 
     #[test]
     fn requests_route_and_apply_across_shards() {
-        let tier = ServeTier::start(&ServeConfig { n_shards: 4, ..ServeConfig::default() });
+        let tier =
+            ServeTier::start_obs(&ServeConfig { n_shards: 4, ..ServeConfig::default() }, None);
         for i in 0..40 {
             let ServeResponse::Put { version, .. } =
                 tier.submit(put(&format!("obj-{i}"), i as u8)).expect("admitted")
@@ -756,7 +748,8 @@ mod tests {
 
     #[test]
     fn advance_clock_keeps_every_shard_in_lockstep() {
-        let tier = ServeTier::start(&ServeConfig { n_shards: 3, ..ServeConfig::default() });
+        let tier =
+            ServeTier::start_obs(&ServeConfig { n_shards: 3, ..ServeConfig::default() }, None);
         for i in 0..9 {
             tier.submit(put(&format!("obj-{i}"), 3)).expect("admitted");
         }

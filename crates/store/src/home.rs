@@ -50,16 +50,6 @@ impl TransferStats {
     }
 }
 
-impl coda_obs::Publish for TransferStats {
-    fn publish(&self, registry: &coda_obs::MetricsRegistry) {
-        registry.count("coda_store_transfer_messages", self.messages);
-        registry.count("coda_store_transfer_bytes", self.bytes);
-        registry.count("coda_store_full_transfers", self.full_transfers);
-        registry.count("coda_store_delta_transfers", self.delta_transfers);
-        registry.count("coda_store_notifications", self.notifications);
-    }
-}
-
 /// Reply to a version-aware fetch.
 #[derive(Debug, Clone)]
 pub enum FetchReply {

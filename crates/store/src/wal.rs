@@ -279,18 +279,8 @@ impl DurableStore {
 
     /// Logged write: appends to the WAL, then applies.
     pub fn put(&mut self, id: &str, data: Bytes) -> (u64, Vec<UpdateMessage>) {
-        self.put_in(id, data, None)
-    }
-
-    /// [`DurableStore::put`] carrying a causal trace context.
-    pub fn put_in(
-        &mut self,
-        id: &str,
-        data: Bytes,
-        parent: Option<SpanContext>,
-    ) -> (u64, Vec<UpdateMessage>) {
         self.log(WalRecord::Put { id: id.to_string(), data: data.clone() });
-        let out = self.store.put_in(id, data, parent);
+        let out = self.store.put(id, data);
         self.maybe_snapshot();
         out
     }
@@ -376,15 +366,10 @@ impl DurableStore {
     /// Boots from a durable image: clones the snapshot (or a fresh store)
     /// and replays the log tail in order. Returns the recovered store and
     /// the number of records replayed. The recovered durable state is
-    /// byte-identical to the pre-crash state.
-    pub fn recover(image: DurableImage) -> (Self, usize) {
-        Self::recover_in(image, None, None)
-    }
-
-    /// [`DurableStore::recover`] with optional observability: the whole
-    /// replay runs in a `store.wal_replay` span (child of `parent`), and
-    /// counts `coda_store_wal_replays` / `coda_store_wal_replayed_records`.
-    pub fn recover_in(
+    /// byte-identical to the pre-crash state. With `obs` the whole replay
+    /// runs in a `store.wal_replay` span (child of `parent`), and counts
+    /// `coda_store_wal_replays` / `coda_store_wal_replayed_records`.
+    pub fn recover(
         image: DurableImage,
         obs: Option<&Obs>,
         parent: Option<SpanContext>,
@@ -482,7 +467,7 @@ mod tests {
         drive(&mut live, 23);
         let expected = live.export_state();
         let ops = live.ops();
-        let (recovered, replayed) = DurableStore::recover(live.crash());
+        let (recovered, replayed) = DurableStore::recover(live.crash(), None, None);
         assert_eq!(replayed, ops as usize, "no snapshot: the whole log replays");
         assert_eq!(recovered.export_state(), expected, "byte-identical recovery");
         assert_eq!(recovered.ops(), ops, "op counter survives");
@@ -496,7 +481,7 @@ mod tests {
         assert!(live.wal().len() < 5, "log tail stays short");
         let expected = live.export_state();
         let ops = live.ops();
-        let (recovered, replayed) = DurableStore::recover(live.crash());
+        let (recovered, replayed) = DurableStore::recover(live.crash(), None, None);
         assert!(replayed < 5, "only the tail replays");
         assert_eq!(recovered.export_state(), expected);
         assert_eq!(recovered.ops(), ops);
@@ -513,7 +498,7 @@ mod tests {
 
             let mut victim = DurableStore::new("home", 2, 4);
             drive(&mut victim, cut); // crash lands exactly after `cut` ops
-            let (recovered, _) = DurableStore::recover(victim.crash());
+            let (recovered, _) = DurableStore::recover(victim.crash(), None, None);
             assert_eq!(recovered.export_state(), expected, "crash point {cut}");
         }
     }
@@ -523,13 +508,13 @@ mod tests {
         let mut live = DurableStore::new("home", 3, 0);
         live.put("o", payload(1, 256));
         live.subscribe("c", "o", PushMode::Full, 100);
-        let (mut recovered, _) = DurableStore::recover(live.crash());
+        let (mut recovered, _) = DurableStore::recover(live.crash(), None, None);
         // the lease survived the crash: the next put pushes
         let (v, messages) = recovered.put("o", payload(2, 256));
         assert_eq!(v, 2);
         assert_eq!(messages.len(), 1);
         // and the new op is logged for the *next* crash
-        let (again, _) = DurableStore::recover(recovered.crash());
+        let (again, _) = DurableStore::recover(recovered.crash(), None, None);
         assert_eq!(again.current_version("o"), Some(2));
     }
 
@@ -556,7 +541,7 @@ mod tests {
         assert_eq!(live.current_version("o"), Some(5));
         assert!(!live.install_version("o", 4, payload(3, 128)), "versions never regress");
         let expected = live.export_state();
-        let (recovered, _) = DurableStore::recover(live.crash());
+        let (recovered, _) = DurableStore::recover(live.crash(), None, None);
         assert_eq!(recovered.export_state(), expected);
         assert_eq!(recovered.current_version("o"), Some(5));
     }

@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example cooperative_clients`
 
 use bytes::Bytes;
+use coda::chaos::RetryPolicy;
 use coda::cluster::run_cooperative;
 use coda::cluster::{run_job, ComponentRegistry, JobSpec, SpecValue};
 use coda::darr::Darr;
@@ -15,6 +16,7 @@ use coda::ml::{
     GradientBoostingRegressor, KnnRegressor, LinearRegression, RandomForestRegressor,
     RidgeRegression, StandardScaler,
 };
+use coda::obs::WallClock;
 use coda::store::{CachingClient, HomeDataStore, PushMode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,11 +33,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ])
         .create_graph()?;
 
+    let clock = WallClock::new();
     for n_clients in [1usize, 2, 4] {
-        let without =
-            run_cooperative(&graph, &dataset, CvStrategy::kfold(5), Metric::Rmse, n_clients, false);
-        let with =
-            run_cooperative(&graph, &dataset, CvStrategy::kfold(5), Metric::Rmse, n_clients, true);
+        let run = |use_darr| {
+            let cv = CvStrategy::kfold(5);
+            run_cooperative(&graph, &dataset, cv, Metric::Rmse, n_clients, use_darr, &clock)
+        };
+        let (without, with) = (run(false), run(true));
         println!(
             "{n_clients} clients x {} pipelines | no DARR: {:3} evaluations ({} redundant), {:7.1} ms | \
              DARR: {:3} evaluations, {} reused, {:7.1} ms",
@@ -111,9 +115,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("spec json: {}", spec.to_json());
     let darr = Darr::new();
-    let record = run_job(&registry, &spec, &dataset, &darr, "alice")?;
+    let one_attempt = RetryPolicy::fixed(0.0, 1);
+    let record = run_job(&registry, &spec, &dataset, &darr, "alice", &one_attempt, None).0?;
     println!("alice computed: rmse {:.4} over {} folds", record.score, record.fold_scores.len());
-    let reused = run_job(&registry, &spec, &dataset, &darr, "bob")?;
+    let reused = run_job(&registry, &spec, &dataset, &darr, "bob", &one_attempt, None).0?;
     println!("bob reused {}'s result; darr now holds {} record(s)", reused.producer, darr.len());
     // the repository snapshot travels between sites as plain JSON lines
     let snapshot = darr.export_records();

@@ -5,7 +5,7 @@
 //! statistics, and replay bit-identically from the same seed.
 
 use coda::chaos::{FaultPlan, RetryPolicy};
-use coda::cluster::{run_chaos_coop, run_chaos_coop_obs, ChaosCoopConfig};
+use coda::cluster::{run_chaos_coop, ChaosCoopConfig};
 use coda::obs::Obs;
 
 /// The scenario from the issue: 20% drops, one client crashing and
@@ -25,7 +25,7 @@ fn acceptance_config(seed: u64) -> ChaosCoopConfig {
 
 #[test]
 fn chaotic_cooperative_run_loses_nothing() {
-    let report = run_chaos_coop(&acceptance_config(17));
+    let report = run_chaos_coop(&acceptance_config(17), 1, None);
 
     // every pipeline evaluation completes despite the chaos
     assert_eq!(report.completed, report.n_keys, "zero lost results");
@@ -52,11 +52,11 @@ fn chaotic_cooperative_run_loses_nothing() {
 
 #[test]
 fn same_seed_produces_identical_run_report() {
-    let a = run_chaos_coop(&acceptance_config(17));
-    let b = run_chaos_coop(&acceptance_config(17));
+    let a = run_chaos_coop(&acceptance_config(17), 1, None);
+    let b = run_chaos_coop(&acceptance_config(17), 1, None);
     assert_eq!(a, b, "same seed must reproduce every counter bit-identically");
 
-    let c = run_chaos_coop(&acceptance_config(18));
+    let c = run_chaos_coop(&acceptance_config(18), 1, None);
     assert_ne!(a.faults, c.faults, "a different seed must draw different faults");
     assert_eq!(c.completed, c.n_keys, "...but still lose nothing");
 }
@@ -67,9 +67,9 @@ fn same_seed_produces_byte_identical_trace_and_metrics() {
     // stamped from the driver's logical clock, so two same-seed runs with
     // fresh deterministic Obs handles render byte-identical logs
     let obs_a = Obs::deterministic();
-    let report_a = run_chaos_coop_obs(&acceptance_config(17), Some(&obs_a));
+    let report_a = run_chaos_coop(&acceptance_config(17), 1, Some(&obs_a));
     let obs_b = Obs::deterministic();
-    let report_b = run_chaos_coop_obs(&acceptance_config(17), Some(&obs_b));
+    let report_b = run_chaos_coop(&acceptance_config(17), 1, Some(&obs_b));
 
     assert_eq!(report_a, report_b, "reports must replay bit-identically");
     let log_a = obs_a.tracer().render_log();
@@ -82,7 +82,7 @@ fn same_seed_produces_byte_identical_trace_and_metrics() {
     );
 
     // an instrumented run must not perturb the uninstrumented ground truth
-    assert_eq!(report_a, run_chaos_coop(&acceptance_config(17)));
+    assert_eq!(report_a, run_chaos_coop(&acceptance_config(17), 1, None));
 
     // the log carries the protocol events the driver counted
     assert!(log_a.contains("event chaos.claim "));
@@ -95,7 +95,7 @@ fn same_seed_produces_byte_identical_trace_and_metrics() {
 fn chaos_survives_across_seeds() {
     // robustness is not a property of one lucky seed
     for seed in [1u64, 7, 23, 64, 101] {
-        let report = run_chaos_coop(&acceptance_config(seed));
+        let report = run_chaos_coop(&acceptance_config(seed), 1, None);
         assert_eq!(report.completed, report.n_keys, "seed {seed}: all evaluations must complete");
         assert_eq!(report.journaled, report.replayed + report.duplicates, "seed {seed}");
     }

@@ -10,7 +10,7 @@
 //! byte-identical trace logs and metric expositions.
 
 use coda::chaos::CrashPlan;
-use coda::cluster::{run_crash_recovery, run_crash_recovery_obs, CrashRecoveryConfig};
+use coda::cluster::{run_crash_recovery, CrashRecoveryConfig};
 use coda::obs::Obs;
 
 fn acceptance_config(seed: u64) -> CrashRecoveryConfig {
@@ -26,7 +26,7 @@ fn matrix_seed() -> u64 {
 #[test]
 fn every_wal_crash_point_converges_to_the_no_crash_outcome() {
     let seed = matrix_seed();
-    let baseline = run_crash_recovery(&acceptance_config(seed));
+    let baseline = run_crash_recovery(&acceptance_config(seed), 1, None);
     assert_eq!(baseline.completed, 8, "the baseline itself must converge");
     assert_eq!(baseline.failovers, 0);
     assert!(baseline.home_ops > 0, "the baseline must log operations");
@@ -37,7 +37,7 @@ fn every_wal_crash_point_converges_to_the_no_crash_outcome() {
             plan: CrashPlan::new().with_crash_at("node-0", at_op, Some(500.0)),
             ..acceptance_config(seed)
         };
-        let report = run_crash_recovery(&cfg);
+        let report = run_crash_recovery(&cfg, 1, None);
         assert_eq!(report.crashes, 1, "crash point {at_op} must fire");
         assert_eq!(report.restarts, 1, "crash point {at_op} must restart");
         assert_eq!(
@@ -56,12 +56,12 @@ fn every_wal_crash_point_converges_to_the_no_crash_outcome() {
 #[test]
 fn home_crash_without_restart_still_converges_through_failover() {
     let seed = matrix_seed();
-    let baseline = run_crash_recovery(&acceptance_config(seed));
+    let baseline = run_crash_recovery(&acceptance_config(seed), 1, None);
     let cfg = CrashRecoveryConfig {
         plan: CrashPlan::new().with_crash_at("node-0", 9, None),
         ..acceptance_config(seed)
     };
-    let report = run_crash_recovery(&cfg);
+    let report = run_crash_recovery(&cfg, 1, None);
     assert_eq!(report.failovers, 1, "the surviving replica must be promoted");
     assert_eq!(report.final_home, "node-1");
     assert!(report.suspicions >= 1, "the detector must pass through suspicion");
@@ -78,9 +78,9 @@ fn same_seed_replays_traces_and_metrics_byte_identically() {
         ..acceptance_config(matrix_seed())
     };
     let obs_a = Obs::deterministic();
-    let report_a = run_crash_recovery_obs(&cfg, Some(&obs_a));
+    let report_a = run_crash_recovery(&cfg, 1, Some(&obs_a));
     let obs_b = Obs::deterministic();
-    let report_b = run_crash_recovery_obs(&cfg, Some(&obs_b));
+    let report_b = run_crash_recovery(&cfg, 1, Some(&obs_b));
 
     assert_eq!(report_a, report_b, "reports must replay bit-identically");
     let log_a = obs_a.tracer().render_log();
@@ -93,7 +93,7 @@ fn same_seed_replays_traces_and_metrics_byte_identically() {
     );
 
     // instrumentation must not perturb the uninstrumented ground truth
-    assert_eq!(report_a, run_crash_recovery(&cfg));
+    assert_eq!(report_a, run_crash_recovery(&cfg, 1, None));
 
     // the trace carries every failure-path transition…
     for marker in [
@@ -117,7 +117,7 @@ fn no_spurious_failovers_across_the_chaos_seed_matrix() {
     // the detector + lease gate must never move the home role in a
     // crash-free run, whatever the seed — same seed set as chaos_e2e
     for seed in [1u64, 7, 17, 18, 23, 64, 101] {
-        let report = run_crash_recovery(&acceptance_config(seed));
+        let report = run_crash_recovery(&acceptance_config(seed), 1, None);
         assert_eq!(report.failovers, 0, "seed {seed}: zero spurious failovers");
         assert_eq!(report.deaths, 0, "seed {seed}: no dead verdicts without a crash");
         assert_eq!(report.reaped_claims, 0, "seed {seed}: nothing to reap");

@@ -9,6 +9,7 @@ use coda::darr::{ClaimOutcome, ComputationKey, CoopOutcome, CooperativeClient, D
 use coda::data::{synth, CvStrategy, Metric};
 use coda::graph::TegBuilder;
 use coda::ml::{LinearRegression, RidgeRegression};
+use coda::obs::WallClock;
 use coda::store::{CachingClient, HomeDataStore, PushMode, ReplicatedStore};
 
 #[test]
@@ -25,7 +26,9 @@ fn cooperative_run_survives_failing_paths() {
         .create_graph()
         .unwrap();
     for use_darr in [false, true] {
-        let report = run_cooperative(&graph, &ds, CvStrategy::kfold(3), Metric::Rmse, 3, use_darr);
+        let clock = WallClock::new();
+        let report =
+            run_cooperative(&graph, &ds, CvStrategy::kfold(3), Metric::Rmse, 3, use_darr, &clock);
         assert!(report.best_score.is_finite(), "ridge path must produce a score");
         // only the viable path is ever *successfully* computed
         if use_darr {
@@ -103,8 +106,11 @@ fn darr_claim_taken_over_after_lease_expiry() {
     );
     darr.advance_clock(60); // lease expires; the holder never completed
     let survivor = CooperativeClient::new(&darr, "survivor", 50);
-    let outcome = survivor.process(&key, || Ok((0.25, vec![0.2, 0.3], "takeover".into())));
-    match outcome {
+    let once = RetryPolicy::fixed(0.0, 1);
+    let work = std::slice::from_ref(&key);
+    let (_, mut outcomes) =
+        survivor.run(work, &once, None, |_| Ok((0.25, vec![0.2, 0.3], "takeover".into())));
+    match outcomes.remove(0) {
         CoopOutcome::Computed(record) => assert_eq!(record.producer, "survivor"),
         other => panic!("expected takeover compute, got {other:?}"),
     }
@@ -134,25 +140,21 @@ fn skipped_held_keys_eventually_reused_across_two_clients() {
     let b = CooperativeClient::new(&darr, "b", 1_000);
     let policy = RetryPolicy::fixed(10.0, 5);
     let mut b_revisits = 0;
-    let (summary, outcomes, report) = b.run_worklist_with_retry(
-        &keys,
-        |key| {
-            // emulate A finishing concurrently: A completes both held keys
-            // while B computes its last unheld key (after the first pass
-            // already skipped the held ones), so only the revisit sees them
-            b_revisits += 1;
-            if b_revisits == 2 {
-                darr.complete(&keys[1], "a", 0.1, vec![], "by a");
-                darr.complete(&keys[2], "a", 0.2, vec![], "by a");
-            }
-            Ok((0.5, vec![], format!("by b: {}", key.pipeline)))
-        },
-        &policy,
-    );
+    let (summary, outcomes) = b.run(&keys, &policy, None, |key| {
+        // emulate A finishing concurrently: A completes both held keys
+        // while B computes its last unheld key (after the first pass
+        // already skipped the held ones), so only the revisit sees them
+        b_revisits += 1;
+        if b_revisits == 2 {
+            darr.complete(&keys[1], "a", 0.1, vec![], "by a");
+            darr.complete(&keys[2], "a", 0.2, vec![], "by a");
+        }
+        Ok((0.5, vec![], format!("by b: {}", key.pipeline)))
+    });
     assert_eq!(summary.computed, 2, "B computes exactly the unheld keys");
     assert_eq!(summary.reused, 2, "held keys resolve to A's results on revisit");
     assert_eq!(summary.skipped, 0, "no key may remain skipped");
-    assert!(report.stats.retries >= 1, "revisits must go through the retry policy");
+    assert!(summary.retry.retries >= 1, "revisits must go through the retry policy");
     assert!(matches!(outcomes[1], CoopOutcome::Reused(ref r) if r.producer == "a"));
     assert!(matches!(outcomes[2], CoopOutcome::Reused(ref r) if r.producer == "a"));
     assert_eq!(darr.len(), 4);
@@ -180,4 +182,43 @@ fn lease_cancellation_mid_burst_stops_exactly_there() {
     }
     assert_eq!(received, 3, "exactly the pre-cancellation updates are pushed");
     assert!(client.is_stale(&store, "o"));
+}
+
+#[test]
+fn partitioned_client_journals_then_replays_and_defers_to_newer_results() {
+    // a client cut off from the DARR keeps computing into its journal; once
+    // the link heals the journal replays by keep-newer merge, so a result
+    // another client stored during the partition beats the older journaled
+    // copy — nothing is lost and nothing is duplicated
+    let darr = Darr::new();
+    let keys: Vec<ComputationKey> = (0..3)
+        .map(|i| ComputationKey::new("ds", 1, &format!("p{i}") as &str, "kfold(3)", "rmse"))
+        .collect();
+    let once = RetryPolicy::fixed(0.0, 1);
+    let offline = CooperativeClient::new(&darr, "offline", 100);
+    offline.link().set_up(false);
+    let (summary, outcomes) =
+        offline.run(&keys, &once, None, |_| Ok((1.0, vec![], "offline".into())));
+    assert_eq!(summary.journaled, 3);
+    assert_eq!(summary.replayed, 0, "nothing reaches the DARR during the partition");
+    assert!(outcomes.iter().all(|o| matches!(o, CoopOutcome::Journaled(_))));
+    assert_eq!(offline.journaled(), 3);
+    assert!(darr.is_empty());
+
+    // meanwhile another client stores p0 with a later DARR timestamp
+    darr.advance_clock(1_000);
+    let online = CooperativeClient::new(&darr, "online", 100);
+    online.run(&keys[..1], &once, None, |_| Ok((9.0, vec![], "fresher".into())));
+
+    // after the heal the journal replays before any key is consulted
+    offline.link().set_up(true);
+    let (summary, outcomes) = offline.run(&keys, &once, None, |_| unreachable!("all stored"));
+    assert_eq!(summary.replayed, 2, "only the keys nobody else stored apply");
+    assert_eq!(summary.reused, 3);
+    assert_eq!(offline.journaled(), 0);
+    assert!(matches!(&outcomes[0], CoopOutcome::Reused(r) if r.producer == "online"));
+    assert_eq!(darr.lookup(&keys[0]).unwrap().score, 9.0, "the newer record wins");
+    for key in &keys[1..] {
+        assert_eq!(darr.lookup(key).unwrap().producer, "offline");
+    }
 }

@@ -53,7 +53,9 @@ fn full_fig1_scenario() {
         ])
         .create_graph()
         .unwrap();
-    let coop = run_cooperative(&graph, &pulled, CvStrategy::kfold(3), Metric::Rmse, 3, true);
+    let clock = coda::obs::WallClock::new();
+    let coop =
+        run_cooperative(&graph, &pulled, CvStrategy::kfold(3), Metric::Rmse, 3, true, &clock);
     assert_eq!(coop.total_evaluations, coop.n_pipelines, "DARR eliminates redundancy");
     assert_eq!(coop.reused_results, 2 * coop.n_pipelines);
 

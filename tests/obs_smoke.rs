@@ -9,7 +9,7 @@
 mod common;
 
 use bytes::Bytes;
-use coda::cluster::{run_chaos_coop_obs, ChaosCoopConfig};
+use coda::cluster::{run_chaos_coop, ChaosCoopConfig};
 use coda::data::{CvStrategy, Metric};
 use coda::graph::Evaluator;
 use coda::obs::Obs;
@@ -51,7 +51,7 @@ fn exercise_all_crates(obs: &Obs) {
         claim_duration: 200,
         max_rounds: 10_000,
     };
-    let report = run_chaos_coop_obs(&cfg, Some(obs));
+    let report = run_chaos_coop(&cfg, 1, Some(obs));
     assert_eq!(report.completed, report.n_keys, "chaos run must converge");
 }
 
@@ -124,7 +124,7 @@ fn obs_smoke_snapshot_diff_attributes_each_phase() {
         claim_duration: 200,
         max_rounds: 10_000,
     };
-    run_chaos_coop_obs(&cfg, Some(&obs));
+    run_chaos_coop(&cfg, 1, Some(&obs));
     let after_chaos = obs.registry().snapshot();
 
     let eval_phase = after_eval.diff(&before_eval);

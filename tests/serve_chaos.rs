@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use coda::chaos::CrashPlan;
-use coda::cluster::{run_crash_recovery_sharded, CrashRecoveryConfig};
+use coda::cluster::{run_crash_recovery, CrashRecoveryConfig};
 use coda::obs::Obs;
 use coda::store::shard_of;
 use coda_serve::{ServeConfig, ServeRequest, ServeTier, TriggerPolicy};
@@ -94,7 +94,7 @@ fn shard_crash_recovers_in_place_and_stays_invisible() {
 fn sharded_recovery_fails_over_one_lane_only() {
     const N_SHARDS: usize = 2;
     let cfg = CrashRecoveryConfig::default();
-    let baseline = run_crash_recovery_sharded(&cfg, N_SHARDS, None);
+    let baseline = run_crash_recovery(&cfg, N_SHARDS, None);
     assert_eq!(baseline.completed, cfg.n_items, "sharded baseline covers all work");
     assert_eq!(baseline.failovers, 0);
     assert_eq!(baseline.shard_digests.len(), N_SHARDS);
@@ -106,7 +106,7 @@ fn sharded_recovery_fails_over_one_lane_only() {
         plan: CrashPlan::new().with_crash_at(&format!("s{lane}-node-0"), 3, None),
         ..cfg.clone()
     };
-    let report = run_crash_recovery_sharded(&crash_cfg, N_SHARDS, None);
+    let report = run_crash_recovery(&crash_cfg, N_SHARDS, None);
     assert_eq!(report.crashes, 1, "exactly one lane's home crashes");
     assert_eq!(report.failovers, 1, "exactly one lane fails over");
     assert_eq!(report.completed, cfg.n_items, "no work may be lost");
@@ -130,7 +130,7 @@ fn sharded_recovery_fails_over_one_lane_only() {
     );
 
     // same seed, same plan: byte-identical replay
-    let replay = run_crash_recovery_sharded(&crash_cfg, N_SHARDS, None);
+    let replay = run_crash_recovery(&crash_cfg, N_SHARDS, None);
     assert_eq!(replay, report, "sharded kill-restart must replay bit-identically");
 }
 
@@ -140,13 +140,13 @@ fn sharded_recovery_fails_over_one_lane_only() {
 fn sharded_restart_replays_byte_identically() {
     const N_SHARDS: usize = 2;
     let cfg = CrashRecoveryConfig::default();
-    let baseline = run_crash_recovery_sharded(&cfg, N_SHARDS, None);
+    let baseline = run_crash_recovery(&cfg, N_SHARDS, None);
     let lane = shard_of("obj-0", N_SHARDS);
     let crash_cfg = CrashRecoveryConfig {
         plan: CrashPlan::new().with_crash_at(&format!("s{lane}-node-0"), 3, Some(600.0)),
         ..cfg
     };
-    let report = run_crash_recovery_sharded(&crash_cfg, N_SHARDS, None);
+    let report = run_crash_recovery(&crash_cfg, N_SHARDS, None);
     assert_eq!(report.crashes, 1);
     assert_eq!(report.restarts, 1);
     assert_eq!(report.byte_identical_recoveries, 1, "WAL replay must be exact");

@@ -182,7 +182,7 @@ fn run_tier(ops: &[GenOp], n_shards: usize) -> (String, Vec<u64>) {
         trigger: TriggerPolicy::Count(TRIGGER_EVERY),
         ..ServeConfig::default()
     };
-    let tier = ServeTier::start(&cfg);
+    let tier = ServeTier::start_obs(&cfg, None);
     for op in ops {
         match op.request() {
             Some(req) => {
@@ -381,7 +381,7 @@ fn concurrent_interleavings_preserve_equivalence() {
             trigger: TriggerPolicy::Count(TRIGGER_EVERY),
             ..ServeConfig::default()
         };
-        let tier = Arc::new(ServeTier::start(&cfg));
+        let tier = Arc::new(ServeTier::start_obs(&cfg, None));
         let handles: Vec<_> = per_thread
             .iter()
             .cloned()
@@ -423,7 +423,7 @@ fn same_seed_load_runs_are_byte_identical() {
             trigger: TriggerPolicy::Count(TRIGGER_EVERY),
             ..ServeConfig::default()
         };
-        let tier = Arc::new(ServeTier::start(&cfg));
+        let tier = Arc::new(ServeTier::start_obs(&cfg, None));
         let load = LoadGenConfig {
             seed,
             n_clients: 500,

@@ -4,8 +4,14 @@
 //! version without redundancy.
 
 use bytes::Bytes;
+use coda::chaos::RetryPolicy;
 use coda::darr::{ComputationKey, CooperativeClient, Darr};
 use coda::store::{CachingClient, ChangeMonitor, HomeDataStore, PushMode, RecomputeTrigger};
+
+/// One attempt per key: a held claim is skipped, never revisited.
+fn once() -> RetryPolicy {
+    RetryPolicy::fixed(0.0, 1)
+}
 
 fn dataset_blob(version_salt: u8, n: usize) -> Bytes {
     Bytes::from((0..n).map(|i| ((i as u64 * 31) % 251) as u8 ^ version_salt).collect::<Vec<u8>>())
@@ -24,7 +30,7 @@ fn update_flow_store_trigger_darr() {
         .map(|i| ComputationKey::new("ds", 1, &format!("pipeline-{i}") as &str, "kfold(5)", "rmse"))
         .collect();
     let client = CooperativeClient::new(&darr, "c1", 100);
-    let (summary, _) = client.run_worklist(&keys, |_| Ok((1.0, vec![], "v1".to_string())));
+    let (summary, _) = client.run(&keys, &once(), None, |_| Ok((1.0, vec![], "v1".to_string())));
     assert_eq!(summary.computed, 4);
 
     // three updates arrive; the third crosses the recompute threshold
@@ -44,7 +50,8 @@ fn update_flow_store_trigger_darr() {
     // all v1 results are now stale: nothing to reuse
     assert!(darr.computed_for("ds").is_empty());
     let new_keys: Vec<ComputationKey> = keys.iter().map(|k| k.at_version(4)).collect();
-    let (summary2, _) = client.run_worklist(&new_keys, |_| Ok((2.0, vec![], "v4".to_string())));
+    let (summary2, _) =
+        client.run(&new_keys, &once(), None, |_| Ok((2.0, vec![], "v4".to_string())));
     assert_eq!(summary2.computed, 4, "stale results must not be reused");
     assert_eq!(summary2.reused, 0);
 }
@@ -148,9 +155,9 @@ fn best_result_visible_to_all_clients() {
     let mk = |p: &str| ComputationKey::new("ds", 1, p, "kfold(5)", "rmse");
     let a = CooperativeClient::new(&darr, "a", 100);
     let b = CooperativeClient::new(&darr, "b", 100);
-    a.process(&mk("p1"), || Ok((0.9, vec![], String::new())));
-    b.process(&mk("p2"), || Ok((0.2, vec![], String::new())));
-    a.process(&mk("p3"), || Ok((0.5, vec![], String::new())));
+    a.run(&[mk("p1")], &once(), None, |_| Ok((0.9, vec![], String::new())));
+    b.run(&[mk("p2")], &once(), None, |_| Ok((0.2, vec![], String::new())));
+    a.run(&[mk("p3")], &once(), None, |_| Ok((0.5, vec![], String::new())));
     let best = darr.best_for("ds", "rmse", false).unwrap();
     assert_eq!(best.key.pipeline, "p2");
     assert_eq!(best.producer, "b");

@@ -12,7 +12,8 @@
 mod common;
 
 use bytes::Bytes;
-use coda::cluster::{run_chaos_coop_obs, ChaosCoopConfig};
+use coda::chaos::RetryPolicy;
+use coda::cluster::{run_chaos_coop, ChaosCoopConfig};
 use coda::darr::{ComputationKey, CooperativeClient, Darr};
 use coda::data::{CvStrategy, Metric};
 use coda::graph::Evaluator;
@@ -66,7 +67,7 @@ fn run_multi_tier(obs: &Obs) -> TraceForest {
         darr.attach_obs(obs.clone());
         let coop = CooperativeClient::new(&darr, "analyst", 60_000).with_obs(obs.clone());
         let key = ComputationKey::new("ds", 1, "p0", "kfold(3)", "rmse");
-        coop.process_in(&key, Some(recompute.context()), || {
+        coop.run(&[key], &RetryPolicy::fixed(0.0, 1), Some(recompute.context()), |_| {
             Ok((0.5, vec![0.4, 0.5, 0.6], "trace e2e".to_string()))
         });
     }
@@ -152,9 +153,9 @@ fn chaos_run_replays_its_trace_forest_byte_identically() {
         max_rounds: 10_000,
     };
     let obs_a = Obs::deterministic();
-    let report_a = run_chaos_coop_obs(&cfg, Some(&obs_a));
+    let report_a = run_chaos_coop(&cfg, 1, Some(&obs_a));
     let obs_b = Obs::deterministic();
-    let report_b = run_chaos_coop_obs(&cfg, Some(&obs_b));
+    let report_b = run_chaos_coop(&cfg, 1, Some(&obs_b));
     assert_eq!(report_a, report_b, "reports replay bit-identically");
 
     let forest_a = obs_a.forest();

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use coda_data::cv::{CvError, Split};
 use coda_data::metrics::MetricError;
@@ -109,8 +109,8 @@ pub struct EvalTiming {
 pub struct GraphReport {
     /// The metric used for ranking.
     pub metric: Metric,
-    /// All path results (successful and failed), in ranked order:
-    /// successful paths best-first, then failures.
+    /// All path results (successful and failed), in ranked order: finite
+    /// scores best-first, then non-finite scores, then failures.
     pub results: Vec<PathResult>,
     /// Prefix-cache accounting when the evaluation ran with
     /// [`Evaluator::with_prefix_cache`]; `None` for uncached runs. The
@@ -136,6 +136,15 @@ impl GraphReport {
     /// Count of failed paths.
     pub fn n_failed(&self) -> usize {
         self.results.len() - self.n_ok()
+    }
+
+    /// The mean score of the best-ranked successful path whose steps
+    /// contain `needle`, if any.
+    pub fn score_for(&self, needle: &str) -> Option<f64> {
+        self.results
+            .iter()
+            .find(|r| r.is_ok() && r.spec.steps.iter().any(|s| s.contains(needle)))
+            .map(|r| r.mean_score)
     }
 }
 
@@ -168,7 +177,7 @@ impl fmt::Display for GraphReport {
 /// `set_cross_validation` / `set_accuracy`).
 #[derive(Debug, Clone)]
 pub struct Evaluator {
-    cv: CvStrategy,
+    pub(crate) cv: CvStrategy,
     metric: Metric,
     n_threads: usize,
     use_cache: bool,
@@ -231,7 +240,10 @@ impl Evaluator {
     /// Cross-validates one pipeline, returning per-fold scores.
     ///
     /// For a K-fold strategy this trains K models and produces K performance
-    /// estimates whose mean is the final estimate (Fig. 4).
+    /// estimates whose mean is the final estimate (Fig. 4). Each validation
+    /// fold is transformed once, and the predictions are scored against the
+    /// target of the transformed fold — the per-window truth a windowing
+    /// transformer derives, or the fold's own target for tabular ones.
     ///
     /// # Errors
     ///
@@ -251,11 +263,10 @@ impl Evaluator {
             if let Some(obs) = &self.obs {
                 obs.count("coda_core_eval_folds", 1);
             }
-            let train = data.select(&split.train);
-            let validation = data.select(&split.validation);
             let mut fold_pipeline = pipeline.fresh_clone();
-            fold_pipeline.fit(&train)?;
-            let pred = fold_pipeline.predict(&validation)?;
+            fold_pipeline.fit(&data.select(&split.train))?;
+            let validation = fold_pipeline.transform_only(&data.select(&split.validation))?;
+            let pred = fold_pipeline.predict_transformed(&validation)?;
             let truth = validation.target_required().map_err(ComponentError::from)?;
             scores.push(self.metric.compute(truth, &pred)?);
         }
@@ -347,74 +358,39 @@ impl Evaluator {
         Some(EvalTiming { wall_ms: obs.now_ms() - start, path_ms })
     }
 
-    /// [`Evaluator::run_job`] under the observation scope: an `eval.path`
-    /// span keyed by the resolved spec, timed into `hist`. The span links
-    /// explicitly to the enclosing `eval.graph` context so paths running
-    /// on worker threads still land in the graph's trace tree.
-    fn run_job_traced(
+    /// Runs one job through `run`. When the evaluator is observed, the run
+    /// sits under an `eval.path` span keyed by the resolved spec and linked
+    /// explicitly to the enclosing `eval.graph` context, so paths running on
+    /// worker threads still land in the graph's trace tree. Its tail records
+    /// outcome counters for the SLO plane (`coda_core_eval_paths_ok` /
+    /// `coda_core_eval_path_errors`), the latency observation — into the
+    /// local path histogram and into a per-spec labeled series so diagnosis
+    /// can name the slow path — and, when the exemplar store is armed, an
+    /// exemplar offer linking the observation back to its `eval.path` span
+    /// so slow paths surface in cost profiles with a trace attached.
+    fn run_traced(
         &self,
-        pipeline: Pipeline,
+        pipeline: &Pipeline,
         params: &Params,
-        data: &Dataset,
         hist: Option<&Histogram>,
         parent: Option<coda_obs::SpanContext>,
+        run: impl FnOnce() -> PathResult,
     ) -> PathResult {
         let Some(obs) = &self.obs else {
-            return self.run_job(pipeline, params, data);
+            return run();
         };
         let key = pipeline.spec().with_params(params).key();
         let span = obs.tracer().span_with_parent(parent, "eval.path", &[("spec", &key as &str)]);
         let start = obs.now_ms();
-        let result = self.run_job(pipeline, params, data);
-        Self::finish_path_obs(obs, &span, hist, start, result.is_ok(), &key);
-        result
-    }
-
-    /// [`Evaluator::run_job_cached`] under the observation scope.
-    #[allow(clippy::too_many_arguments)]
-    fn run_job_cached_traced(
-        &self,
-        pipeline: Pipeline,
-        params: &Params,
-        data: &Dataset,
-        splits: &Result<Vec<Split>, CvError>,
-        cache: &TransformCache,
-        hist: Option<&Histogram>,
-        parent: Option<coda_obs::SpanContext>,
-    ) -> PathResult {
-        let Some(obs) = &self.obs else {
-            return self.run_job_cached(pipeline, params, data, splits, cache);
-        };
-        let key = pipeline.spec().with_params(params).key();
-        let span = obs.tracer().span_with_parent(parent, "eval.path", &[("spec", &key as &str)]);
-        let start = obs.now_ms();
-        let result = self.run_job_cached(pipeline, params, data, splits, cache);
-        Self::finish_path_obs(obs, &span, hist, start, result.is_ok(), &key);
-        result
-    }
-
-    /// Shared tail of a traced path run: outcome counters for the SLO
-    /// plane (`coda_core_eval_paths_ok` / `coda_core_eval_path_errors`),
-    /// the latency observation — into the local fold histogram and into a
-    /// per-spec labeled series so diagnosis can name the slow path — and,
-    /// when the exemplar store is armed, an exemplar offer linking the
-    /// observation back to its `eval.path` span so slow paths surface in
-    /// cost profiles with a trace attached.
-    fn finish_path_obs(
-        obs: &coda_obs::Obs,
-        span: &coda_obs::SpanGuard<'_>,
-        hist: Option<&Histogram>,
-        start: f64,
-        ok: bool,
-        spec_key: &str,
-    ) {
+        let result = run();
+        let ok = result.is_ok();
         obs.count(if ok { "coda_core_eval_paths_ok" } else { "coda_core_eval_path_errors" }, 1);
         let elapsed = obs.now_ms() - start;
         if let Some(h) = hist {
             h.observe(elapsed);
         }
         obs.registry()
-            .histogram(&labeled_name("coda_core_eval_path_ms", "spec", spec_key), DEFAULT_MS_BOUNDS)
+            .histogram(&labeled_name("coda_core_eval_path_ms", "spec", &key), DEFAULT_MS_BOUNDS)
             .observe(elapsed);
         obs.exemplars().offer(
             "coda_core_eval_path_ms",
@@ -422,207 +398,105 @@ impl Evaluator {
             Some(span.context()),
             obs.now_ms(),
         );
+        result
     }
 
-    /// Core evaluation over (pipeline, params) jobs, parallel if configured
-    /// and prefix-cached if enabled.
-    fn evaluate_jobs(
+    /// Evaluates (pipeline, params) jobs and ranks them into the report.
+    pub(crate) fn evaluate_jobs(
         &self,
         jobs: Vec<(Pipeline, Params)>,
         data: &Dataset,
     ) -> Result<GraphReport, EvalError> {
-        if self.use_cache {
-            return self.evaluate_jobs_cached(jobs, data);
-        }
-        let n_jobs = jobs.len();
-        let scope = self.obs_scope(n_jobs);
-        let hist = scope.as_ref().map(|(_, h, _)| h);
-        let graph_ctx = scope.as_ref().map(|(s, _, _)| s.context());
-        let results: Vec<PathResult> = if self.n_threads <= 1 || jobs.len() <= 1 {
-            jobs.into_iter()
-                .map(|(p, params)| self.run_job_traced(p, &params, data, hist, graph_ctx))
-                .collect()
-        } else {
-            let counter = AtomicUsize::new(0);
-            let out: Mutex<Vec<(usize, PathResult)>> = Mutex::new(Vec::new());
-            let jobs_ref = &jobs;
-            let counter_ref = &counter;
-            let out_ref = &out;
-            std::thread::scope(|scope| {
-                for _ in 0..self.n_threads.min(jobs_ref.len()) {
-                    scope.spawn(move || loop {
-                        let i = counter_ref.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs_ref.len() {
-                            break;
-                        }
-                        let (pipeline, params) = &jobs_ref[i];
-                        let result = self.run_job_traced(
-                            pipeline.fresh_clone(),
-                            params,
-                            data,
-                            hist,
-                            graph_ctx,
-                        );
-                        out_ref
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push((i, result));
-                    });
-                }
-            });
-            let mut collected = out.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-            collected.sort_by_key(|(i, _)| *i);
-            collected.into_iter().map(|(_, r)| r).collect()
-        };
-        let timing = self.obs_finish(scope, n_jobs);
-        self.rank(results, None, timing)
-    }
-
-    /// Cached evaluation: splits are computed once, jobs are dispatched
-    /// grouped by shared transformer prefix (so reuse lands early), results
-    /// are restored to enumeration order before ranking — keeping reports
-    /// bit-identical to the uncached path, tie order included.
-    fn evaluate_jobs_cached(
-        &self,
-        jobs: Vec<(Pipeline, Params)>,
-        data: &Dataset,
-    ) -> Result<GraphReport, EvalError> {
-        let splits = self.cv.splits_for(data);
-        // prefix-aware planning: stable order by full transformer-prefix
-        // key, original index as tiebreak, so jobs sharing a prefix are
-        // adjacent in dispatch order
-        let plan_keys: Vec<String> = jobs
-            .iter()
-            .map(|(pipeline, params)| {
-                let steps: Vec<String> = pipeline
-                    .nodes()
-                    .iter()
-                    .filter(|n| !n.component().is_estimator())
-                    .map(|n| n.name().to_string())
-                    .collect();
-                prefix_cache_key(&steps, params)
-            })
-            .collect();
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by(|&a, &b| plan_keys[a].cmp(&plan_keys[b]).then(a.cmp(&b)));
-        let cache = TransformCache::new();
-        let n_jobs = jobs.len();
-        let scope_obs = self.obs_scope(n_jobs);
-        let hist = scope_obs.as_ref().map(|(_, h, _)| h);
-        let graph_ctx = scope_obs.as_ref().map(|(s, _, _)| s.context());
-        let mut indexed: Vec<(usize, PathResult)> = if self.n_threads <= 1 || jobs.len() <= 1 {
-            order
-                .iter()
-                .map(|&i| {
-                    let (pipeline, params) = &jobs[i];
-                    (
-                        i,
-                        self.run_job_cached_traced(
-                            pipeline.fresh_clone(),
-                            params,
-                            data,
-                            &splits,
-                            &cache,
-                            hist,
-                            graph_ctx,
-                        ),
-                    )
-                })
-                .collect()
-        } else {
-            let counter = AtomicUsize::new(0);
-            let out: Mutex<Vec<(usize, PathResult)>> = Mutex::new(Vec::new());
-            let (jobs_ref, order_ref, splits_ref, cache_ref) = (&jobs, &order, &splits, &cache);
-            let counter_ref = &counter;
-            let out_ref = &out;
-            std::thread::scope(|scope| {
-                for _ in 0..self.n_threads.min(jobs_ref.len()) {
-                    scope.spawn(move || loop {
-                        let pos = counter_ref.fetch_add(1, Ordering::Relaxed);
-                        if pos >= order_ref.len() {
-                            break;
-                        }
-                        let i = order_ref[pos];
-                        let (pipeline, params) = &jobs_ref[i];
-                        let result = self.run_job_cached_traced(
-                            pipeline.fresh_clone(),
-                            params,
-                            data,
-                            splits_ref,
-                            cache_ref,
-                            hist,
-                            graph_ctx,
-                        );
-                        out_ref
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push((i, result));
-                    });
-                }
-            });
-            out.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
-        };
-        indexed.sort_by_key(|(i, _)| *i);
-        let results = indexed.into_iter().map(|(_, r)| r).collect();
-        let timing = self.obs_finish(scope_obs, n_jobs);
-        self.rank(results, Some(cache.stats()), timing)
-    }
-
-    /// Ranks results (successes best-first by the metric, then failures)
-    /// and assembles the report.
-    fn rank(
-        &self,
-        results: Vec<PathResult>,
-        cache: Option<CacheStats>,
-        timing: Option<EvalTiming>,
-    ) -> Result<GraphReport, EvalError> {
+        let (mut results, cache, timing) = self.run_jobs(&jobs, data);
         if let (Some(obs), Some(stats)) = (&self.obs, &cache) {
             obs.publish(stats);
         }
         if results.iter().all(|r| !r.is_ok()) {
             return Err(EvalError::NothingEvaluated);
         }
-        let mut ranked = results;
-        let metric = self.metric;
-        ranked.sort_by(|a, b| match (a.is_ok(), b.is_ok()) {
-            (true, false) => std::cmp::Ordering::Less,
-            (false, true) => std::cmp::Ordering::Greater,
-            (false, false) => std::cmp::Ordering::Equal,
-            (true, true) => {
-                if metric.is_better(a.mean_score, b.mean_score) {
-                    std::cmp::Ordering::Less
-                } else if metric.is_better(b.mean_score, a.mean_score) {
-                    std::cmp::Ordering::Greater
-                } else {
-                    std::cmp::Ordering::Equal
+        results.sort_by(|a, b| rank_order(self.metric, a, b));
+        Ok(GraphReport { metric: self.metric, results, cache, timing })
+    }
+
+    /// Runs every job on the worker pool and returns the results in
+    /// enumeration order, with the prefix-cache accounting and the timing.
+    ///
+    /// With the prefix cache on, splits are computed once and jobs are
+    /// dispatched grouped by shared transformer prefix (a stable order by
+    /// the full prefix key, original index as tiebreak), so reuse lands
+    /// early; restoring enumeration order keeps reports bit-identical to
+    /// the uncached run, tie order included.
+    pub(crate) fn run_jobs(
+        &self,
+        jobs: &[(Pipeline, Params)],
+        data: &Dataset,
+    ) -> (Vec<PathResult>, Option<CacheStats>, Option<EvalTiming>) {
+        let cached = self.use_cache.then(|| (TransformCache::new(), self.cv.splits_for(data)));
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        if cached.is_some() {
+            let plan_keys: Vec<String> = jobs
+                .iter()
+                .map(|(pipeline, params)| {
+                    let steps: Vec<String> = pipeline
+                        .nodes()
+                        .iter()
+                        .filter(|n| !n.component().is_estimator())
+                        .map(|n| n.name().to_string())
+                        .collect();
+                    PipelineSpec::prefix_key(&steps, params)
+                })
+                .collect();
+            order.sort_by(|&a, &b| plan_keys[a].cmp(&plan_keys[b]).then(a.cmp(&b)));
+        }
+        let scope = self.obs_scope(jobs.len());
+        let hist = scope.as_ref().map(|(_, h, _)| h);
+        let graph_ctx = scope.as_ref().map(|(s, _, _)| s.context());
+        let results = self.pool(&order, |i| {
+            let (pipeline, params) = &jobs[i];
+            let run = || match &cached {
+                Some((cache, splits)) => {
+                    self.run_job_cached(pipeline.fresh_clone(), params, data, splits, cache)
                 }
-            }
+                None => self.run_job(pipeline.fresh_clone(), params, data),
+            };
+            self.run_traced(pipeline, params, hist, graph_ctx, run)
         });
-        Ok(GraphReport { metric, results: ranked, cache, timing })
+        let timing = self.obs_finish(scope, jobs.len());
+        (results, cached.map(|(cache, _)| cache.stats()), timing)
+    }
+
+    /// The worker pool: runs `job(i)` for every index in `order`, in that
+    /// dispatch order, on up to `n_threads` threads, and returns the results
+    /// sorted by index.
+    fn pool(&self, order: &[usize], job: impl Fn(usize) -> PathResult + Sync) -> Vec<PathResult> {
+        let mut indexed: Vec<(usize, PathResult)> = if self.n_threads <= 1 || order.len() <= 1 {
+            order.iter().map(|&i| (i, job(i))).collect()
+        } else {
+            let next = AtomicUsize::new(0);
+            let out = Mutex::new(Vec::with_capacity(order.len()));
+            std::thread::scope(|scope| {
+                for _ in 0..self.n_threads.min(order.len()) {
+                    scope.spawn(|| {
+                        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let result = job(i);
+                            out.lock().unwrap_or_else(PoisonError::into_inner).push((i, result));
+                        }
+                    });
+                }
+            });
+            out.into_inner().unwrap_or_else(PoisonError::into_inner)
+        };
+        indexed.sort_by_key(|(i, _)| *i);
+        indexed.into_iter().map(|(_, r)| r).collect()
     }
 
     fn run_job(&self, mut pipeline: Pipeline, params: &Params, data: &Dataset) -> PathResult {
         let spec = pipeline.spec().with_params(params);
-        if let Err(e) = pipeline.apply_matching_params(params) {
-            return PathResult {
-                spec,
-                fold_scores: Vec::new(),
-                mean_score: self.metric.worst(),
-                error: Some(e.to_string()),
-            };
-        }
-        match self.evaluate_pipeline(&pipeline, data) {
-            Ok(fold_scores) => {
-                let mean_score = fold_scores.iter().sum::<f64>() / fold_scores.len().max(1) as f64;
-                PathResult { spec, fold_scores, mean_score, error: None }
-            }
-            Err(e) => PathResult {
-                spec,
-                fold_scores: Vec::new(),
-                mean_score: self.metric.worst(),
-                error: Some(e.to_string()),
-            },
-        }
+        let scores = match pipeline.apply_matching_params(params) {
+            Ok(()) => self.evaluate_pipeline(&pipeline, data).map_err(|e| e.to_string()),
+            Err(e) => Err(e.to_string()),
+        };
+        self.path_result(spec, scores)
     }
 
     /// The cached counterpart of [`Evaluator::run_job`]: identical
@@ -637,33 +511,43 @@ impl Evaluator {
         cache: &TransformCache,
     ) -> PathResult {
         let spec = pipeline.spec().with_params(params);
-        let failed = |error: String| PathResult {
-            spec: spec.clone(),
-            fold_scores: Vec::new(),
-            mean_score: self.metric.worst(),
-            error: Some(error),
+        let scores = match (pipeline.apply_matching_params(params), splits) {
+            (Err(e), _) => Err(e.to_string()),
+            (Ok(()), Err(e)) => Err(EvalError::Cv(e.clone()).to_string()),
+            (Ok(()), Ok(splits)) => splits
+                .iter()
+                .enumerate()
+                .map(|(fold, split)| {
+                    self.score_fold_cached(&pipeline, params, data, fold, split, cache)
+                        .map_err(|e| e.to_string())
+                })
+                .collect(),
         };
-        if let Err(e) = pipeline.apply_matching_params(params) {
-            return failed(e.to_string());
-        }
-        let splits = match splits {
-            Ok(s) => s,
-            Err(e) => return failed(EvalError::Cv(e.clone()).to_string()),
-        };
-        let mut fold_scores = Vec::with_capacity(splits.len());
-        for (fold, split) in splits.iter().enumerate() {
-            match self.score_fold_cached(&pipeline, params, data, fold, split, cache) {
-                Ok(score) => fold_scores.push(score),
-                Err(e) => return failed(e.to_string()),
+        self.path_result(spec, scores)
+    }
+
+    /// A path's result: its fold scores and their mean, or the error that
+    /// failed it (scored as the metric's worst).
+    fn path_result(&self, spec: PipelineSpec, scores: Result<Vec<f64>, String>) -> PathResult {
+        match scores {
+            Ok(fold_scores) => {
+                let mean_score = fold_scores.iter().sum::<f64>() / fold_scores.len().max(1) as f64;
+                PathResult { spec, fold_scores, mean_score, error: None }
             }
+            Err(e) => PathResult {
+                spec,
+                fold_scores: Vec::new(),
+                mean_score: self.metric.worst(),
+                error: Some(e),
+            },
         }
-        let mean_score = fold_scores.iter().sum::<f64>() / fold_scores.len().max(1) as f64;
-        PathResult { spec, fold_scores, mean_score, error: None }
     }
 
     /// Scores one pipeline on one fold, reusing cached prefix outputs. The
     /// node walk, validity checks and error messages mirror
-    /// [`Pipeline::fit`]/[`Pipeline::predict`] exactly so a cached run is
+    /// [`Pipeline::fit`]/[`Pipeline::predict`] exactly, and the truth is
+    /// the transformed validation fold's target as in
+    /// [`Evaluator::evaluate_pipeline`], so a cached run is
     /// indistinguishable from an uncached one.
     fn score_fold_cached(
         &self,
@@ -699,7 +583,7 @@ impl Evaluator {
                         .into());
                     }
                     prefix_steps.push(node.name().to_string());
-                    let key = prefix_cache_key(&prefix_steps, params);
+                    let key = PipelineSpec::prefix_key(&prefix_steps, params);
                     let prev = cur.clone();
                     let out = cache.get_or_fit(fold, &key, || {
                         let (train, validation) = match &prev {
@@ -728,7 +612,7 @@ impl Evaluator {
                     let mut model = e.clone_box();
                     model.fit(train)?;
                     let pred = model.predict(validation)?;
-                    let truth = validation0.target_required().map_err(ComponentError::from)?;
+                    let truth = validation.target_required().map_err(ComponentError::from)?;
                     return Ok(self.metric.compute(truth, &pred)?);
                 }
             }
@@ -737,10 +621,22 @@ impl Evaluator {
     }
 }
 
-/// See [`PipelineSpec::prefix_key`] — the canonical cache key of a
-/// transformer prefix within one graph evaluation.
-fn prefix_cache_key(steps: &[String], params: &Params) -> String {
-    PipelineSpec::prefix_key(steps, params)
+/// The one ranking order of path results, best first: successful paths
+/// with a finite mean score, ordered by `metric`; then successful paths
+/// that scored non-finite (`is_better` cannot order a NaN); then failed
+/// paths. Paths the order cannot tell apart compare equal, so a stable
+/// sort keeps them in enumeration order.
+pub(crate) fn rank_order(metric: Metric, a: &PathResult, b: &PathResult) -> std::cmp::Ordering {
+    let group = |r: &PathResult| match (r.is_ok(), r.mean_score.is_finite()) {
+        (true, true) => 0,
+        (true, false) => 1,
+        (false, _) => 2,
+    };
+    match (group(a), group(b)) {
+        (0, 0) if metric.is_better(a.mean_score, b.mean_score) => std::cmp::Ordering::Less,
+        (0, 0) if metric.is_better(b.mean_score, a.mean_score) => std::cmp::Ordering::Greater,
+        (ga, gb) => ga.cmp(&gb),
+    }
 }
 
 #[cfg(test)]
@@ -1196,5 +1092,58 @@ mod tests {
             (Box::new(LinearRegression::new()) as BoxedEstimator).into(),
         )]);
         assert!(matches!(eval.evaluate_pipeline(&p, &ds), Err(EvalError::Cv(_))));
+    }
+
+    /// Predicts NaN for every row, so every fold scores NaN.
+    #[derive(Debug, Clone)]
+    struct NanModel;
+
+    impl coda_data::Estimator for NanModel {
+        fn name(&self) -> &str {
+            "nan_model"
+        }
+
+        fn task(&self) -> coda_data::TaskKind {
+            coda_data::TaskKind::Regression
+        }
+
+        fn fit(&mut self, _data: &Dataset) -> Result<(), ComponentError> {
+            Ok(())
+        }
+
+        fn predict(&self, data: &Dataset) -> Result<Vec<f64>, ComponentError> {
+            Ok(vec![f64::NAN; data.n_samples()])
+        }
+
+        fn clone_box(&self) -> BoxedEstimator {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn non_finite_score_is_never_ranked_best() {
+        let ds = synth::linear_regression(60, 2, 0.1, 212);
+        let graph = TegBuilder::new()
+            .add_models(vec![
+                Box::new(NanModel),
+                Box::new(LinearRegression::new()),
+                Box::new(RidgeRegression::new(1.0)),
+            ])
+            .create_graph()
+            .unwrap();
+        for cached in [false, true] {
+            let eval = Evaluator::new(CvStrategy::kfold(3), Metric::Rmse).with_prefix_cache(cached);
+            let report = eval.evaluate_graph(&graph, &ds).unwrap();
+            assert_eq!(report.n_ok(), 3, "a NaN score is a success, not a failure");
+            let best = report.best().unwrap();
+            assert!(best.mean_score.is_finite(), "{} ranked best", best.spec.key());
+            let last = report.results.last().unwrap();
+            assert_eq!(last.spec.steps, ["nan_model"]);
+            assert!(last.mean_score.is_nan());
+            // the halving screen keeps one path of three: the finite best
+            let halving = eval.successive_halving(&graph, &ds, 20, 1).unwrap();
+            assert_eq!(halving.finalists.len(), 1);
+            assert!(halving.best().unwrap().mean_score.is_finite());
+        }
     }
 }

@@ -147,29 +147,31 @@ impl Pipeline {
     /// [`ComponentError::NotFitted`] before fitting, plus any component
     /// error.
     pub fn predict(&self, data: &Dataset) -> Result<Vec<f64>, ComponentError> {
+        self.predict_transformed(&self.transform_only(data)?)
+    }
+
+    /// Runs only the final estimator's `predict` on the output of
+    /// [`Pipeline::transform_only`]: `predict(d)` equals
+    /// `predict_transformed(&transform_only(d)?)`.
+    ///
+    /// # Errors
+    ///
+    /// [`ComponentError::NotFitted`] before fitting, plus any estimator
+    /// error.
+    pub fn predict_transformed(&self, transformed: &Dataset) -> Result<Vec<f64>, ComponentError> {
         if !self.fitted {
             return Err(ComponentError::NotFitted("pipeline".to_string()));
         }
-        let last = self.nodes.len() - 1;
-        let mut cur = data.clone();
-        for (i, node) in self.nodes.iter().enumerate() {
-            match node.component() {
-                Component::Transform(t) => {
-                    cur = t.transform(&cur)?;
-                }
-                Component::Estimate(e) => {
-                    debug_assert_eq!(i, last);
-                    return e.predict(&cur);
-                }
-            }
+        match self.nodes.last().map(Node::component) {
+            Some(Component::Estimate(e)) => e.predict(transformed),
+            _ => Err(ComponentError::InvalidInput("pipeline has no estimator".to_string())),
         }
-        Err(ComponentError::InvalidInput("pipeline has no estimator".to_string()))
     }
 
     /// Applies only the internal (Transform) nodes to `data`, returning the
     /// transformed dataset — including any target the transformers derive.
-    /// Time-series evaluation needs this: windowing transformers attach the
-    /// per-window ground truth, which the caller scores predictions against.
+    /// Evaluation scores predictions against this target: windowing
+    /// transformers attach the per-window ground truth.
     ///
     /// # Errors
     ///

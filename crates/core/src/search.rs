@@ -9,9 +9,9 @@
 //! *sample-evaluations* spent, so the saving over exhaustive evaluation is
 //! measurable.
 
-use coda_data::{CvStrategy, Dataset, Metric};
+use coda_data::{CvStrategy, Dataset, Metric, Params};
 
-use crate::eval::{EvalError, Evaluator, PathResult};
+use crate::eval::{rank_order, EvalError, Evaluator, PathResult};
 use crate::graph::Teg;
 use crate::pipeline::Pipeline;
 
@@ -56,7 +56,9 @@ impl Evaluator {
     /// better half (by this evaluator's metric) and doubles the rows, until
     /// at most `min_finalists` paths remain or the full dataset is reached.
     /// The final survivors are scored on the full data with this
-    /// evaluator's CV strategy.
+    /// evaluator's CV strategy. Every round runs on this evaluator's worker
+    /// pool, so [`Evaluator::with_threads`] and [`Evaluator::with_obs`]
+    /// apply, and ranks paths as [`Evaluator::evaluate_graph`] does.
     ///
     /// # Errors
     ///
@@ -69,7 +71,8 @@ impl Evaluator {
         initial_samples: usize,
         min_finalists: usize,
     ) -> Result<HalvingReport, EvalError> {
-        let pipelines = graph.enumerate_pipelines()?;
+        let mut alive: Vec<(Pipeline, Params)> =
+            graph.enumerate_pipelines()?.into_iter().map(|p| (p, Params::new())).collect();
         let metric = self.metric();
         let min_finalists = min_finalists.max(1);
         let n = data.n_samples();
@@ -86,35 +89,22 @@ impl Evaluator {
             }
             idx
         };
-        let mut alive: Vec<Pipeline> = pipelines;
+        // cheap screening rounds with a single train/validation split
+        let mut screen = self.clone();
+        screen.cv = CvStrategy::TrainTestSplit { test_fraction: 0.3, seed: 11 };
         let mut rounds = Vec::new();
         let mut samples_spent = 0usize;
         let mut samples = initial_samples.clamp(1, n);
         let mut round = 0usize;
-        // cheap screening rounds with a single train/validation split
         while alive.len() > min_finalists && samples < n {
-            let subset = data.select(&shuffled[..samples]);
-            let screen =
-                Evaluator::new(CvStrategy::TrainTestSplit { test_fraction: 0.3, seed: 11 }, metric);
-            let mut scored: Vec<(usize, f64)> = Vec::new();
-            for (i, pipeline) in alive.iter().enumerate() {
-                if let Ok(score) = screen.score_pipeline(pipeline, &subset) {
-                    scored.push((i, score));
-                }
-                samples_spent += samples;
-            }
+            let (results, _, _) = screen.run_jobs(&alive, &data.select(&shuffled[..samples]));
+            samples_spent += samples * alive.len();
+            let mut scored: Vec<(usize, PathResult)> =
+                results.into_iter().enumerate().filter(|(_, r)| r.is_ok()).collect();
             if scored.is_empty() {
                 return Err(EvalError::NothingEvaluated);
             }
-            scored.sort_by(|a, b| {
-                if metric.is_better(a.1, b.1) {
-                    std::cmp::Ordering::Less
-                } else if metric.is_better(b.1, a.1) {
-                    std::cmp::Ordering::Greater
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            });
+            scored.sort_by(|(_, a), (_, b)| rank_order(metric, a, b));
             let keep = (scored.len() / 2).max(min_finalists).min(scored.len());
             let mut keep_idx: Vec<usize> = scored[..keep].iter().map(|(i, _)| *i).collect();
             keep_idx.sort_unstable();
@@ -124,45 +114,8 @@ impl Evaluator {
             round += 1;
         }
         // final full-data evaluation of the survivors under the real CV
-        let mut finalists = Vec::with_capacity(alive.len());
-        for pipeline in &alive {
-            match self.evaluate_pipeline(pipeline, data) {
-                Ok(fold_scores) => {
-                    samples_spent += data.n_samples() * fold_scores.len();
-                    let mean_score =
-                        fold_scores.iter().sum::<f64>() / fold_scores.len().max(1) as f64;
-                    finalists.push(PathResult {
-                        spec: pipeline.spec(),
-                        fold_scores,
-                        mean_score,
-                        error: None,
-                    });
-                }
-                Err(e) => finalists.push(PathResult {
-                    spec: pipeline.spec(),
-                    fold_scores: Vec::new(),
-                    mean_score: metric.worst(),
-                    error: Some(e.to_string()),
-                }),
-            }
-        }
-        if finalists.iter().all(|f| !f.is_ok()) {
-            return Err(EvalError::NothingEvaluated);
-        }
-        finalists.sort_by(|a, b| match (a.is_ok(), b.is_ok()) {
-            (true, false) => std::cmp::Ordering::Less,
-            (false, true) => std::cmp::Ordering::Greater,
-            (false, false) => std::cmp::Ordering::Equal,
-            (true, true) => {
-                if metric.is_better(a.mean_score, b.mean_score) {
-                    std::cmp::Ordering::Less
-                } else if metric.is_better(b.mean_score, a.mean_score) {
-                    std::cmp::Ordering::Greater
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            }
-        });
+        let finalists = self.evaluate_jobs(alive, data)?.results;
+        samples_spent += finalists.iter().map(|f| n * f.fold_scores.len()).sum::<usize>();
         Ok(HalvingReport { metric, finalists, rounds, samples_spent })
     }
 }

@@ -10,7 +10,10 @@
 //! statistical models) fit that. [`pipeline::TimeSeriesPipelineBuilder`]
 //! wires the selective Transformer-Estimator Graph of Fig. 11, and
 //! [`pipeline::TsEvaluator`] scores each path with the sliding-split
-//! cross-validation of Fig. 12.
+//! cross-validation of Fig. 12. It is a front end to
+//! [`coda_core::Evaluator`], which evaluates every TEG path the same way:
+//! each validation fold is transformed once and scored against the
+//! per-window truth the windowing transformer derives.
 //!
 //! # Examples
 //!
@@ -40,6 +43,6 @@ pub use deep::{
     CnnForecaster, DnnForecaster, LstmForecaster, SeriesNetForecaster, WaveNetForecaster,
 };
 pub use models::{ArForecaster, SeasonalNaive, ZeroModel};
-pub use pipeline::{TimeSeriesPipelineBuilder, TsEvaluator, TsReport};
+pub use pipeline::{TimeSeriesPipelineBuilder, TsEvaluator};
 pub use series::SeriesData;
 pub use window::{CascadedWindows, FlatWindowing, TsAsIid, TsAsIs, WindowConfig};

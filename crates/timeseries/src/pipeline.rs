@@ -5,15 +5,14 @@
 //! Data Scaling → Data Preprocessing → Modelling, where CascadedWindows
 //! feeds only the temporal DNNs, FlatWindowing and TS-as-IID feed the
 //! standard DNNs, and TS-as-is feeds the statistical models.
-//! [`TsEvaluator`] scores every path with `TimeSeriesSlidingSplit` and
-//! returns the best-performing set of transformers and estimators.
+//! [`TsEvaluator`] is the time-ordered-split front end to
+//! [`coda_core::Evaluator`]: it scores every path with
+//! `TimeSeriesSlidingSplit` and returns the best-performing set of
+//! transformers and estimators.
 
-use coda_core::{GraphError, Node, PathResult, Pipeline, PipelineSpec, Teg, TegBuilder};
-use coda_data::{BoxedEstimator, BoxedTransformer, CvStrategy, Dataset, Metric, NoOp};
+use coda_core::{EvalError, Evaluator, GraphError, GraphReport, Node, Teg, TegBuilder};
+use coda_data::{BoxedEstimator, BoxedTransformer, CvStrategy, Metric, NoOp};
 use coda_ml::{MinMaxScaler, RobustScaler, StandardScaler};
-use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::deep::{
     CnnForecaster, DnnForecaster, LstmForecaster, SeriesNetForecaster, WaveNetForecaster,
@@ -234,81 +233,13 @@ impl TimeSeriesPipelineBuilder {
     }
 }
 
-/// Report over evaluated time-series paths (same shape as the tabular
-/// [`coda_core::GraphReport`], ranked by the metric).
-#[derive(Debug, Clone)]
-pub struct TsReport {
-    /// Ranking metric.
-    pub metric: Metric,
-    /// Ranked results (successes best-first, then failures).
-    pub results: Vec<PathResult>,
-}
-
-impl TsReport {
-    /// The best successful path, if any.
-    pub fn best(&self) -> Option<&PathResult> {
-        self.results.iter().find(|r| r.is_ok())
-    }
-
-    /// Count of successfully evaluated paths.
-    pub fn n_ok(&self) -> usize {
-        self.results.iter().filter(|r| r.is_ok()).count()
-    }
-
-    /// The mean score for a path whose spec steps contain `needle`, if any
-    /// such path succeeded.
-    pub fn score_for(&self, needle: &str) -> Option<f64> {
-        self.results
-            .iter()
-            .find(|r| r.is_ok() && r.spec.steps.iter().any(|s| s.contains(needle)))
-            .map(|r| r.mean_score)
-    }
-}
-
-impl fmt::Display for TsReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "TsReport ({} paths, metric {}):", self.results.len(), self.metric)?;
-        for r in &self.results {
-            match &r.error {
-                None => writeln!(f, "  {:>12.6}  {}", r.mean_score, r.spec.key())?,
-                Some(e) => writeln!(f, "  {:>12}  {} [{e}]", "failed", r.spec.key())?,
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Evaluation error for time-series graphs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TsEvalError {
-    /// The sliding split cannot be applied to this series.
-    Cv(coda_data::cv::CvError),
-    /// The graph is malformed.
-    Graph(GraphError),
-    /// Every path failed.
-    NothingEvaluated,
-}
-
-impl fmt::Display for TsEvalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TsEvalError::Cv(e) => write!(f, "cross-validation error: {e}"),
-            TsEvalError::Graph(e) => write!(f, "graph error: {e}"),
-            TsEvalError::NothingEvaluated => write!(f, "no pipeline evaluated successfully"),
-        }
-    }
-}
-
-impl std::error::Error for TsEvalError {}
-
-/// Evaluates time-series pipelines with the sliding-split strategy of
-/// Fig. 12: contiguous train window, buffer gap, contiguous validation
-/// window, slid `k` times — no future information ever leaks into training.
+/// The time-ordered-split front end to [`Evaluator`]: it scores every path
+/// with the sliding split of Fig. 12 — contiguous train window, buffer gap,
+/// contiguous validation window, slid `k` times, so no future information
+/// ever leaks into training — or the expanding split.
 #[derive(Debug, Clone)]
 pub struct TsEvaluator {
-    split: CvStrategy,
-    metric: Metric,
-    n_threads: usize,
+    eval: Evaluator,
 }
 
 impl TsEvaluator {
@@ -327,7 +258,7 @@ impl TsEvaluator {
             ),
             "time-series evaluation requires a time-ordered split strategy"
         );
-        TsEvaluator { split, metric, n_threads: 1 }
+        TsEvaluator { eval: Evaluator::new(split, metric) }
     }
 
     /// Convenience constructor for the expanding-window "Time Series Split"
@@ -361,52 +292,8 @@ impl TsEvaluator {
     ///
     /// Panics if `n == 0`.
     pub fn with_threads(mut self, n: usize) -> Self {
-        assert!(n > 0);
-        self.n_threads = n;
+        self.eval = self.eval.with_threads(n);
         self
-    }
-
-    /// Scores one pipeline over the sliding splits.
-    fn run_pipeline(&self, pipeline: &Pipeline, series_ds: &Dataset) -> PathResult {
-        let spec: PipelineSpec = pipeline.spec();
-        let splits = match self.split.splits(series_ds.n_samples()) {
-            Ok(s) => s,
-            Err(e) => {
-                return PathResult {
-                    spec,
-                    fold_scores: Vec::new(),
-                    mean_score: self.metric.worst(),
-                    error: Some(e.to_string()),
-                }
-            }
-        };
-        let mut fold_scores = Vec::with_capacity(splits.len());
-        for split in &splits {
-            let train = series_ds.select(&split.train);
-            let validation = series_ds.select(&split.validation);
-            let mut p = pipeline.fresh_clone();
-            let outcome =
-                p.fit(&train).and_then(|_| p.transform_only(&validation)).and_then(|transformed| {
-                    let preds = p.predict(&validation)?;
-                    let truth = transformed.target_required()?;
-                    self.metric
-                        .compute(truth, &preds)
-                        .map_err(|e| coda_data::ComponentError::InvalidInput(e.to_string()))
-                });
-            match outcome {
-                Ok(score) => fold_scores.push(score),
-                Err(e) => {
-                    return PathResult {
-                        spec,
-                        fold_scores: Vec::new(),
-                        mean_score: self.metric.worst(),
-                        error: Some(e.to_string()),
-                    }
-                }
-            }
-        }
-        let mean_score = fold_scores.iter().sum::<f64>() / fold_scores.len().max(1) as f64;
-        PathResult { spec, fold_scores, mean_score, error: None }
     }
 
     /// Evaluates every path of `graph` on `series`, ranked by the metric.
@@ -415,60 +302,13 @@ impl TsEvaluator {
     ///
     /// # Errors
     ///
-    /// [`TsEvalError::Graph`] for malformed graphs,
-    /// [`TsEvalError::NothingEvaluated`] when every path fails.
+    /// As for [`Evaluator::evaluate_graph`].
     pub fn evaluate_graph(
         &self,
         graph: &Teg,
         series: &SeriesData,
-    ) -> Result<TsReport, TsEvalError> {
-        let pipelines = graph.enumerate_pipelines().map_err(TsEvalError::Graph)?;
-        let series_ds = series.to_dataset();
-        let results: Vec<PathResult> = if self.n_threads <= 1 || pipelines.len() <= 1 {
-            pipelines.iter().map(|p| self.run_pipeline(p, &series_ds)).collect()
-        } else {
-            let counter = AtomicUsize::new(0);
-            let out: Mutex<Vec<(usize, PathResult)>> = Mutex::new(Vec::new());
-            let pipes = &pipelines;
-            let counter_ref = &counter;
-            let out_ref = &out;
-            let ds_ref = &series_ds;
-            std::thread::scope(|scope| {
-                for _ in 0..self.n_threads.min(pipes.len()) {
-                    scope.spawn(move || loop {
-                        let i = counter_ref.fetch_add(1, Ordering::Relaxed);
-                        if i >= pipes.len() {
-                            break;
-                        }
-                        let r = self.run_pipeline(&pipes[i], ds_ref);
-                        out_ref.lock().expect("no panics hold this lock").push((i, r));
-                    });
-                }
-            });
-            let mut collected = out.into_inner().expect("threads joined");
-            collected.sort_by_key(|(i, _)| *i);
-            collected.into_iter().map(|(_, r)| r).collect()
-        };
-        if results.iter().all(|r| !r.is_ok()) {
-            return Err(TsEvalError::NothingEvaluated);
-        }
-        let metric = self.metric;
-        let mut ranked = results;
-        ranked.sort_by(|a, b| match (a.is_ok(), b.is_ok()) {
-            (true, false) => std::cmp::Ordering::Less,
-            (false, true) => std::cmp::Ordering::Greater,
-            (false, false) => std::cmp::Ordering::Equal,
-            (true, true) => {
-                if metric.is_better(a.mean_score, b.mean_score) {
-                    std::cmp::Ordering::Less
-                } else if metric.is_better(b.mean_score, a.mean_score) {
-                    std::cmp::Ordering::Greater
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            }
-        });
-        Ok(TsReport { metric, results: ranked })
+    ) -> Result<GraphReport, EvalError> {
+        self.eval.evaluate_graph(graph, &series.to_dataset())
     }
 }
 
@@ -529,7 +369,7 @@ mod tests {
         let zero = report.score_for("zero_model").unwrap();
         assert!(ar < zero, "ar {ar:.4} vs zero {zero:.4}");
         assert!(report.best().is_some());
-        assert!(report.to_string().contains("TsReport"));
+        assert!(report.to_string().contains("GraphReport"));
     }
 
     #[test]
@@ -556,6 +396,6 @@ mod tests {
             .unwrap();
         let series = SeriesData::univariate(vec![1.0; 30]);
         let eval = TsEvaluator::sliding(100, 5, 20, 3, Metric::Rmse);
-        assert!(matches!(eval.evaluate_graph(&g, &series), Err(TsEvalError::NothingEvaluated)));
+        assert!(matches!(eval.evaluate_graph(&g, &series), Err(EvalError::NothingEvaluated)));
     }
 }

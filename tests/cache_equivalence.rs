@@ -8,8 +8,9 @@
 
 mod common;
 
-use coda::data::{CvStrategy, Metric};
+use coda::data::{synth, CvStrategy, Metric};
 use coda::graph::{Evaluator, GraphReport, ParamGrid, Teg};
+use coda::timeseries::{SeriesData, TimeSeriesPipelineBuilder, TsEvaluator};
 use common::{
     assert_reports_identical, dataset, failing_branch_teg, fan_out_teg, linear_chain_teg,
     mixed_grid, mixed_teg, tiny_wide_dataset,
@@ -89,6 +90,34 @@ fn cache_equivalence_failing_branch() {
 fn cache_equivalence_shuffled_cv() {
     let cv = CvStrategy::KFold { k: 5, shuffle: true, seed: 99 };
     assert_all_configs_identical(&fan_out_teg(4), &dataset(36), cv, None);
+}
+
+#[test]
+fn cache_equivalence_windowing_graph() {
+    // the Fig. 11 graph: windowing transformers derive each validation
+    // fold's truth, which every configuration must score against
+    let series = SeriesData::univariate(synth::trend_seasonal_series(200, 12.0, 0.1, 38));
+    let ds = series.to_dataset();
+    let graph = TimeSeriesPipelineBuilder::new(8, 1, 1)
+        .with_deep_variants(false)
+        .with_all_scalers(false)
+        .with_epochs(3)
+        .build()
+        .expect("fixed wiring");
+    let cv = CvStrategy::TimeSeriesSlidingSplit {
+        train_size: 100,
+        buffer: 4,
+        validation_size: 30,
+        k: 2,
+    };
+    assert_all_configs_identical(&graph, &ds, cv.clone(), None);
+    let baseline = Evaluator::new(cv, Metric::Rmse).evaluate_graph(&graph, &ds).unwrap();
+    assert_eq!(baseline.n_failed(), 0, "every windowing path evaluates");
+    let ts = TsEvaluator::sliding(100, 4, 30, 2, Metric::Rmse)
+        .with_threads(4)
+        .evaluate_graph(&graph, &series)
+        .unwrap();
+    assert_reports_identical(&baseline, &ts);
 }
 
 #[test]

@@ -24,35 +24,41 @@ use coda_timeseries::{
     TsEvaluator, WindowConfig,
 };
 
-const EXPERIMENTS: &[(&str, &str)] = &[
-    ("t1", "Table I: regression modeling-step catalog, exercised end to end"),
-    ("t2", "Table II: time-series pipeline catalog, exercised end to end"),
-    ("f1", "Fig. 1: local vs cloud placement across latency and VM count"),
-    ("f2", "Fig. 2: cooperative analytics through the DARR"),
-    ("f3", "Fig. 3: the 36-pipeline example graph"),
-    ("f4", "Fig. 4: K-fold cross-validation"),
-    ("f5", "Fig. 5: pipeline training/prediction semantics"),
-    ("f6", "Figs. 6-10: the windowing transformers' shape laws"),
-    ("f11", "Fig. 11: model comparison across series regimes"),
-    ("f12", "Fig. 12: TimeSeriesSlidingSplit windows + leakage demo"),
-    ("d1", "§III: delta encoding vs full transfer"),
-    ("d2", "§III: pull/push/lease propagation costs"),
-    ("d3", "§III: recomputation triggers"),
-    ("d4", "robustness: cooperative run under injected faults"),
-    ("d5", "prefix cache: cached vs uncached TEG evaluation speedup"),
-    ("d6", "robustness: crash-stop failure, WAL replay and home failover"),
-    ("d7", "serving tier: sharded multi-tenant sustained load (writes BENCH_serving.json)"),
-    ("d8", "ops plane: flight recorder, SLO burn rates, exemplar cost profiles (writes OPS_REPORT.json)"),
-    ("d9", "incident diagnosis: breach-triggered root-cause attribution vs injected ground truth (writes DIAG_REPORT.json)"),
-    ("s1", "§IV-E: the four solution templates"),
-    ("s2", "§II: censored failure-time analysis (Kaplan-Meier)"),
-    ("a1", "ablation: delta history depth"),
-    ("a2", "ablation: evaluator thread scaling"),
-    ("a3", "ablation: forecast history window"),
-    ("a4", "ablation: nested vs plain cross-validation"),
-    ("a5", "ablation: retraining policies under drift"),
-    ("a6", "§IV-C: DNN vs LSTM execution speed"),
-    ("a7", "selective (successive-halving) vs exhaustive search"),
+/// One catalog row: id, what the experiment reproduces, and the function
+/// that runs it.
+type Experiment = (&'static str, &'static str, fn(Option<&Obs>));
+
+/// The catalog. `--list` prints it and `--exp` dispatches through it, so the
+/// two cannot disagree; a full run walks it in order.
+const EXPERIMENTS: &[Experiment] = &[
+    ("t1", "Table I: regression modeling-step catalog, exercised end to end", |_| exp_t1()),
+    ("t2", "Table II: time-series pipeline catalog, exercised end to end", |_| exp_t2()),
+    ("f1", "Fig. 1: local vs cloud placement across latency and VM count", |_| exp_f1()),
+    ("f2", "Fig. 2: cooperative analytics through the DARR", |_| exp_f2()),
+    ("f3", "Fig. 3: the 36-pipeline example graph", |_| exp_f3()),
+    ("f4", "Fig. 4: K-fold cross-validation", |_| exp_f4()),
+    ("f5", "Fig. 5: pipeline training/prediction semantics", |_| exp_f5()),
+    ("f6", "Figs. 6-10: the windowing transformers' shape laws", |_| exp_f6_f10()),
+    ("f11", "Fig. 11: model comparison across series regimes", |_| exp_f11()),
+    ("f12", "Fig. 12: TimeSeriesSlidingSplit windows + leakage demo", |_| exp_f12()),
+    ("d1", "§III: delta encoding vs full transfer", |_| exp_d1()),
+    ("d2", "§III: pull/push/lease propagation costs", |_| exp_d2()),
+    ("d3", "§III: recomputation triggers", |_| exp_d3()),
+    ("d4", "robustness: cooperative run under injected faults", exp_d4),
+    ("d5", "prefix cache: cached vs uncached TEG evaluation speedup", exp_d5),
+    ("d6", "robustness: crash-stop failure, WAL replay and home failover", exp_d6),
+    ("d7", "serving tier: sharded multi-tenant sustained load (writes BENCH_serving.json)", exp_d7),
+    ("d8", "ops plane: flight recorder, SLO burn rates, exemplar cost profiles (writes OPS_REPORT.json)", |_| exp_d8()),
+    ("d9", "incident diagnosis: breach-triggered root-cause attribution vs injected ground truth (writes DIAG_REPORT.json)", |_| exp_d9()),
+    ("s1", "§IV-E: the four solution templates", |_| exp_s1()),
+    ("s2", "§II: censored failure-time analysis (Kaplan-Meier)", |_| exp_s2()),
+    ("a1", "ablation: delta history depth", |_| exp_a1()),
+    ("a2", "ablation: evaluator thread scaling", |_| exp_a2()),
+    ("a3", "ablation: forecast history window", |_| exp_a3()),
+    ("a4", "ablation: nested vs plain cross-validation", |_| exp_a4()),
+    ("a5", "ablation: retraining policies under drift", |_| exp_a5()),
+    ("a6", "§IV-C: DNN vs LSTM execution speed", |_| exp_a6()),
+    ("a7", "selective (successive-halving) vs exhaustive search", |_| exp_a7()),
 ];
 
 fn main() {
@@ -64,7 +70,7 @@ fn main() {
         println!("                     and dump it (Prometheus text + JSON) at the end");
         println!("  --trace-out PATH   trace the run and write a Chrome trace-event JSON file");
         println!("                     (load it at ui.perfetto.dev or chrome://tracing)\n");
-        for (id, what) in EXPERIMENTS {
+        for (id, what, _) in EXPERIMENTS {
             println!("  {id:<4} {what}");
         }
         return;
@@ -75,7 +81,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(|s| s.to_ascii_lowercase());
     if let Some(o) = &only {
-        if !EXPERIMENTS.iter().any(|(id, _)| id == o) {
+        if !EXPERIMENTS.iter().any(|(id, _, _)| id == o) {
             eprintln!("unknown experiment id {o}; use --list to see the catalog");
             std::process::exit(2);
         }
@@ -89,89 +95,10 @@ fn main() {
     let obs = (args.iter().any(|a| a == "--metrics") || trace_out.is_some()).then(Obs::wall);
 
     println!("coda experiment harness — paper: Iyengar et al., ICDCS 2019");
-    if run("t1") {
-        exp_t1();
-    }
-    if run("t2") {
-        exp_t2();
-    }
-    if run("f1") {
-        exp_f1();
-    }
-    if run("f2") {
-        exp_f2();
-    }
-    if run("f3") {
-        exp_f3();
-    }
-    if run("f4") {
-        exp_f4();
-    }
-    if run("f5") {
-        exp_f5();
-    }
-    if run("f6") {
-        exp_f6_f10();
-    }
-    if run("f11") {
-        exp_f11();
-    }
-    if run("f12") {
-        exp_f12();
-    }
-    if run("d1") {
-        exp_d1();
-    }
-    if run("d2") {
-        exp_d2();
-    }
-    if run("d3") {
-        exp_d3();
-    }
-    if run("d4") {
-        exp_d4(obs.as_ref());
-    }
-    if run("d5") {
-        exp_d5(obs.as_ref());
-    }
-    if run("d6") {
-        exp_d6(obs.as_ref());
-    }
-    if run("d7") {
-        exp_d7(obs.as_ref());
-    }
-    if run("d8") {
-        exp_d8();
-    }
-    if run("d9") {
-        exp_d9();
-    }
-    if run("s1") {
-        exp_s1();
-    }
-    if run("s2") {
-        exp_s2();
-    }
-    if run("a1") {
-        exp_a1();
-    }
-    if run("a2") {
-        exp_a2();
-    }
-    if run("a3") {
-        exp_a3();
-    }
-    if run("a4") {
-        exp_a4();
-    }
-    if run("a5") {
-        exp_a5();
-    }
-    if run("a6") {
-        exp_a6();
-    }
-    if run("a7") {
-        exp_a7();
+    for (id, _, exp) in EXPERIMENTS {
+        if run(id) {
+            exp(obs.as_ref());
+        }
     }
 
     if let Some(o) = &obs {

@@ -29,8 +29,7 @@ use coda_chaos::{CrashPlan, CrashSchedule};
 use coda_darr::{ClaimOutcome, ComputationKey, Darr};
 use coda_obs::Obs;
 use coda_store::{
-    DeltaCodec, DurableStore, FailoverDecision, FetchReply, HomeLeaseFailover, PushMode,
-    UpdateMessage,
+    catch_up, DurableStore, FailoverDecision, FetchReply, HomeLeaseFailover, Incoming, PushMode,
 };
 
 use crate::failure::{DetectorConfig, FailureDetector, Liveness};
@@ -170,60 +169,6 @@ fn payload(seed: u64, j: usize, len: usize) -> Bytes {
 /// node ends up computing it.
 fn score_for(idx: usize) -> f64 {
     0.05 * (idx as f64 + 1.0)
-}
-
-/// Applies one replication push to the replica's durable store: full
-/// values install directly; deltas apply over the replica's current bytes
-/// (falling back to nothing on a broken chain — versions never regress,
-/// catch-up will close the gap).
-fn apply_push(replica: &mut DurableStore, msg: &UpdateMessage) {
-    match msg {
-        UpdateMessage::Full { object, version, data, .. } => {
-            replica.install_version(object, *version, data.clone());
-        }
-        UpdateMessage::Delta { object, delta, .. } => {
-            let base = match replica.fetch(object, None) {
-                Ok(Some(FetchReply::Full { data, .. })) => data,
-                _ => return,
-            };
-            if let Ok(next) = DeltaCodec::apply(&base, delta) {
-                replica.install_version(object, delta.target_version, next);
-            }
-        }
-        UpdateMessage::Notify { .. } => {}
-    }
-}
-
-/// Brings a (re)joining replica current from the acting home over the
-/// existing delta chains: fetch with the replica's own version, apply the
-/// delta (or install the full value when the chain has been folded away).
-/// Returns the number of objects that moved.
-fn catch_up(home: &mut DurableStore, replica: &mut DurableStore, objects: &[String]) -> usize {
-    let mut moved = 0;
-    for id in objects {
-        let mine = replica.current_version(id);
-        let Ok(Some(reply)) = home.fetch(id, mine) else { continue };
-        match reply {
-            FetchReply::UpToDate { .. } => {}
-            FetchReply::Full { version, data } => {
-                if replica.install_version(id, version, data) {
-                    moved += 1;
-                }
-            }
-            FetchReply::Delta(delta) => {
-                let base = match replica.fetch(id, None) {
-                    Ok(Some(FetchReply::Full { data, .. })) => data,
-                    _ => continue,
-                };
-                if let Ok(next) = DeltaCodec::apply(&base, &delta) {
-                    if replica.install_version(id, delta.target_version, next) {
-                        moved += 1;
-                    }
-                }
-            }
-        }
-    }
-    moved
 }
 
 /// Runs one kill-restart scenario to completion (or the round cap).
@@ -415,8 +360,13 @@ fn run_lane(cfg: &CrashRecoveryConfig, obs: Option<&Obs>, lane: &LaneSpec) -> Cr
                     (hi[0].as_mut(), lo[i].as_mut())
                 };
                 if let (Some(home), Some(me)) = (a, b) {
-                    catch_up(home, me, &objects);
                     for id in &objects {
+                        if let Ok(Some(reply)) = home.fetch(id, me.current_version(id)) {
+                            let held = me.store().current(id);
+                            if let Ok(Some((v, data))) = catch_up(held, Incoming::Reply(&reply)) {
+                                me.install_version(id, v, data);
+                            }
+                        }
                         home.subscribe(&node, id, PushMode::Delta, SUBSCRIPTION_TICKS);
                     }
                 }
@@ -514,7 +464,10 @@ fn run_lane(cfg: &CrashRecoveryConfig, obs: Option<&Obs>, lane: &LaneSpec) -> Cr
             };
             if let Some(replica) = stores[other_idx].as_mut() {
                 for msg in messages.iter().filter(|m| m.client() == names[other_idx]) {
-                    apply_push(replica, msg);
+                    let held = replica.store().current(msg.object());
+                    if let Ok(Some((v, data))) = catch_up(held, Incoming::Push(msg)) {
+                        replica.install_version(msg.object(), v, data);
+                    }
                 }
             }
             puts_done += 1;

@@ -1,9 +1,9 @@
 //! A caching client of a home data store: holds local versions, pulls with
 //! version-aware fetches, and applies push messages (full, delta or
-//! notify-then-pull).
+//! notify-then-pull). [`catch_up`] is the one rule by which any copy of an
+//! object — this cache or a replica store — reaches the home's version.
 
 use bytes::Bytes;
-use coda_chaos::{FaultInjector, RetryPolicy, RetryStats};
 use coda_obs::Obs;
 use std::collections::BTreeMap;
 
@@ -31,9 +31,6 @@ pub enum ClientError {
         /// Checksum of the received bytes.
         actual: u64,
     },
-    /// The home store could not be reached (message dropped, link down or
-    /// node crashed) — a transient fault worth retrying.
-    Unreachable,
 }
 
 impl std::fmt::Display for ClientError {
@@ -46,7 +43,6 @@ impl std::fmt::Display for ClientError {
             ClientError::ChecksumMismatch { expected, actual } => {
                 write!(f, "push payload checksum {actual:#018x}, expected {expected:#018x}")
             }
-            ClientError::Unreachable => write!(f, "home store unreachable"),
         }
     }
 }
@@ -56,6 +52,55 @@ impl std::error::Error for ClientError {}
 impl From<DeltaError> for ClientError {
     fn from(e: DeltaError) -> Self {
         ClientError::Delta(e)
+    }
+}
+
+/// What a copy of an object receives from the object's home.
+#[derive(Debug, Clone, Copy)]
+pub enum Incoming<'a> {
+    /// The reply to a version-aware fetch made with the held version.
+    Reply(&'a FetchReply),
+    /// A lease push.
+    Push(&'a UpdateMessage),
+}
+
+/// Brings a copy held at `held` (version and bytes; `None` when the copy
+/// holds nothing) to the version `incoming` carries. A full payload is
+/// taken as is, and a pushed one only when its checksum matches. A delta
+/// applies only onto a held copy at its base version. An up-to-date reply
+/// or a notification leaves the copy alone. Returns the copy's new version
+/// and bytes, or `None` when it stays as it is.
+///
+/// # Errors
+///
+/// [`ClientError::ChecksumMismatch`] for a corrupted full push,
+/// [`ClientError::BaseVersionMismatch`] for a delta onto another version,
+/// and [`ClientError::Delta`] when the delta does not rebuild its target.
+pub fn catch_up(
+    held: Option<(u64, &[u8])>,
+    incoming: Incoming<'_>,
+) -> Result<Option<(u64, Bytes)>, ClientError> {
+    match incoming {
+        Incoming::Reply(FetchReply::UpToDate { .. })
+        | Incoming::Push(UpdateMessage::Notify { .. }) => Ok(None),
+        Incoming::Reply(FetchReply::Full { version, data }) => Ok(Some((*version, data.clone()))),
+        Incoming::Push(UpdateMessage::Full { version, data, checksum, .. }) => {
+            let actual = content_hash(data);
+            if actual != *checksum {
+                return Err(ClientError::ChecksumMismatch { expected: *checksum, actual });
+            }
+            Ok(Some((*version, data.clone())))
+        }
+        Incoming::Reply(FetchReply::Delta(delta))
+        | Incoming::Push(UpdateMessage::Delta { delta, .. }) => match held {
+            Some((v, base)) if v == delta.base_version => {
+                Ok(Some((delta.target_version, DeltaCodec::apply(base, delta)?)))
+            }
+            _ => Err(ClientError::BaseVersionMismatch {
+                needed: delta.base_version,
+                held: held.map_or(0, |(v, _)| v),
+            }),
+        },
     }
 }
 
@@ -98,6 +143,15 @@ impl CachingClient {
         self.cache.get(object).map(|(_, d)| d)
     }
 
+    /// Moves the cached copy of `object` through [`catch_up`].
+    fn apply(&mut self, object: &str, incoming: Incoming<'_>) -> Result<(), ClientError> {
+        let held = self.cache.get(object).map(|(v, d)| (*v, &d[..]));
+        if let Some(copy) = catch_up(held, incoming)? {
+            self.cache.insert(object.to_string(), copy);
+        }
+        Ok(())
+    }
+
     /// Pulls the latest version from the home store, passing the held
     /// version so the store can reply with a delta (paper §III).
     ///
@@ -111,29 +165,8 @@ impl CachingClient {
             return Ok(false);
         };
         self.bytes_received += reply.wire_size() as u64;
-        match reply {
-            FetchReply::UpToDate { .. } => Ok(true),
-            FetchReply::Full { version, data } => {
-                self.cache.insert(object.to_string(), (version, data));
-                Ok(true)
-            }
-            FetchReply::Delta(delta) => {
-                let (held_v, held_data) =
-                    self.cache.get(object).cloned().ok_or(ClientError::BaseVersionMismatch {
-                        needed: delta.base_version,
-                        held: 0,
-                    })?;
-                if held_v != delta.base_version {
-                    return Err(ClientError::BaseVersionMismatch {
-                        needed: delta.base_version,
-                        held: held_v,
-                    });
-                }
-                let rebuilt = DeltaCodec::apply(&held_data, &delta)?;
-                self.cache.insert(object.to_string(), (delta.target_version, rebuilt));
-                Ok(true)
-            }
-        }
+        self.apply(object, Incoming::Reply(&reply))?;
+        Ok(true)
     }
 
     /// Applies a push message. `Notify` messages only record that the cache
@@ -141,7 +174,7 @@ impl CachingClient {
     ///
     /// # Errors
     ///
-    /// [`ClientError`] when a pushed delta cannot be applied.
+    /// [`ClientError`] when a pushed payload cannot be applied.
     pub fn apply_push(&mut self, message: &UpdateMessage) -> Result<(), ClientError> {
         let obs = self.obs.clone();
         let _span = obs.as_ref().zip(message.context()).map(|(o, ctx)| {
@@ -152,104 +185,7 @@ impl CachingClient {
             )
         });
         self.bytes_received += message.wire_size() as u64;
-        match message {
-            UpdateMessage::Full { object, version, data, checksum, .. } => {
-                let actual = content_hash(data);
-                if actual != *checksum {
-                    return Err(ClientError::ChecksumMismatch { expected: *checksum, actual });
-                }
-                self.cache.insert(object.clone(), (*version, data.clone()));
-                Ok(())
-            }
-            UpdateMessage::Delta { object, delta, .. } => {
-                let (held_v, held_data) =
-                    self.cache.get(object).cloned().ok_or(ClientError::BaseVersionMismatch {
-                        needed: delta.base_version,
-                        held: 0,
-                    })?;
-                if held_v != delta.base_version {
-                    return Err(ClientError::BaseVersionMismatch {
-                        needed: delta.base_version,
-                        held: held_v,
-                    });
-                }
-                let rebuilt = DeltaCodec::apply(&held_data, delta)?;
-                self.cache.insert(object.clone(), (delta.target_version, rebuilt));
-                Ok(())
-            }
-            UpdateMessage::Notify { .. } => Ok(()),
-        }
-    }
-
-    /// Applies a push message; on any integrity failure (corrupted payload,
-    /// unusable delta) falls back to a fresh pull from the home store so the
-    /// cache still converges. Returns true when a fallback pull was needed.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] only when the fallback pull itself fails.
-    pub fn apply_push_or_repull(
-        &mut self,
-        store: &mut HomeDataStore,
-        message: &UpdateMessage,
-    ) -> Result<bool, ClientError> {
-        match self.apply_push(message) {
-            Ok(()) => Ok(false),
-            Err(_) => {
-                // the push payload is unusable; drop it and re-fetch
-                self.cache.remove(message.object());
-                self.pull(store, message.object())?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Like [`CachingClient::pull`], but the message (request + reply) is
-    /// subject to fault injection: a dropped message in either direction
-    /// surfaces as [`ClientError::Unreachable`].
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Unreachable`] on an injected drop, otherwise as
-    /// [`CachingClient::pull`].
-    pub fn pull_via(
-        &mut self,
-        store: &mut HomeDataStore,
-        object: &str,
-        chaos: &mut FaultInjector,
-    ) -> Result<bool, ClientError> {
-        let store_name = store.name().to_string();
-        if chaos.should_drop(&self.name, &store_name) || chaos.should_drop(&store_name, &self.name)
-        {
-            return Err(ClientError::Unreachable);
-        }
-        self.pull(store, object)
-    }
-
-    /// Pulls under a retry policy: transient [`ClientError::Unreachable`]
-    /// failures are retried with backoff (advancing the injector's logical
-    /// clock, so scheduled outages can heal between attempts); permanent
-    /// errors return immediately. Returns the final result plus per-call
-    /// retry accounting.
-    pub fn pull_with_retry(
-        &mut self,
-        store: &mut HomeDataStore,
-        object: &str,
-        chaos: &mut FaultInjector,
-        policy: &RetryPolicy,
-    ) -> (Result<bool, ClientError>, RetryStats) {
-        let mut state = policy.state();
-        loop {
-            state.begin_attempt();
-            match self.pull_via(store, object, chaos) {
-                Ok(found) => return (Ok(found), state.finish(true)),
-                Err(ClientError::Unreachable) => match state.next_backoff_ms() {
-                    Some(backoff) => chaos.advance_to(chaos.now_ms() + backoff),
-                    None => return (Err(ClientError::Unreachable), state.finish(false)),
-                },
-                Err(e) => return (Err(e), state.finish(false)),
-            }
-        }
+        self.apply(message.object(), Incoming::Push(message))
     }
 
     /// True when the client's held version of `object` is behind `store`.
@@ -386,8 +322,8 @@ mod tests {
         let err = client.apply_push(&messages[0]).unwrap_err();
         assert!(matches!(err, ClientError::ChecksumMismatch { .. }));
         assert_eq!(client.held_version("o"), Some(1), "corrupt push must not apply");
-        // graceful fallback: reject the push, re-fetch from the store
-        assert!(client.apply_push_or_repull(&mut store, &messages[0]).unwrap());
+        // the rejected push leaves a held copy a version-aware pull repairs
+        assert!(client.pull(&mut store, "o").unwrap());
         assert_eq!(client.held_version("o"), Some(2));
         assert_eq!(&client.held_data("o").unwrap()[..], &v2[..]);
     }
@@ -413,43 +349,5 @@ mod tests {
         let apply = forest.spans().find(|s| s.name == "store.apply_update").unwrap();
         assert_eq!(apply.parent, Some(put_ctx.span_id), "apply is a child of the causing put");
         assert_eq!(apply.ctx.trace_id, put_ctx.trace_id, "one trace spans the wire");
-    }
-
-    #[test]
-    fn pull_with_retry_rides_out_random_drops() {
-        use coda_chaos::{FaultInjector, FaultPlan, RetryPolicy};
-        let mut store = HomeDataStore::new("h", 4);
-        let mut client = CachingClient::new("c");
-        store.put("o", patterned(500, 7));
-        let mut chaos = FaultInjector::new(FaultPlan::new(11).with_drop_probability(0.5));
-        let policy = RetryPolicy::exponential(5.0, 2.0, 40.0, 12);
-        let (result, stats) = client.pull_with_retry(&mut store, "o", &mut chaos, &policy);
-        assert_eq!(result, Ok(true));
-        assert_eq!(client.held_version("o"), Some(1));
-        assert_eq!(stats.successes, 1);
-        assert_eq!(stats.attempts, stats.retries + 1);
-    }
-
-    #[test]
-    fn pull_with_retry_waits_out_scheduled_outage() {
-        use coda_chaos::{FaultInjector, FaultPlan, RetryPolicy};
-        let mut store = HomeDataStore::new("h", 4);
-        let mut client = CachingClient::new("c");
-        store.put("o", patterned(500, 8));
-        let mut chaos = FaultInjector::new(FaultPlan::new(1).with_link_flap("c", "h", 0.0, 50.0));
-        // 20ms backoffs: the link heals at t=50, the fourth attempt succeeds
-        let policy = RetryPolicy::fixed(20.0, 6);
-        let (result, stats) = client.pull_with_retry(&mut store, "o", &mut chaos, &policy);
-        assert_eq!(result, Ok(true));
-        assert_eq!(stats.attempts, 4);
-        assert!(chaos.now_ms() >= 50.0);
-
-        // with too small an attempt budget the same outage is fatal
-        let mut client2 = CachingClient::new("c");
-        let mut chaos2 = FaultInjector::new(FaultPlan::new(1).with_link_flap("c", "h", 0.0, 50.0));
-        let tight = RetryPolicy::fixed(10.0, 3);
-        let (result2, stats2) = client2.pull_with_retry(&mut store, "o", &mut chaos2, &tight);
-        assert_eq!(result2, Err(ClientError::Unreachable));
-        assert_eq!(stats2.exhausted, 1);
     }
 }

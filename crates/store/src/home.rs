@@ -91,7 +91,7 @@ impl FetchReply {
 
 /// One stored object: current version plus a bounded history of recent
 /// versions with precomputed deltas to the current version.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct StoredObject {
     version: u64,
     data: Bytes,
@@ -99,6 +99,27 @@ struct StoredObject {
     history: VecDeque<(u64, Bytes)>,
     /// Precomputed d(o, v, current) keyed by base version v.
     deltas: BTreeMap<u64, Delta>,
+}
+
+impl StoredObject {
+    /// Moves the object to `version` holding `data`: the old version joins
+    /// the bounded history and every retained version's delta to the new
+    /// one is re-encoded. The one version-advance behind both a put and an
+    /// installed catch-up.
+    fn advance(&mut self, version: u64, data: Bytes, history_depth: usize) {
+        if self.version > 0 {
+            self.history.push_back((self.version, self.data.clone()));
+            while self.history.len() > history_depth {
+                self.history.pop_front();
+            }
+        }
+        self.version = version;
+        self.data = data;
+        self.deltas.clear();
+        for (v, old) in &self.history {
+            self.deltas.insert(*v, DeltaCodec::encode(old, &self.data, *v, version));
+        }
+    }
 }
 
 /// An in-process home data store with lease-based push and accounting.
@@ -172,6 +193,13 @@ impl HomeDataStore {
         self.objects.get(id).map(|o| o.version)
     }
 
+    /// The current version and bytes of an object, if stored: the held
+    /// copy a replica hands to [`crate::catch_up`]. A local read, so it is
+    /// not a transfer and is not counted.
+    pub fn current(&self, id: &str) -> Option<(u64, &[u8])> {
+        self.objects.get(id).map(|o| (o.version, &o.data[..]))
+    }
+
     /// Stores a new version of `id` (creating it at version 1), precomputes
     /// deltas from retained history, and pushes to subscribed clients.
     /// Returns the new version number and any push messages to deliver.
@@ -200,26 +228,9 @@ impl HomeDataStore {
             )
         });
         let push_ctx = span.as_ref().map(|s| s.context()).or(parent);
-        let entry = self.objects.entry(id.to_string()).or_insert_with(|| StoredObject {
-            version: 0,
-            data: Bytes::new(),
-            history: VecDeque::new(),
-            deltas: BTreeMap::new(),
-        });
-        if entry.version > 0 {
-            entry.history.push_back((entry.version, entry.data.clone()));
-            while entry.history.len() > self.history_depth {
-                entry.history.pop_front();
-            }
-        }
-        entry.version += 1;
-        entry.data = data;
-        // precompute d(o, v, current) for every retained version
-        entry.deltas.clear();
+        let entry = self.objects.entry(id.to_string()).or_default();
+        entry.advance(entry.version + 1, data, self.history_depth);
         let (cur_version, cur_data) = (entry.version, entry.data.clone());
-        for (v, old) in &entry.history {
-            entry.deltas.insert(*v, DeltaCodec::encode(old, &cur_data, *v, cur_version));
-        }
         // push deltas always step from the immediately preceding version
         let prev_delta = entry.deltas.get(&(cur_version - 1)).cloned();
         // push to lease holders
@@ -407,34 +418,16 @@ impl HomeDataStore {
         false
     }
 
-    /// Installs `version` of `id` directly (replica catch-up after a
-    /// failover: the recovered node fetched the current version — or a
-    /// delta onto its own copy — from the acting home and jumps straight
-    /// to it, preserving its local history). Returns false when the store
-    /// already holds `version` or newer; versions never move backwards.
+    /// Installs `version` of `id` directly: a replica that caught up
+    /// through [`crate::catch_up`] jumps straight to the home's version,
+    /// keeping its local history. Returns false when the store already
+    /// holds `version` or newer; versions never move backwards.
     pub fn install_version(&mut self, id: &str, version: u64, data: Bytes) -> bool {
-        let entry = self.objects.entry(id.to_string()).or_insert_with(|| StoredObject {
-            version: 0,
-            data: Bytes::new(),
-            history: VecDeque::new(),
-            deltas: BTreeMap::new(),
-        });
+        let entry = self.objects.entry(id.to_string()).or_default();
         if version <= entry.version {
             return false;
         }
-        if entry.version > 0 {
-            entry.history.push_back((entry.version, entry.data.clone()));
-            while entry.history.len() > self.history_depth {
-                entry.history.pop_front();
-            }
-        }
-        entry.version = version;
-        entry.data = data;
-        entry.deltas.clear();
-        let (cur_version, cur_data) = (entry.version, entry.data.clone());
-        for (v, old) in &entry.history {
-            entry.deltas.insert(*v, DeltaCodec::encode(old, &cur_data, *v, cur_version));
-        }
+        entry.advance(version, data, self.history_depth);
         self.obs_count("coda_store_installed_versions", 1);
         true
     }

@@ -37,12 +37,12 @@ pub mod tier;
 pub mod trigger;
 pub mod wal;
 
-pub use client::{CachingClient, ClientError};
+pub use client::{catch_up, CachingClient, ClientError, Incoming};
 pub use delta::{content_hash, Delta, DeltaCodec, DeltaError, DeltaOp};
 pub use failover::{FailoverDecision, HomeLeaseFailover};
 pub use home::{FetchReply, HomeDataStore, TransferStats};
 pub use lease::{Lease, PushMode, UpdateMessage};
 pub use replication::{ReplicatedStore, ReplicationError};
-pub use tier::{shard_of, DataTier, SharedTier};
+pub use tier::{shard_of, DataTier};
 pub use trigger::{ChangeMonitor, RecomputeTrigger, UpdateStats};
 pub use wal::{DurableImage, DurableStore, Snapshot, WalRecord, WriteAheadLog};

@@ -3,16 +3,18 @@
 //! case one site fails").
 //!
 //! A [`ReplicatedStore`] keeps a primary [`HomeDataStore`] plus replicas.
-//! Writes go to the primary and propagate synchronously (delta-encoded via
-//! each replica's own `put`); reads are served by the first *available*
-//! site, so a primary failure degrades to replica reads and a later
-//! failover promotes a replica to primary without losing committed
+//! Writes go to the primary and propagate synchronously: a replica that
+//! holds the primary's previous version applies the same write through its
+//! own `put`, and one that missed writes while it was down catches up from
+//! the primary through [`crate::catch_up`]. Reads are served by the first
+//! *available* site, so a primary failure degrades to replica reads and a
+//! later failover promotes a replica to primary without losing committed
 //! versions.
 
 use bytes::Bytes;
-use coda_chaos::{RetryPolicy, RetryStats};
 use coda_obs::{Obs, SpanContext};
 
+use crate::client::{catch_up, Incoming};
 use crate::home::{FetchReply, HomeDataStore};
 
 /// Error produced by replicated operations.
@@ -64,10 +66,10 @@ impl ReplicatedStore {
         ReplicatedStore { sites, primary: 0, obs: None }
     }
 
-    /// Attaches an observability handle: failovers and replication retries
-    /// count live into its registry under `coda_store_*` names. Every
-    /// site's store is instrumented, so replica propagation shows up as
-    /// store traffic (each synchronous replica write is a real transfer).
+    /// Attaches an observability handle: failovers count live into its
+    /// registry under `coda_store_*` names. Every site's store is
+    /// instrumented, so replica propagation shows up as store traffic (each
+    /// synchronous replica write or catch-up fetch is a real transfer).
     pub fn attach_obs(&mut self, obs: Obs) {
         for site in &mut self.sites {
             site.store.attach_obs(obs.clone());
@@ -111,8 +113,8 @@ impl ReplicatedStore {
         Ok(())
     }
 
-    /// Brings a failed site back. Recovered sites catch up lazily on the
-    /// next write (full resync per object).
+    /// Brings a failed site back. A recovered site catches an object up
+    /// from the primary on that object's next write.
     ///
     /// # Errors
     ///
@@ -156,9 +158,10 @@ impl ReplicatedStore {
 
     /// [`ReplicatedStore::put`] inside a causal trace: the whole write runs
     /// in a `store.replicate_put` span (child of `parent` when carried in)
-    /// whose context propagates into the primary's and every replica's
-    /// `put_in`, so each synchronous replica write appears as a child span
-    /// of the replicated operation.
+    /// whose context propagates into the primary's and every in-sync
+    /// replica's `put_in`, so each synchronous replica write appears as a
+    /// child span of the replicated operation. A replica that fell behind
+    /// fetches from the primary under the same context instead.
     ///
     /// # Errors
     ///
@@ -175,18 +178,27 @@ impl ReplicatedStore {
             .map(|o| o.tracer().span_with_parent(parent, "store.replicate_put", &[("object", id)]));
         let ctx = span.as_ref().map(|s| s.context()).or(parent);
         self.failover_if_needed()?;
-        let (version, _) = self.sites[self.primary].store.put_in(id, data.clone(), ctx);
         let primary = self.primary;
-        for (i, site) in self.sites.iter_mut().enumerate() {
-            if i != primary && site.up {
-                // replicas may be behind after recovery: re-put until their
-                // version catches the primary's
-                loop {
-                    let (v, _) = site.store.put_in(id, data.clone(), ctx);
-                    if v >= version {
-                        break;
-                    }
-                }
+        let (version, _) = self.sites[primary].store.put_in(id, data.clone(), ctx);
+        for i in 0..self.sites.len() {
+            if i == primary || !self.sites[i].up {
+                continue;
+            }
+            let held = self.sites[i].store.version_of(id);
+            // in sync: the replica holds the primary's previous version
+            if held.unwrap_or(0) + 1 == version {
+                self.sites[i].store.put_in(id, data.clone(), ctx);
+                continue;
+            }
+            // the replica missed writes while it was down: fetch from the
+            // primary with its own version and install what that brings (a
+            // reply that does not apply leaves the replica where it was)
+            let Ok(Some(reply)) = self.sites[primary].store.fetch_in(id, held, ctx) else {
+                continue;
+            };
+            let replica = &mut self.sites[i].store;
+            if let Ok(Some((v, bytes))) = catch_up(replica.current(id), Incoming::Reply(&reply)) {
+                replica.install_version(id, v, bytes);
             }
         }
         Ok(version)
@@ -234,60 +246,6 @@ impl ReplicatedStore {
             }
         }
         Err(ReplicationError::AllSitesDown)
-    }
-
-    /// Writes under a retry policy: [`ReplicationError::AllSitesDown`] is
-    /// treated as transient (a disaster window that may heal), so between
-    /// attempts `repair` is called with the store and the 1-based attempt
-    /// number — recovery hooks (site restarts driven by a fault schedule)
-    /// run there. Returns the final result plus retry accounting.
-    pub fn put_with_retry(
-        &mut self,
-        id: &str,
-        data: Bytes,
-        policy: &RetryPolicy,
-        mut repair: impl FnMut(&mut Self, u32),
-    ) -> (Result<u64, ReplicationError>, RetryStats) {
-        let mut state = policy.state();
-        loop {
-            let attempt = state.begin_attempt();
-            match self.put(id, data.clone()) {
-                Ok(v) => return (Ok(v), state.finish(true)),
-                Err(ReplicationError::AllSitesDown) => match state.next_backoff_ms() {
-                    Some(_) => {
-                        self.obs_count("coda_store_replication_retries", 1);
-                        repair(self, attempt);
-                    }
-                    None => return (Err(ReplicationError::AllSitesDown), state.finish(false)),
-                },
-                Err(e) => return (Err(e), state.finish(false)),
-            }
-        }
-    }
-
-    /// Read-side twin of [`ReplicatedStore::put_with_retry`].
-    pub fn fetch_with_retry(
-        &mut self,
-        id: &str,
-        client_version: Option<u64>,
-        policy: &RetryPolicy,
-        mut repair: impl FnMut(&mut Self, u32),
-    ) -> (Result<Option<FetchReply>, ReplicationError>, RetryStats) {
-        let mut state = policy.state();
-        loop {
-            let attempt = state.begin_attempt();
-            match self.fetch(id, client_version) {
-                Ok(reply) => return (Ok(reply), state.finish(true)),
-                Err(ReplicationError::AllSitesDown) => match state.next_backoff_ms() {
-                    Some(_) => {
-                        self.obs_count("coda_store_replication_retries", 1);
-                        repair(self, attempt);
-                    }
-                    None => return (Err(ReplicationError::AllSitesDown), state.finish(false)),
-                },
-                Err(e) => return (Err(e), state.finish(false)),
-            }
-        }
     }
 
     /// The committed version visible at each available site (diagnostics).
@@ -359,7 +317,10 @@ mod tests {
 
     #[test]
     fn recovered_site_catches_up_on_next_write() {
+        use coda_obs::{Obs, TraceForest};
+        let obs = Obs::deterministic();
         let mut rs = ReplicatedStore::new(1, 8);
+        rs.attach_obs(obs.clone());
         rs.put("o", blob(1, 32)).unwrap();
         rs.fail_site("site-1").unwrap();
         rs.put("o", blob(2, 32)).unwrap(); // replica misses this
@@ -367,40 +328,16 @@ mod tests {
         rs.put("o", blob(3, 32)).unwrap(); // catch-up happens here
         let versions = rs.site_versions("o");
         assert!(versions.iter().all(|(_, v)| *v == Some(3)), "versions: {versions:?}");
-    }
-
-    #[test]
-    fn put_with_retry_waits_for_site_recovery() {
-        use coda_chaos::RetryPolicy;
-        let mut rs = ReplicatedStore::new(1, 4);
-        rs.put("o", blob(1, 32)).unwrap();
-        rs.fail_site("site-0").unwrap();
-        rs.fail_site("site-1").unwrap();
-        let policy = RetryPolicy::fixed(10.0, 5);
-        // the disaster heals on the 3rd attempt
-        let (result, stats) = rs.put_with_retry("o", blob(2, 32), &policy, |store, attempt| {
-            if attempt == 2 {
-                store.recover_site("site-1").unwrap();
-            }
-        });
-        assert_eq!(result, Ok(2));
-        assert_eq!(stats.attempts, 3);
-        assert_eq!(stats.successes, 1);
-        assert_eq!(rs.primary_name(), "site-1");
-    }
-
-    #[test]
-    fn fetch_with_retry_exhausts_when_nothing_recovers() {
-        use coda_chaos::RetryPolicy;
-        let mut rs = ReplicatedStore::new(1, 4);
-        rs.put("o", blob(1, 16)).unwrap();
-        rs.fail_site("site-0").unwrap();
-        rs.fail_site("site-1").unwrap();
-        let policy = RetryPolicy::fixed(5.0, 3);
-        let (result, stats) = rs.fetch_with_retry("o", None, &policy, |_, _| {});
-        assert_eq!(result.unwrap_err(), ReplicationError::AllSitesDown);
-        assert_eq!(stats.attempts, 3);
-        assert_eq!(stats.exhausted, 1);
+        // the lagging replica fetched from the primary instead of writing
+        let forest = TraceForest::from_events(&obs.tracer().events());
+        let last = forest.spans().filter(|s| s.name == "store.replicate_put").last().unwrap();
+        let mut children: Vec<&str> = forest
+            .spans()
+            .filter(|s| s.parent == Some(last.ctx.span_id))
+            .map(|s| s.name.as_str())
+            .collect();
+        children.sort_unstable();
+        assert_eq!(children, ["store.fetch", "store.put"]);
     }
 
     #[test]

@@ -5,12 +5,9 @@
 //!
 //! [`DataTier`] partitions the object space over several
 //! [`HomeDataStore`]s by stable hashing of the object id; every operation
-//! routes to the object's home store. A thread-safe [`SharedTier`] wrapper
-//! lets concurrent clients use one tier.
+//! routes to the object's home store.
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 use crate::home::{FetchReply, HomeDataStore, TransferStats};
 use crate::lease::{PushMode, UpdateMessage};
@@ -131,41 +128,6 @@ impl DataTier {
     }
 }
 
-/// A cheaply clonable, thread-safe handle to a shared [`DataTier`].
-#[derive(Debug, Clone)]
-pub struct SharedTier {
-    inner: Arc<Mutex<DataTier>>,
-}
-
-impl SharedTier {
-    /// Wraps a tier for concurrent use.
-    pub fn new(tier: DataTier) -> Self {
-        SharedTier { inner: Arc::new(Mutex::new(tier)) }
-    }
-
-    /// Writes a new version of `id`.
-    pub fn put(&self, id: &str, data: Bytes) -> (u64, Vec<UpdateMessage>) {
-        self.inner.lock().put(id, data)
-    }
-
-    /// Version-aware fetch.
-    pub fn fetch(&self, id: &str, client_version: Option<u64>) -> Option<FetchReply> {
-        self.inner.lock().fetch(id, client_version)
-    }
-
-    /// Current version of `id`, if stored.
-    pub fn version_of(&self, id: &str) -> Option<u64> {
-        let mut tier = self.inner.lock();
-        let home = tier.home_mut(id);
-        home.version_of(id)
-    }
-
-    /// Aggregated transfer statistics.
-    pub fn stats(&self) -> TransferStats {
-        self.inner.lock().stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,27 +200,5 @@ mod tests {
         let stats = tier.stats();
         assert_eq!(stats.messages, 2);
         assert!(stats.bytes >= 200);
-    }
-
-    #[test]
-    fn shared_tier_concurrent_writers_and_readers() {
-        let shared = SharedTier::new(DataTier::new(4, 4));
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let tier = shared.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..25 {
-                    let id = format!("obj-{t}-{i}");
-                    tier.put(&id, Bytes::from(vec![t as u8; 64]));
-                    let reply = tier.fetch(&id, None).expect("just written");
-                    assert_eq!(reply.version(), 1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(shared.version_of("obj-0-0"), Some(1));
-        assert_eq!(shared.stats().messages, 100);
     }
 }

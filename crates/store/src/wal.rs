@@ -12,7 +12,7 @@
 //! store by cloning the snapshot and replaying the log — every operation
 //! is deterministic, so the recovered state is byte-identical to the
 //! pre-crash state ([`HomeDataStore::export_state`] proves it). Each WAL
-//! append is one *crash point*: a [`coda_chaos::CrashPlan`] keyed by the
+//! append is one *crash point*: a `coda_chaos::CrashPlan` keyed by the
 //! store's logical operation count can kill the node after any record,
 //! and recovery must converge from all of them.
 
@@ -243,7 +243,7 @@ impl DurableStore {
     }
 
     /// Total logical operations ever applied — the crash-point counter a
-    /// [`coda_chaos::CrashPlan`] keys on.
+    /// `coda_chaos::CrashPlan` keys on.
     pub fn ops(&self) -> u64 {
         self.wal.last_seq()
     }

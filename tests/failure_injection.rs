@@ -10,7 +10,9 @@ use coda::data::{synth, CvStrategy, Metric};
 use coda::graph::TegBuilder;
 use coda::ml::{LinearRegression, RidgeRegression};
 use coda::obs::WallClock;
-use coda::store::{CachingClient, HomeDataStore, PushMode, ReplicatedStore};
+use coda::store::{
+    CachingClient, DeltaCodec, FetchReply, HomeDataStore, PushMode, ReplicatedStore,
+};
 
 #[test]
 fn cooperative_run_survives_failing_paths() {
@@ -89,6 +91,32 @@ fn replicated_store_full_outage_then_recovery() {
     rs.recover_site("site-1").unwrap();
     rs.put("o", Bytes::from_static(b"v3")).unwrap();
     assert!(rs.site_versions("o").iter().all(|(_, v)| *v == Some(3)));
+}
+
+#[test]
+fn recovered_replica_serves_only_versions_it_really_held() {
+    // site-1 misses v2 while it is down and catches up on the write of v3;
+    // once the primary is lost, a client holding the real v2 pulls from
+    // site-1 and must rebuild v3, so site-1 may not keep a v2 it never saw
+    let version =
+        |k: u64| -> Vec<u8> { (0..256u64).map(|i| ((i * 7 + k * 13) % 251) as u8).collect() };
+    let mut rs = ReplicatedStore::new(1, 8);
+    rs.put("o", Bytes::from(version(1))).unwrap();
+    rs.fail_site("site-1").unwrap();
+    rs.put("o", Bytes::from(version(2))).unwrap();
+    rs.recover_site("site-1").unwrap();
+    rs.put("o", Bytes::from(version(3))).unwrap();
+    rs.fail_site("site-0").unwrap();
+    let reply = rs.fetch("o", Some(2)).unwrap().expect("site-1 holds the object");
+    assert_eq!(reply.version(), 3);
+    let rebuilt = match reply {
+        FetchReply::Delta(delta) => {
+            DeltaCodec::apply(&version(2), &delta).expect("the delta must apply onto the real v2")
+        }
+        FetchReply::Full { data, .. } => data,
+        FetchReply::UpToDate { .. } => panic!("site-1 is at v3, not v2"),
+    };
+    assert_eq!(&rebuilt[..], &version(3)[..]);
 }
 
 #[test]

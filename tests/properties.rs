@@ -5,7 +5,7 @@ use coda::data::cv::CvStrategy;
 use coda::data::{synth, Dataset, Transformer};
 use coda::graph::{ParamGrid, PipelineSpec};
 use coda::ml::StandardScaler;
-use coda::store::{DeltaCodec, HomeDataStore};
+use coda::store::{catch_up, ClientError, DeltaCodec, DurableStore, HomeDataStore, Incoming};
 use coda::timeseries::{CascadedWindows, FlatWindowing, SeriesData, TsAsIid, WindowConfig};
 use coda_linalg::Matrix;
 use proptest::prelude::*;
@@ -32,19 +32,33 @@ proptest! {
     }
 
     /// Sequential store versions always reconstruct through pulls,
-    /// whatever the update pattern.
+    /// whatever the update pattern. A cache and a replica store catch up
+    /// once after a random prefix of the updates and once at the end, so
+    /// the final catch-up starts from a held version: up to date, a delta,
+    /// or a full copy once that version has left the depth-3 history.
     #[test]
     fn store_pull_always_converges(updates in proptest::collection::vec(
-        proptest::collection::vec(any::<u8>(), 0..512), 1..6)) {
+        proptest::collection::vec(any::<u8>(), 0..512), 1..6), cut in any::<usize>()) {
         let mut store = HomeDataStore::new("h", 3);
         let mut client = coda::store::CachingClient::new("c");
-        let mut last = Vec::new();
-        for u in &updates {
-            store.put("o", Bytes::from(u.clone()));
-            last = u.clone();
+        let mut replica = DurableStore::new("r", 3, 0);
+        let cut = cut % (updates.len() + 1);
+        for part in [&updates[..cut], &updates[cut..]] {
+            for u in part {
+                store.put("o", Bytes::from(u.clone()));
+            }
+            client.pull(&mut store, "o").unwrap();
+            if let Ok(Some(reply)) = store.fetch("o", replica.current_version("o")) {
+                let held = replica.store().current("o");
+                if let Some((v, data)) = catch_up(held, Incoming::Reply(&reply)).unwrap() {
+                    replica.install_version("o", v, data);
+                }
+            }
         }
-        client.pull(&mut store, "o").unwrap();
-        prop_assert_eq!(&client.held_data("o").unwrap()[..], &last[..]);
+        let (version, last) = (store.version_of("o"), &updates[updates.len() - 1][..]);
+        prop_assert_eq!(&client.held_data("o").unwrap()[..], last);
+        prop_assert_eq!(client.held_version("o"), version);
+        prop_assert_eq!(replica.store().current("o"), version.map(|v| (v, last)));
     }
 
     /// K-fold splits partition the sample index range exactly.
@@ -287,7 +301,7 @@ proptest! {
 
     /// Corruption never round-trips on the push path either: a full-copy
     /// push whose payload was damaged in flight is rejected by the client
-    /// and leaves its cache untouched.
+    /// and by a replica, and leaves both copies untouched.
     #[test]
     fn corrupted_full_push_is_rejected(
         data in proptest::collection::vec(any::<u8>(), 1..2048),
@@ -304,10 +318,18 @@ proptest! {
         };
         let mut client = coda::store::CachingClient::new("c");
         match client.apply_push(&push) {
-            Err(coda::store::ClientError::ChecksumMismatch { .. }) => {}
+            Err(ClientError::ChecksumMismatch { .. }) => {}
             other => prop_assert!(false, "corruption must be caught, got {:?}", other),
         }
         prop_assert_eq!(client.held_version("o"), None);
+        // a replica store at v1 rejects the same push through the shared path
+        let mut replica = DurableStore::new("r", 4, 0);
+        replica.put("o", Bytes::from(data.clone()));
+        match catch_up(replica.store().current("o"), Incoming::Push(&push)) {
+            Err(ClientError::ChecksumMismatch { .. }) => {}
+            other => prop_assert!(false, "the replica must reject it too, got {:?}", other),
+        }
+        prop_assert_eq!(replica.current_version("o"), Some(1));
     }
 
     /// Train/test split partitions and respects the requested fraction.

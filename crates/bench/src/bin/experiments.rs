@@ -135,6 +135,12 @@ fn main() {
                     parsed.counter("coda_serve_batches") > 0,
                     "backlogged mailboxes must have produced at least one batch"
                 );
+                assert!(parsed.counter("coda_store_puts") > 0, "the load's puts reach the store");
+                assert_eq!(
+                    parsed.counter("coda_store_delta_encodes"),
+                    0,
+                    "no D7 pull names a version and no lease is granted, so no delta is encoded"
+                );
             }
             println!(
                 "metrics: {} counters, {} gauges, {} histograms; JSON snapshot parses back",

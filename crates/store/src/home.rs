@@ -1,9 +1,13 @@
 //! The home data store (paper §III): holds the current version of each
-//! object, keeps recent versions plus precomputed deltas
+//! object, keeps recent versions from which it sends deltas
 //! `d(o, k−1, k), d(o, k−2, k), …`, and answers version-aware fetches with
 //! either the full object or a delta — whichever is cheaper on the wire.
+//! A delta is encoded the first time a fetch or a push needs it and
+//! memoized until the object's next version, so a put that no reader
+//! lags behind encodes nothing.
 
 use bytes::Bytes;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 use coda_obs::{Obs, SpanContext};
@@ -90,22 +94,24 @@ impl FetchReply {
 }
 
 /// One stored object: current version plus a bounded history of recent
-/// versions with precomputed deltas to the current version.
+/// versions, and the deltas from them to the current version that were
+/// needed so far.
 #[derive(Debug, Clone, Default)]
 struct StoredObject {
     version: u64,
     data: Bytes,
     /// (version, full bytes) most-recent-last; bounded by `history_depth`.
     history: VecDeque<(u64, Bytes)>,
-    /// Precomputed d(o, v, current) keyed by base version v.
+    /// Memoized d(o, v, current) keyed by base version v: filled by
+    /// [`StoredObject::delta_from`], emptied by [`StoredObject::advance`].
     deltas: BTreeMap<u64, Delta>,
 }
 
 impl StoredObject {
     /// Moves the object to `version` holding `data`: the old version joins
-    /// the bounded history and every retained version's delta to the new
-    /// one is re-encoded. The one version-advance behind both a put and an
-    /// installed catch-up.
+    /// the bounded history and the memoized deltas, which lead to the old
+    /// version, are dropped. The one version-advance behind both a put and
+    /// an installed catch-up.
     fn advance(&mut self, version: u64, data: Bytes, history_depth: usize) {
         if self.version > 0 {
             self.history.push_back((self.version, self.data.clone()));
@@ -116,8 +122,22 @@ impl StoredObject {
         self.version = version;
         self.data = data;
         self.deltas.clear();
-        for (v, old) in &self.history {
-            self.deltas.insert(*v, DeltaCodec::encode(old, &self.data, *v, version));
+    }
+
+    /// d(o, v, current), or `None` when version `v` is not retained. It is
+    /// encoded the first time it is needed, counted under
+    /// `coda_store_delta_encodes`, and memoized until the next advance, so
+    /// a version costs at most one encode per retained base.
+    fn delta_from(&mut self, v: u64, obs: Option<&Obs>) -> Option<&Delta> {
+        match self.deltas.entry(v) {
+            Entry::Occupied(memo) => Some(memo.into_mut()),
+            Entry::Vacant(slot) => {
+                let (_, old) = self.history.iter().find(|(hv, _)| *hv == v)?;
+                if let Some(o) = obs {
+                    o.count("coda_store_delta_encodes", 1);
+                }
+                Some(slot.insert(DeltaCodec::encode(old, &self.data, v, self.version)))
+            }
         }
     }
 }
@@ -200,8 +220,10 @@ impl HomeDataStore {
         self.objects.get(id).map(|o| (o.version, &o.data[..]))
     }
 
-    /// Stores a new version of `id` (creating it at version 1), precomputes
-    /// deltas from retained history, and pushes to subscribed clients.
+    /// Stores a new version of `id` (creating it at version 1) and pushes
+    /// to subscribed clients. Only an unexpired `Delta` or `NotifyOnly`
+    /// lease makes the put encode a delta (the step from the preceding
+    /// version); every other delta waits for the fetch that needs it.
     /// Returns the new version number and any push messages to deliver.
     pub fn put<S: AsRef<str>>(&mut self, id: S, data: Bytes) -> (u64, Vec<UpdateMessage>) {
         self.put_in(id, data, None)
@@ -231,11 +253,21 @@ impl HomeDataStore {
         let entry = self.objects.entry(id.to_string()).or_default();
         entry.advance(entry.version + 1, data, self.history_depth);
         let (cur_version, cur_data) = (entry.version, entry.data.clone());
-        // push deltas always step from the immediately preceding version
-        let prev_delta = entry.deltas.get(&(cur_version - 1)).cloned();
+        let now = self.clock;
+        // push deltas always step from the immediately preceding version,
+        // and only a lease that sends or summarizes one needs it
+        let reads_delta = self.leases.iter().any(|l| {
+            l.object == id
+                && l.expires_at > now
+                && matches!(l.mode, PushMode::Delta | PushMode::NotifyOnly)
+        });
+        let prev_delta = if reads_delta {
+            entry.delta_from(cur_version - 1, obs.as_ref()).cloned()
+        } else {
+            None
+        };
         // push to lease holders
         let mut messages = Vec::new();
-        let now = self.clock;
         for lease in self.leases.iter().filter(|l| l.object == id && l.expires_at > now) {
             let msg = match lease.mode {
                 PushMode::Full => {
@@ -307,8 +339,10 @@ impl HomeDataStore {
     }
 
     /// Version-aware fetch (pull paradigm): the client passes its held
-    /// version; the store replies with a delta when one exists and is
-    /// considerably smaller than the full object, otherwise the full copy.
+    /// version; the store replies with a delta when that version is
+    /// retained and the delta is considerably smaller than the full object,
+    /// otherwise the full copy. The delta is encoded on the first fetch
+    /// that needs it and memoized until the next put.
     ///
     /// # Errors
     ///
@@ -344,17 +378,18 @@ impl HomeDataStore {
                 &[("object", id), ("store", &self.name)],
             )
         });
-        let Some(object) = self.objects.get(id) else {
+        let Some(object) = self.objects.get_mut(id) else {
             return Ok(None);
         };
+        let full_len = object.data.len();
         let reply = match client_version {
             Some(v) if v == object.version => {
                 self.stats.messages += 1;
                 self.stats.bytes += 16;
                 FetchReply::UpToDate { version: v }
             }
-            Some(v) => match object.deltas.get(&v) {
-                Some(d) if (d.wire_size() as f64) < DELTA_ADVANTAGE * object.data.len() as f64 => {
+            Some(v) => match object.delta_from(v, obs.as_ref()) {
+                Some(d) if (d.wire_size() as f64) < DELTA_ADVANTAGE * full_len as f64 => {
                     self.stats.record_delta(d.wire_size());
                     FetchReply::Delta(d.clone())
                 }
@@ -433,11 +468,14 @@ impl HomeDataStore {
     }
 
     /// A canonical, deterministic dump of the store's *durable* state —
-    /// objects (with history and precomputed deltas, by content hash),
-    /// leases and the logical clock. Transfer counters are volatile
-    /// accounting and excluded. Two stores holding byte-identical state
-    /// render byte-identical dumps, which is how crash recovery proves a
-    /// WAL replay reconstructed the pre-crash store exactly.
+    /// objects (with history and the delta from every retained version, by
+    /// content hash), leases and the logical clock. Transfer counters are
+    /// volatile accounting and excluded. A delta not yet memoized is
+    /// encoded for the dump and not kept (nor counted), so the dump does
+    /// not depend on which deltas fetches and pushes happened to need. Two
+    /// stores holding byte-identical state render byte-identical dumps,
+    /// which is how crash recovery proves a WAL replay reconstructed the
+    /// pre-crash store exactly.
     pub fn export_state(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -462,7 +500,15 @@ impl HomeDataStore {
                     content_hash(data)
                 );
             }
-            for (base, d) in &o.deltas {
+            for (base, old) in &o.history {
+                let encoded;
+                let d = match o.deltas.get(base) {
+                    Some(d) => d,
+                    None => {
+                        encoded = DeltaCodec::encode(old, &o.data, *base, o.version);
+                        &encoded
+                    }
+                };
                 let _ = writeln!(
                     out,
                     "  delta {base}->{} wire={} checksum={:016x}",
@@ -587,6 +633,53 @@ mod tests {
         // v4 is retained: delta
         let reply = s.fetch("o", Some(4)).unwrap().unwrap();
         assert!(matches!(reply, FetchReply::Delta(_)));
+    }
+
+    /// Delta encodes counted by the registry `obs` belongs to.
+    fn encodes(obs: &Obs) -> u64 {
+        obs.registry().snapshot().counter("coda_store_delta_encodes")
+    }
+
+    #[test]
+    fn deltas_are_encoded_on_first_use_and_memoized_until_the_next_put() {
+        let obs = Obs::deterministic();
+        let mut s = HomeDataStore::new("h", 3);
+        s.attach_obs(obs.clone());
+        let base = patterned(4000, 6);
+        let edit = |k: usize| {
+            let mut next = base.to_vec();
+            next[k * 100] ^= 0xFF;
+            Bytes::from(next)
+        };
+        for k in 0..4 {
+            s.put("o", edit(k)); // v1..=v4, no lease
+            s.fetch("o", None).unwrap();
+            s.fetch("o", s.version_of("o")).unwrap();
+            s.fetch("o", Some(99)).unwrap();
+        }
+        assert_eq!(encodes(&obs), 0, "no lease and no retained version named: nothing encoded");
+
+        let first = s.fetch("o", Some(2)).unwrap().unwrap();
+        let second = s.fetch("o", Some(2)).unwrap().unwrap();
+        assert!(matches!(first, FetchReply::Delta(_)));
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+        assert_eq!(encodes(&obs), 1, "the second fetch reads the memo");
+        s.export_state();
+        assert_eq!(encodes(&obs), 1, "rendering a delta for the dump is not an encode");
+        assert_eq!(s.objects["o"].deltas.len(), 1, "nor is it memoized");
+
+        s.subscribe("c", "o", PushMode::Delta, 100);
+        let (v5, pushed) = s.put("o", edit(4));
+        assert!(matches!(pushed[..], [UpdateMessage::Delta { .. }]));
+        assert_eq!(encodes(&obs), 2, "a delta lease encodes the push step once");
+        assert_eq!(s.objects["o"].deltas.keys().collect::<Vec<_>>(), vec![&(v5 - 1)]);
+        assert!(matches!(s.fetch("o", Some(v5 - 1)).unwrap(), Some(FetchReply::Delta(_))));
+        assert_eq!(encodes(&obs), 2, "the push step's delta answers the pull too");
+
+        s.cancel("c", "o");
+        s.put("o", edit(5));
+        assert!(s.objects["o"].deltas.is_empty(), "the next put drops the memo");
+        assert_eq!(encodes(&obs), 2);
     }
 
     #[test]

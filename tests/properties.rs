@@ -5,7 +5,10 @@ use coda::data::cv::CvStrategy;
 use coda::data::{synth, Dataset, Transformer};
 use coda::graph::{ParamGrid, PipelineSpec};
 use coda::ml::StandardScaler;
-use coda::store::{catch_up, ClientError, DeltaCodec, DurableStore, HomeDataStore, Incoming};
+use coda::store::{
+    catch_up, ClientError, Delta, DeltaCodec, DeltaOp, DurableStore, HomeDataStore, Incoming,
+    PushMode,
+};
 use coda::timeseries::{CascadedWindows, FlatWindowing, SeriesData, TsAsIid, WindowConfig};
 use coda_linalg::Matrix;
 use proptest::prelude::*;
@@ -297,6 +300,83 @@ proptest! {
             Err(coda::store::DeltaError::ChecksumMismatch { .. }) => {}
             other => prop_assert!(false, "corruption must be caught, got {:?}", other),
         }
+    }
+
+    /// Applying an arbitrary script never panics: copies reaching past the
+    /// base or past `usize::MAX`, and target lengths no allocation could
+    /// hold, come back as errors.
+    #[test]
+    fn apply_never_panics_on_arbitrary_scripts(
+        base in proptest::collection::vec(any::<u8>(), 0..256),
+        ops in proptest::collection::vec((0u8..3, any::<usize>(), any::<usize>()), 0..8),
+        target_len in any::<usize>(), sizing in 0u8..3) {
+        let span = base.len() + 1;
+        let ops: Vec<DeltaOp> = ops
+            .into_iter()
+            .map(|(kind, a, b)| match kind {
+                0 => DeltaOp::Copy { base_offset: a, len: b },
+                1 => DeltaOp::Copy { base_offset: a % span, len: b % span },
+                _ => DeltaOp::Insert(Bytes::from(vec![a as u8; b % 64])),
+            })
+            .collect();
+        let target_len = match sizing {
+            0 => target_len,
+            1 => target_len % 512,
+            // the size the ops would produce, when every copy is in range
+            _ => ops.iter().fold(0usize, |n, op| match op {
+                DeltaOp::Copy { len, .. } => n.saturating_add(*len),
+                DeltaOp::Insert(b) => n.saturating_add(b.len()),
+            }),
+        };
+        let delta = Delta { base_version: 1, target_version: 2, target_len, target_checksum: 0, ops };
+        if let Ok(out) = DeltaCodec::apply(&base, &delta) {
+            prop_assert_eq!(out.len(), target_len);
+        }
+    }
+
+    /// Deltas are encoded lazily, yet the durable state never shows it: a
+    /// store's export is the same whichever deltas pulls and pushes
+    /// happened to encode, and a store recovered from a snapshot taken with
+    /// a partly filled memo exports exactly what the live store does.
+    #[test]
+    fn export_state_does_not_depend_on_which_deltas_were_read(
+        base in proptest::collection::vec(any::<u8>(), 0..600),
+        steps in proptest::collection::vec((0u8..5, any::<usize>()), 1..40)) {
+        // `read` also serves pulls between the logged ops; `unread` never does
+        let mut read = DurableStore::new("h", 3, 5);
+        let mut unread = DurableStore::new("h", 3, 5);
+        for &(op, pick) in &steps {
+            let id = if pick % 2 == 0 { "o0" } else { "o1" };
+            match op {
+                0 | 1 => {
+                    let mut data = base.clone();
+                    if !data.is_empty() {
+                        let at = pick % data.len();
+                        data[at] ^= (pick >> 8) as u8 | 1;
+                    }
+                    read.put(id, Bytes::from(data.clone()));
+                    unread.put(id, Bytes::from(data));
+                }
+                2 => {
+                    let mode = if pick % 3 == 0 { PushMode::NotifyOnly } else { PushMode::Delta };
+                    read.subscribe("c", id, mode, 3);
+                    unread.subscribe("c", id, mode, 3);
+                }
+                3 => {
+                    read.advance_clock(1);
+                    unread.advance_clock(1);
+                }
+                _ => {
+                    let behind = (pick / 2 % 4) as u64;
+                    let held = read.current_version(id).map(|v| v.saturating_sub(behind));
+                    let _ = read.fetch(id, held);
+                }
+            }
+            prop_assert_eq!(read.export_state(), unread.export_state());
+        }
+        let expected = read.export_state();
+        let (recovered, _) = DurableStore::recover(read.crash(), None, None);
+        prop_assert_eq!(recovered.export_state(), expected);
     }
 
     /// Corruption never round-trips on the push path either: a full-copy

@@ -8,7 +8,7 @@
 //!   suspects.
 //! - `hot-shard` — every fault-window burst routes to shard 0 (keys picked
 //!   so FNV-1a agrees under 1, 2 and 8 shards) and queues behind a held
-//!   worker, so the per-shard queue-wait split — not the aggregate, not
+//!   shard, so the per-shard queue-wait split — not the aggregate, not
 //!   the shed counter — must come back as the top suspect.
 //! - `slow-operator` — a [`ClockBurnScaler`] pipeline stage burns manual
 //!   clock during fault windows, so the spec-labeled `eval.path` series
@@ -298,7 +298,7 @@ fn run_targeted(seed: u64, n_shards: usize, hot: bool) -> ScenarioArtifacts {
             let _ = tier.submit(put(key, t as u8));
         }
         if hot && in_fault {
-            // 12 requests pile onto held shard 0: its 4-deep mailbox
+            // 12 requests pile onto held shard 0: its 4-deep queue
             // admits 4, sheds 8; the clock moves HOT_WAIT_MS before the
             // hold lifts, so every admitted request waited exactly that
             let hold = tier.hold_shard(0);

@@ -13,7 +13,9 @@ pub mod ops;
 pub mod serving;
 pub use diag::{run_diag_report, ClockBurnScaler, DiagBundle, DiagScenario};
 pub use ops::{run_ops_report, run_ops_scenario, CriticalPath, OpsReport, OpsScenario};
-pub use serving::{run_serving_bench, serving_bench_config, ServingBenchResult};
+pub use serving::{
+    run_serving_bench, serving_bench_config, tier_overhead_ratios, ServingBenchResult,
+};
 
 /// Prints a fixed-width table with a header rule.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

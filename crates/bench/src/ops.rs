@@ -266,7 +266,7 @@ pub fn run_ops_scenario_full(seed: u64, fault: bool) -> (OpsScenario, ScenarioAr
 
         // --- serving traffic ---
         if in_fault {
-            // burst 12 requests at held shards: each 4-deep mailbox admits
+            // burst 12 requests at held shards: each 4-deep queue admits
             // its share, the rest shed at the admission edge
             let h0 = tier.hold_shard(0);
             let h1 = tier.hold_shard(1);

@@ -3,11 +3,15 @@
 //! multiplexed over submitter threads) against a sharded
 //! [`coda_serve::ServeTier`], instrumented through [`coda_obs::Obs`].
 //! Produces the `BENCH_serving.json` artifact the CI benchmark ratchet
-//! (`bench_gate`) compares against its committed baseline.
+//! (`bench_gate`) compares against its committed baseline, and the tier's
+//! own cost as a ratio measured in one process
+//! ([`tier_overhead_ratios`]), which `bench_gate` gates on any machine.
 
 use coda_obs::Obs;
-use coda_serve::{LoadGenConfig, ServeConfig, ServeTier, TriggerPolicy};
-use std::sync::Arc;
+use coda_serve::{
+    closed_loop, LoadGenConfig, LoadReport, ServeConfig, ServeError, ServeRequest, ServeResponse,
+    ServeTier, ShardCore, ShardRouter, TriggerPolicy,
+};
 
 /// Everything one serving-bench run measured — the schema of
 /// `BENCH_serving.json`.
@@ -15,7 +19,7 @@ use std::sync::Arc;
 pub struct ServingBenchResult {
     /// Workload seed.
     pub seed: u64,
-    /// Worker shards.
+    /// Shards.
     pub n_shards: usize,
     /// Closed-loop submitter threads.
     pub n_threads: usize,
@@ -37,9 +41,9 @@ pub struct ServingBenchResult {
     pub p99_ms: f64,
     /// Requests applied by each shard, in shard order.
     pub per_shard_ops: Vec<u64>,
-    /// Worker wakeups that carried at least one request.
+    /// Combining passes that applied at least one request.
     pub batches: u64,
-    /// Mean requests coalesced per wakeup.
+    /// Mean requests applied per combining pass.
     pub mean_batch: f64,
     /// Recompute-trigger firings under load.
     pub trigger_firings: u64,
@@ -129,18 +133,11 @@ pub fn run_serving_bench(seed: u64, obs: Option<&Obs>) -> ServingBenchResult {
         }
     };
     let (serve_cfg, load_cfg) = serving_bench_config(seed);
-    let tier = Arc::new(ServeTier::start_obs(&serve_cfg, Some(obs)));
+    let tier = ServeTier::start_obs(&serve_cfg, Some(obs));
     let t0 = obs.now_ms();
     let load = coda_serve::run_load(&tier, &load_cfg, Some(obs));
     let elapsed_ms = (obs.now_ms() - t0).max(0.001);
-    let report = match Arc::try_unwrap(tier) {
-        Ok(t) => t.finish(),
-        // unreachable: run_load joins every submitter before returning
-        Err(tier) => {
-            drop(tier);
-            panic!("load generator left a live tier handle");
-        }
-    };
+    let report = tier.finish();
 
     assert_eq!(
         load.shed, report.shed_total,
@@ -169,4 +166,70 @@ pub fn run_serving_bench(seed: u64, obs: Option<&Obs>) -> ServingBenchResult {
         mean_batch: if batches > 0 { total_ops as f64 / batches as f64 } else { 0.0 },
         trigger_firings: report.shards.iter().map(|s| s.trigger_firings).sum(),
     }
+}
+
+/// One wall-clock timed closed loop: D7's submitter thread 0 sends its
+/// request stream through `send`. Returns the seconds it took and what it
+/// did.
+fn timed_stream(
+    load: &LoadGenConfig,
+    obs: &Obs,
+    send: impl FnMut(ServeRequest) -> Result<ServeResponse, ServeError>,
+) -> (f64, LoadReport) {
+    let t0 = obs.now_ms();
+    let report = closed_loop(load, 0, Some(obs), send);
+    ((obs.now_ms() - t0) / 1000.0, report)
+}
+
+/// The tier's own cost, measured in one process so no machine constant
+/// enters: one submitter thread sends D7's thread-0 request stream through
+/// a fresh [`ServeTier`], and through bare [`ShardCore::apply`] calls on
+/// the same shards routed by a [`ShardRouter`], both with a wall-clock
+/// `Obs` attached. The two alternate which goes first over `rounds`
+/// rounds. Returns each round's tier/bare time ratio.
+///
+/// # Panics
+///
+/// Panics if the two loops' tallies differ: the same single-threaded
+/// stream must get the same replies either way, or the ratio compares
+/// different work.
+pub fn tier_overhead_ratios(seed: u64, rounds: usize) -> Vec<f64> {
+    let (serve, load) = serving_bench_config(seed);
+    let through_tier = || {
+        let obs = Obs::wall();
+        let tier = ServeTier::start_obs(&serve, Some(&obs));
+        let run = timed_stream(&load, &obs, |req| tier.submit(req));
+        tier.finish();
+        run
+    };
+    let bare = || {
+        let obs = Obs::wall();
+        let router = ShardRouter::new(serve.n_shards);
+        let mut cores: Vec<ShardCore> = (0..serve.n_shards)
+            .map(|i| {
+                let mut core = ShardCore::new(
+                    &format!("shard-{i}"),
+                    serve.history_depth,
+                    serve.snapshot_every,
+                    serve.trigger,
+                );
+                core.attach_obs(obs.clone());
+                core
+            })
+            .collect();
+        timed_stream(&load, &obs, |req| Ok(cores[router.route(&req)].apply(req)))
+    };
+    (0..rounds)
+        .map(|round| {
+            let ((tier_s, tier_load), (bare_s, bare_load)) = if round % 2 == 0 {
+                let t = through_tier();
+                (t, bare())
+            } else {
+                let b = bare();
+                (through_tier(), b)
+            };
+            assert_eq!(tier_load, bare_load, "the tier and the bare loop must do the same work");
+            tier_s / bare_s.max(f64::MIN_POSITIVE)
+        })
+        .collect()
 }

@@ -53,8 +53,8 @@ pub use slo::{
     SloStatus,
 };
 pub use trace::{
-    EventKind, SpanContext, SpanGuard, SpanId, TailPolicy, TailSampleReport, TraceEvent, TraceId,
-    Tracer,
+    DetachGuard, EventKind, SpanContext, SpanGuard, SpanId, TailPolicy, TailSampleReport,
+    TraceEvent, TraceId, Tracer,
 };
 
 /// The handle instrumented components hold: a shared registry, a tracer,

@@ -277,6 +277,18 @@ impl Tracer {
         SpanGuard { tracer: self, ctx, start }
     }
 
+    /// Hides this thread's open spans until the returned guard drops, so
+    /// spans opened meanwhile start new root traces, as on a thread with no
+    /// open span. A thread that runs work on behalf of other threads (a
+    /// flat-combining shard applying their requests) uses this to keep that
+    /// work out of its own trace.
+    #[must_use = "the thread's open spans come back when the guard drops"]
+    pub fn detach(&self) -> DetachGuard<'_> {
+        let thread = std::thread::current().id();
+        let stack = self.stacks.lock().remove(&thread);
+        DetachGuard { tracer: self, thread, stack }
+    }
+
     /// Opens a non-lexical span stamped at the clock's current reading and
     /// returns its context; close it with [`Tracer::end_span`]. Does not
     /// touch the implicit per-thread stack — drivers whose spans outlive
@@ -540,6 +552,22 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
+/// Returned by [`Tracer::detach`]; puts the thread's open spans back on
+/// drop.
+pub struct DetachGuard<'a> {
+    tracer: &'a Tracer,
+    thread: ThreadId,
+    stack: Option<Vec<SpanContext>>,
+}
+
+impl Drop for DetachGuard<'_> {
+    fn drop(&mut self) {
+        if let Some(stack) = self.stack.take() {
+            self.tracer.stacks.lock().insert(self.thread, stack);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -758,5 +786,19 @@ mod tests {
             tracer.render_log()
         };
         assert_eq!(run(), run(), "sampling must replay byte-identically");
+    }
+
+    #[test]
+    fn detached_spans_are_roots_and_the_open_spans_come_back() {
+        let (_clock, tracer) = manual_tracer();
+        let outer = tracer.span("outer", &[]);
+        {
+            let _detached = tracer.detach();
+            assert_eq!(tracer.current_context(), None);
+            let _inner = tracer.span("inner", &[]);
+        }
+        assert_eq!(tracer.current_context(), Some(outer.context()));
+        let inner = tracer.events().into_iter().find(|e| e.name == "inner");
+        assert_eq!(inner.map(|e| e.parent), Some(None), "a span opened while detached is a root");
     }
 }

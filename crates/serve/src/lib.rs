@@ -3,21 +3,21 @@
 //! The paper's cooperative-analytics story (§III) only pays off when many
 //! clients hit the data tier and the DARR concurrently. This crate shards
 //! both by the stable key hash every layer already routes with
-//! ([`coda_store::shard_of`]) across N *single-writer* worker shards: one
-//! OS thread per shard owns that shard's [`coda_store::DurableStore`],
-//! [`coda_darr::Darr`] partition and per-object
-//! [`coda_store::ChangeMonitor`]s outright — no cross-shard locks, no
-//! shared mutable state, just a bounded MPSC mailbox in front of each
-//! worker.
+//! ([`coda_store::shard_of`]) across N shards. Each shard's
+//! [`coda_store::DurableStore`], [`coda_darr::Darr`] partition and
+//! per-object [`coda_store::ChangeMonitor`]s form one [`ShardCore`] behind
+//! that shard's combiner lock and bounded publication queue — no
+//! cross-shard locks, no shared mutable state, and no thread of the tier's
+//! own: each request is applied on a caller's thread.
 //!
 //! The tier boundary provides what a single instance never needed:
 //!
-//! - **admission control** — mailboxes are bounded; a full queue sheds the
+//! - **admission control** — queues are bounded; a full queue sheds the
 //!   request with a typed [`ServeError::Overloaded`] (never a panic, never
 //!   a silent drop) and counts it under `coda_serve_shed_total`;
-//! - **request batching** — a worker drains its mailbox up to a batch cap
-//!   per wakeup, so under load the per-wakeup cost amortizes across many
-//!   requests (`coda_serve_batch_size` histograms the effect);
+//! - **request batching** — whichever submitter holds a shard's lock
+//!   applies up to a batch cap of published requests per combining pass
+//!   (`coda_serve_batch_size` histograms the effect);
 //! - **crash composition** — each shard executes the
 //!   [`coda_chaos::CrashPlan`] points addressed to it (node `shard-{i}`)
 //!   at exact WAL operation counts: export, crash to the durable image,
@@ -37,7 +37,7 @@ pub mod router;
 pub mod shard;
 pub mod tier;
 
-pub use loadgen::{run_load, LoadGenConfig, LoadReport, SERVE_LATENCY_BOUNDS};
+pub use loadgen::{closed_loop, run_load, LoadGenConfig, LoadReport, SERVE_LATENCY_BOUNDS};
 pub use request::{ServeError, ServeRequest, ServeResponse};
 pub use router::ShardRouter;
 pub use shard::{merge_canonical_exports, ShardCore, TriggerPolicy};

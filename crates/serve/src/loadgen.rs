@@ -14,8 +14,6 @@
 //! only then issues its next op — so offered load self-limits the way a
 //! population of real cooperating clients does.
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 use coda_darr::ComputationKey;
 use coda_obs::Obs;
@@ -77,7 +75,7 @@ impl Default for LoadGenConfig {
 }
 
 /// What a load run did, summed over submitter threads.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoadReport {
     /// Requests admitted and completed.
     pub completed: u64,
@@ -93,6 +91,18 @@ pub struct LoadReport {
     pub completions: u64,
     /// Trigger firings observed in put replies.
     pub trigger_fired: u64,
+}
+
+impl LoadReport {
+    fn absorb(&mut self, other: &LoadReport) {
+        self.completed += other.completed;
+        self.shed += other.shed;
+        self.puts += other.puts;
+        self.pulls += other.pulls;
+        self.claims += other.claims;
+        self.completions += other.completions;
+        self.trigger_fired += other.trigger_fired;
+    }
 }
 
 /// splitmix64 — the same tiny deterministic PRNG the chaos crates use;
@@ -144,33 +154,22 @@ impl ZipfCdf {
     }
 }
 
-/// Per-thread accumulator, merged into the [`LoadReport`] at join time.
-#[derive(Debug, Default)]
-struct ThreadTally {
-    completed: u64,
-    shed: u64,
-    puts: u64,
-    pulls: u64,
-    claims: u64,
-    completions: u64,
-    trigger_fired: u64,
-}
-
-/// One submitter thread's closed loop.
-#[allow(clippy::needless_pass_by_value)]
-fn submitter(
-    tier: Arc<ServeTier>,
-    cfg: LoadGenConfig,
+/// Submitter thread `thread`'s closed loop: sends that thread's request
+/// stream through `send`, one reply at a time. [`run_load`] sends through
+/// [`ServeTier::submit`]; a bench can send it to bare [`crate::ShardCore`]s.
+pub fn closed_loop(
+    cfg: &LoadGenConfig,
     thread: usize,
-    obs: Option<Obs>,
-) -> ThreadTally {
+    obs: Option<&Obs>,
+    mut send: impl FnMut(ServeRequest) -> Result<ServeResponse, ServeError>,
+) -> LoadReport {
     let mut rng = cfg.seed.wrapping_add(thread as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     let zipf = ZipfCdf::new(cfg.key_space.max(1), cfg.zipf_s);
     let total_weight = (cfg.put_weight + cfg.pull_weight + cfg.claim_weight).max(1);
     let clients_per_thread = (cfg.n_clients / cfg.n_threads.max(1)).max(1);
-    let mut tally = ThreadTally::default();
+    let mut tally = LoadReport::default();
     let latency =
-        obs.as_ref().map(|o| o.registry().histogram("coda_serve_latency_ms", SERVE_LATENCY_BOUNDS));
+        obs.map(|o| o.registry().histogram("coda_serve_latency_ms", SERVE_LATENCY_BOUNDS));
 
     for _ in 0..cfg.ops_per_thread {
         let rank = zipf.sample(&mut rng);
@@ -194,9 +193,9 @@ fn submitter(
             }
         };
 
-        let t0 = obs.as_ref().map(Obs::now_ms);
-        let outcome = tier.submit(req);
-        if let (Some(h), Some(start), Some(o)) = (&latency, t0, obs.as_ref()) {
+        let t0 = obs.map(Obs::now_ms);
+        let outcome = send(req);
+        if let (Some(h), Some(start), Some(o)) = (&latency, t0, obs) {
             h.observe(o.now_ms() - start);
         }
         match outcome {
@@ -218,7 +217,7 @@ fn submitter(
                     // the winning client publishes its result, cooperative
                     // style, so later claimers hit AlreadyComputed
                     let score = unit(&mut rng);
-                    let done = tier.submit(ServeRequest::Complete {
+                    let done = send(ServeRequest::Complete {
                         key: ComputationKey::new(
                             "serve-ds",
                             1,
@@ -248,35 +247,24 @@ fn submitter(
 /// Runs the closed-loop workload against `tier` and sums the per-thread
 /// tallies. Deterministic given `cfg` (thread *interleaving* varies, but
 /// each thread's op sequence never does).
-pub fn run_load(tier: &Arc<ServeTier>, cfg: &LoadGenConfig, obs: Option<&Obs>) -> LoadReport {
+///
+/// # Panics
+///
+/// Re-raises a submitter's panic rather than drop that thread's tally.
+pub fn run_load(tier: &ServeTier, cfg: &LoadGenConfig, obs: Option<&Obs>) -> LoadReport {
     let shed_before = tier.shed_total();
-    let mut handles = Vec::with_capacity(cfg.n_threads);
-    for t in 0..cfg.n_threads {
-        let tier = Arc::clone(tier);
-        let cfg = cfg.clone();
-        let obs = obs.cloned();
-        handles.push(std::thread::spawn(move || submitter(tier, cfg, t, obs)));
-    }
-    let mut report = LoadReport {
-        completed: 0,
-        shed: 0,
-        puts: 0,
-        pulls: 0,
-        claims: 0,
-        completions: 0,
-        trigger_fired: 0,
-    };
-    for h in handles {
-        if let Ok(tally) = h.join() {
-            report.completed += tally.completed;
-            report.shed += tally.shed;
-            report.puts += tally.puts;
-            report.pulls += tally.pulls;
-            report.claims += tally.claims;
-            report.completions += tally.completions;
-            report.trigger_fired += tally.trigger_fired;
+    let mut report = LoadReport::default();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..cfg.n_threads)
+            .map(|t| s.spawn(move || closed_loop(cfg, t, obs, |req| tier.submit(req))))
+            .collect();
+        for h in handles {
+            match h.join() {
+                Ok(tally) => report.absorb(&tally),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
-    }
+    });
     // closed-loop submits that shed are also visible tier-side; sanity is
     // cheap, so keep the two books reconciled
     debug_assert!(tier.shed_total() - shed_before >= report.shed);
@@ -314,10 +302,10 @@ mod tests {
     #[test]
     fn load_run_completes_and_reconciles() {
         let obs = Obs::deterministic();
-        let tier = Arc::new(ServeTier::start_obs(
+        let tier = ServeTier::start_obs(
             &ServeConfig { n_shards: 2, ..ServeConfig::default() },
             Some(&obs),
-        ));
+        );
         let cfg = LoadGenConfig {
             n_clients: 1_000,
             ops_per_thread: 500,
@@ -329,10 +317,7 @@ mod tests {
         assert_eq!(report.shed, 0, "closed loop at 2 threads never overruns a 64-deep queue");
         assert!(report.completed >= 1_000, "every op must complete: {report:?}");
         assert!(report.puts > 0 && report.pulls > 0 && report.claims > 0, "mixed: {report:?}");
-        let tier_report = match Arc::try_unwrap(tier) {
-            Ok(t) => t.finish(),
-            Err(_) => panic!("all submitters joined"),
-        };
+        let tier_report = tier.finish();
         assert_eq!(tier_report.total_ops(), report.completed);
         let snap = obs.registry().snapshot();
         assert_eq!(snap.counter("coda_serve_ops_total"), report.completed);

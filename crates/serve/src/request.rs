@@ -1,8 +1,8 @@
 //! The serving tier's wire types: one request enum covering the existing
 //! put/pull/claim/complete/trigger surface, the mirrored response enum,
 //! and the typed admission-control error. A request names everything the
-//! owning shard needs; nothing in here borrows, so envelopes move across
-//! the mailbox channels freely.
+//! owning shard needs; nothing in here borrows, so a request published on
+//! one thread can be applied on another.
 
 use bytes::Bytes;
 use coda_darr::{AnalyticsRecord, ComputationKey};
@@ -120,14 +120,14 @@ pub enum ServeResponse {
 /// panicking or silently dropping under load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// Admission control shed the request: shard `shard`'s bounded mailbox
+    /// Admission control shed the request: shard `shard`'s bounded queue
     /// was full. The caller may back off and retry; the shed is counted
     /// under `coda_serve_shed_total`.
     Overloaded {
         /// The shard whose queue was full.
         shard: usize,
     },
-    /// The shard's worker is gone (the tier is shutting down).
+    /// A panic under the shard's lock killed it; it applies nothing more.
     ShardUnavailable {
         /// The unreachable shard.
         shard: usize,
@@ -141,7 +141,7 @@ impl std::fmt::Display for ServeError {
                 write!(f, "shard {shard} overloaded: bounded queue full, request shed")
             }
             ServeError::ShardUnavailable { shard } => {
-                write!(f, "shard {shard} unavailable: worker stopped")
+                write!(f, "shard {shard} unavailable: a panic killed it")
             }
         }
     }

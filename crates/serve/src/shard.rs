@@ -1,14 +1,14 @@
 //! One shard's single-writer state: a [`DurableStore`] (WAL + snapshot
 //! durability), a [`Darr`] partition, and the per-object
-//! [`ChangeMonitor`]s that decide when analytics must recompute. Exactly
-//! one worker thread owns a [`ShardCore`]; `apply` is plain synchronous
-//! code with no locks, because the mailbox in front of the worker already
-//! serializes every request to this shard.
+//! [`ChangeMonitor`]s that decide when analytics must recompute. A
+//! [`ShardCore`] sits behind its shard's combiner lock in the tier; `apply`
+//! is plain synchronous code with no locks of its own, because that lock
+//! already serializes every request to this shard.
 //!
 //! The canonical-export machinery at the bottom is what the
 //! shard-equivalence harness runs on: each shard dumps a sectioned raw
 //! export, and [`merge_canonical_exports`] folds any number of them into
-//! one canonical form in which shard count, mailbox interleaving and
+//! one canonical form in which shard count, request interleaving and
 //! store naming are invisible — N-shard state and the unsharded baseline
 //! must render byte-identically.
 
@@ -43,7 +43,7 @@ impl TriggerPolicy {
     }
 }
 
-/// The state one worker thread owns outright.
+/// The state one shard's combiner lock guards.
 #[derive(Debug)]
 pub struct ShardCore {
     name: String,
@@ -94,8 +94,8 @@ impl ShardCore {
         self.monitors.values().map(|(m, _)| m.recomputations).sum()
     }
 
-    /// Applies one request synchronously. Single-writer: the caller (the
-    /// shard's worker thread) is the only mutator.
+    /// Applies one request synchronously. Single-writer: the caller holds
+    /// the shard's combiner lock, so it is the only mutator.
     pub fn apply(&mut self, req: ServeRequest) -> ServeResponse {
         match req {
             ServeRequest::Put { id, data } => {
@@ -209,7 +209,7 @@ pub fn export_parts(
 ///   each store's `BTreeMap` already yields sorted blocks, so merging
 ///   shards' blocks re-sorts the same ordering the baseline has natively;
 /// - lease, DARR-record and trigger lines sort lexicographically, erasing
-///   insertion-order differences between one mailbox and many.
+///   insertion-order differences between one queue and many.
 pub fn merge_canonical_exports(raws: &[String]) -> String {
     let mut depth = String::new();
     let mut clocks: Vec<String> = Vec::new();

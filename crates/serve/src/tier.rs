@@ -1,27 +1,25 @@
-//! The serving tier: N single-writer worker shards behind bounded MPSC
-//! mailboxes, with admission control at the submit edge and request
-//! batching at the worker edge.
+//! The serving tier: N shards, each a [`ShardCore`] behind a combiner lock
+//! plus a bounded publication queue — flat combining (Hendler, Incze,
+//! Shavit & Tzafrir, SPAA 2010), so requests run on their callers' threads.
 //!
-//! Life of a request: [`ServeTier::submit`] routes it by stable key hash,
-//! `try_send`s the envelope into the owning shard's bounded mailbox —
-//! a full mailbox sheds the request *right there* with
-//! [`ServeError::Overloaded`] (counted under `coda_serve_shed_total`,
-//! queue occupancy tracked exactly by the `coda_serve_queue_depth` gauge)
-//! — and the shard's worker thread drains its mailbox in batches of up to
-//! `batch_max`, applying each request against the [`ShardCore`] it alone
-//! owns. No locks are shared between shards; the only synchronization in
-//! the data path is the mailbox channel itself.
+//! Life of a request: [`ServeTier::submit`] routes it by stable key hash
+//! and publishes it on the owning shard's queue. A full queue sheds it
+//! *right there* with [`ServeError::Overloaded`] (counted under
+//! `coda_serve_shed_total`; `coda_serve_queue_depth` tracks occupancy
+//! exactly). The submitter then takes the shard's lock, and whoever holds
+//! it applies up to `batch_max` published requests in arrival order, fires
+//! due crash points and fills each reply slot: an uncontended submit
+//! applies its own request and wakes no thread.
 //!
-//! Chaos composes per shard: a [`CrashPlan`] point addressed to node
-//! `shard-{i}` fires the moment that shard's WAL reaches the planned
-//! operation count — the worker exports, crashes the store to its durable
-//! image, replays the WAL, and proves the recovery byte-identical, all
-//! while the other shards keep serving.
+//! A [`CrashPlan`] point addressed to node `shard-{i}` fires when that
+//! shard's WAL reaches the planned operation count: export, crash, replay
+//! the WAL and prove it byte-identical, while other shards keep serving.
+//! A panic under a shard's lock kills that shard alone.
 
+use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use coda_chaos::CrashPlan;
 use coda_obs::{labeled_name, BurnState, Counter, Gauge, Histogram, Obs, DEFAULT_MS_BOUNDS};
@@ -30,17 +28,17 @@ use crate::request::{ServeError, ServeRequest, ServeResponse};
 use crate::router::ShardRouter;
 use crate::shard::{merge_canonical_exports, ShardCore, TriggerPolicy};
 
-/// Histogram bounds for the per-wakeup batch size.
+/// Histogram bounds for the per-pass batch size.
 const BATCH_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
 /// Tier configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker shards (threads).
+    /// Shards, each with its own combiner lock and queue.
     pub n_shards: usize,
-    /// Bounded mailbox capacity per shard — the admission-control knob.
+    /// Bounded publication queue per shard — the admission-control knob.
     pub queue_capacity: usize,
-    /// Maximum requests a worker drains per wakeup.
+    /// Maximum requests one combining pass applies.
     pub batch_max: usize,
     /// Versions each shard's store retains for delta chains.
     pub history_depth: usize,
@@ -54,10 +52,10 @@ pub struct ServeConfig {
     /// edge can consult (`None` = no ops plane attached).
     pub burn_state: Option<Arc<BurnState>>,
     /// When `true` *and* `burn_state` reports a breach, the admission edge
-    /// sheds new data-plane requests before they enqueue (counted under
-    /// `coda_serve_burn_shed_total` as well as the shed total). `false` —
-    /// the default — keeps the hook purely observational: attaching a
-    /// burn state changes nothing (equivalence-gated in tests).
+    /// sheds new data-plane requests before they are published (counted
+    /// under `coda_serve_burn_shed_total` as well as the shed total).
+    /// `false` — the default — keeps the hook purely observational:
+    /// attaching a burn state changes nothing (equivalence-gated in tests).
     pub burn_admission: bool,
 }
 
@@ -78,11 +76,11 @@ impl Default for ServeConfig {
 }
 
 /// What one shard did over the tier's lifetime.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardSummary {
     /// The shard's node name (`shard-{i}`).
     pub name: String,
-    /// Requests the worker applied.
+    /// Requests the shard applied.
     pub ops_applied: u64,
     /// The store's final WAL operation count.
     pub store_ops: u64,
@@ -95,6 +93,9 @@ pub struct ShardSummary {
     pub recoveries_byte_identical: u64,
     /// Recoveries that diverged (must stay zero).
     pub recovery_mismatches: u64,
+    /// A panic under the shard's lock killed it. Its counts and export are
+    /// what it held at that moment, possibly halfway through a request.
+    pub died: bool,
     /// The shard's sectioned raw state export.
     pub export_raw: String,
 }
@@ -127,54 +128,27 @@ impl TierReport {
     }
 }
 
-/// One message on a shard's mailbox.
-enum ShardMsg {
-    /// A data-plane request, its reply channel, and the clock reading at
-    /// the admission edge — the worker's wakeup time minus this is the
-    /// request's queue wait, the half of end-to-end latency that blames
-    /// overload rather than slow service.
-    Op { req: ServeRequest, reply: Sender<ServeResponse>, enqueued_ms: f64 },
-    /// Control-plane clock broadcast; acks on `done`.
-    Advance { ticks: u64, done: Sender<()> },
-    /// Test/bench hook: park the worker until `release` disconnects, so a
-    /// burst against a deliberately-stalled shard is deterministic.
-    Hold { entered: Sender<()>, release: Receiver<()> },
+/// Where a request's reply lands: filled by whichever thread applies the
+/// request, taken by the thread that submitted it.
+type ReplySlot = Arc<Mutex<Option<ServeResponse>>>;
+
+fn take_reply(slot: &Mutex<Option<ServeResponse>>) -> Option<ServeResponse> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner).take()
 }
 
-/// A reply the caller has not collected yet — lets tests and load
-/// generators pipeline submissions past a slow shard.
+/// A request on a shard's publication queue.
 #[derive(Debug)]
-pub struct Pending {
-    shard: usize,
-    rx: Receiver<ServeResponse>,
+struct Published {
+    req: ServeRequest,
+    reply: ReplySlot,
+    /// Clock reading at publish time; pickup minus this is the queue wait,
+    /// the half of latency that blames overload rather than slow service.
+    published_ms: f64,
 }
 
-impl Pending {
-    /// Blocks until the owning shard replies.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::ShardUnavailable`] when the worker stopped before
-    /// replying.
-    pub fn wait(self) -> Result<ServeResponse, ServeError> {
-        self.rx.recv().map_err(|_| ServeError::ShardUnavailable { shard: self.shard })
-    }
-}
-
-/// Guard returned by [`ServeTier::hold_shard`]; dropping it (or calling
-/// [`HoldGuard::release`]) unparks the worker.
-#[derive(Debug)]
-pub struct HoldGuard {
-    _release: Sender<()>,
-}
-
-impl HoldGuard {
-    /// Unparks the held worker.
-    pub fn release(self) {}
-}
-
-/// Per-worker cached instrumentation.
-struct WorkerMetrics {
+/// Per-shard cached instrumentation.
+struct ShardMetrics {
+    obs: Obs,
     ops: Arc<Counter>,
     batches: Arc<Counter>,
     batch_size: Arc<Histogram>,
@@ -182,103 +156,255 @@ struct WorkerMetrics {
     recoveries: Arc<Counter>,
     byte_identical: Arc<Counter>,
     mismatches: Arc<Counter>,
-    /// Queue-wait decomposition: time between admission and the worker
-    /// picking the request up — aggregate plus this shard's labeled split
-    /// (`coda_serve_queue_wait_ms{shard="shard-N"}`).
+    /// Queue wait (publish to pickup) and service (time in `apply`), each
+    /// aggregate plus this shard's split (`…{shard="shard-N"}`).
     queue_wait: Arc<Histogram>,
     queue_wait_shard: Arc<Histogram>,
-    /// Service-time decomposition: time inside `ShardCore::apply`.
     service: Arc<Histogram>,
     service_shard: Arc<Histogram>,
 }
 
-/// What a worker thread hands back when its mailbox closes.
+impl ShardMetrics {
+    fn new(obs: &Obs, name: &str) -> Self {
+        let r = obs.registry();
+        ShardMetrics {
+            obs: obs.clone(),
+            ops: r.counter("coda_serve_ops_total"),
+            batches: r.counter("coda_serve_batches"),
+            batch_size: r.histogram("coda_serve_batch_size", BATCH_BOUNDS),
+            depth: r.gauge("coda_serve_queue_depth"),
+            recoveries: r.counter("coda_serve_recoveries"),
+            byte_identical: r.counter("coda_serve_recoveries_byte_identical"),
+            mismatches: r.counter("coda_serve_recovery_mismatches"),
+            queue_wait: r.histogram("coda_serve_queue_wait_ms", DEFAULT_MS_BOUNDS),
+            queue_wait_shard: r.histogram(
+                &labeled_name("coda_serve_queue_wait_ms", "shard", name),
+                DEFAULT_MS_BOUNDS,
+            ),
+            service: r.histogram("coda_serve_service_ms", DEFAULT_MS_BOUNDS),
+            service_shard: r.histogram(
+                &labeled_name("coda_serve_service_ms", "shard", name),
+                DEFAULT_MS_BOUNDS,
+            ),
+        }
+    }
+}
+
+/// What a shard's combiner lock guards.
+#[derive(Debug)]
 struct ShardState {
     core: ShardCore,
-    ops_applied: u64,
-    recoveries: u64,
-    recoveries_byte_identical: u64,
-    recovery_mismatches: u64,
+    /// The counts so far; `finish` fills in the rest.
+    summary: ShardSummary,
+    /// This shard's crash points in plan order: the WAL operation count
+    /// each fires at, and whether it has (each fires once).
+    points: Vec<(u64, bool)>,
+    /// The requests of the pass in progress; kept to reuse its allocation.
+    batch: Vec<Published>,
+}
+
+/// One shard: its state behind the combiner lock, and the bounded queue
+/// requests are published on. Lock order: `state` before `queue`.
+struct Shard {
+    state: Mutex<ShardState>,
+    queue: Mutex<VecDeque<Published>>,
+    batch_max: usize,
+    metrics: Option<ShardMetrics>,
+}
+
+impl Shard {
+    /// One combining pass: applies up to `batch_max` published requests,
+    /// oldest first. Returns how many it applied.
+    fn combine(&self, state: &mut ShardState) -> usize {
+        let mut batch = std::mem::take(&mut state.batch);
+        {
+            let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let n = queue.len().min(self.batch_max);
+            batch.extend(queue.drain(..n));
+        }
+        let n = batch.len();
+        if n > 0 {
+            if let Some(m) = &self.metrics {
+                m.depth.add(-(n as f64));
+                m.batches.inc();
+                m.batch_size.observe(n as f64);
+            }
+            // the pass applies other threads' requests: hide this thread's
+            // open spans, so each request's spans start their own traces
+            // whichever thread happens to apply them
+            let _detached = self.metrics.as_ref().map(|m| m.obs.tracer().detach());
+            for published in batch.drain(..) {
+                self.apply(state, published);
+            }
+        }
+        state.batch = batch;
+        n
+    }
+
+    /// Applies one request, fills its reply slot, and fires every crash
+    /// point the shard's WAL has reached.
+    fn apply(&self, state: &mut ShardState, published: Published) {
+        let Published { req, reply, published_ms } = published;
+        let picked_up_ms = self.metrics.as_ref().map_or(0.0, |m| m.obs.now_ms());
+        let resp = state.core.apply(req);
+        state.summary.ops_applied += 1;
+        if let Some(m) = &self.metrics {
+            m.ops.inc();
+            let wait = (picked_up_ms - published_ms).max(0.0);
+            m.queue_wait.observe(wait);
+            m.queue_wait_shard.observe(wait);
+            let service = (m.obs.now_ms() - picked_up_ms).max(0.0);
+            m.service.observe(service);
+            m.service_shard.observe(service);
+        }
+        *reply.lock().unwrap_or_else(PoisonError::into_inner) = Some(resp);
+        // crash points key on the WAL operation count, exactly like
+        // `coda_cluster::run_crash_recovery`
+        for (at_op, fired) in &mut state.points {
+            if *fired || state.core.ops() < *at_op {
+                continue;
+            }
+            *fired = true;
+            let (_, ok) = state.core.crash_recover(self.metrics.as_ref().map(|m| &m.obs));
+            let s = &mut state.summary;
+            s.recoveries += 1;
+            *(if ok { &mut s.recoveries_byte_identical } else { &mut s.recovery_mismatches }) += 1;
+            if let Some(m) = &self.metrics {
+                m.recoveries.inc();
+                (if ok { &m.byte_identical } else { &m.mismatches }).inc();
+            }
+        }
+    }
+
+    /// Applies whatever is still published — a dead shard applies nothing
+    /// — and summarizes the shard.
+    fn finish(self) -> ShardSummary {
+        if let Ok(mut state) = self.state.lock() {
+            while self.combine(&mut state) > 0 {}
+        }
+        let (state, died) = match self.state.into_inner() {
+            Ok(state) => (state, false),
+            Err(poisoned) => (poisoned.into_inner(), true),
+        };
+        let core = &state.core;
+        let (store_ops, trigger_firings, export_raw) =
+            (core.ops(), core.trigger_firings(), core.export_raw());
+        ShardSummary { store_ops, trigger_firings, died, export_raw, ..state.summary }
+    }
+}
+
+/// A reply the caller has not collected yet — lets tests and load
+/// generators pipeline submissions past a held shard.
+pub struct Pending<'a> {
+    shard: &'a Shard,
+    index: usize,
+    reply: ReplySlot,
+}
+
+impl fmt::Debug for Pending<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Pending").field("shard", &self.index).finish_non_exhaustive()
+    }
+}
+
+impl Pending<'_> {
+    /// Returns the reply once the request is applied; until then this
+    /// thread takes the shard's lock and combines.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::ShardUnavailable`] when the shard died first.
+    pub fn wait(self) -> Result<ServeResponse, ServeError> {
+        let unavailable = ServeError::ShardUnavailable { shard: self.index };
+        loop {
+            if let Some(resp) = take_reply(&self.reply) {
+                return Ok(resp);
+            }
+            let Ok(mut state) = self.shard.state.lock() else {
+                // a reply filled before the shard died still stands
+                return take_reply(&self.reply).ok_or(unavailable);
+            };
+            if let Some(resp) = take_reply(&self.reply) {
+                return Ok(resp);
+            }
+            // an unfilled request is still queued: a pass that took it
+            // filled it before unlocking, or died and poisoned the lock
+            if self.shard.combine(&mut state) == 0 {
+                return Err(unavailable);
+            }
+        }
+    }
+}
+
+/// Guard returned by [`ServeTier::hold_shard`]: it holds the shard's
+/// combiner lock, so nothing applies there until it drops (or
+/// [`HoldGuard::release`] is called).
+#[derive(Debug)]
+pub struct HoldGuard<'a> {
+    _state: MutexGuard<'a, ShardState>,
+}
+
+impl HoldGuard<'_> {
+    /// Lets the held shard combine again.
+    pub fn release(self) {}
 }
 
 /// The running tier.
 pub struct ServeTier {
     router: ShardRouter,
-    mailboxes: Vec<SyncSender<ShardMsg>>,
-    workers: Vec<JoinHandle<ShardState>>,
-    shed: Arc<AtomicU64>,
+    shards: Vec<Shard>,
+    queue_capacity: usize,
+    shed: AtomicU64,
     shed_counter: Option<Arc<Counter>>,
-    depth_gauge: Option<Arc<Gauge>>,
     burn_state: Option<Arc<BurnState>>,
     burn_admission: bool,
     burn_shed_counter: Option<Arc<Counter>>,
-    /// Clock source for the queue-wait decomposition (admission stamps).
-    obs: Option<Obs>,
 }
 
 impl ServeTier {
-    /// Starts `cfg.n_shards` worker threads. With `obs`, shed/depth/batch/op
-    /// counts and recovery accounting flow into the registry under
-    /// `coda_serve_*` names.
+    /// Starts `cfg.n_shards` shards. With `obs`, shed/depth/batch/op counts
+    /// and recovery accounting flow into the registry under `coda_serve_*`
+    /// names.
     ///
     /// # Panics
     ///
     /// Panics if `n_shards`, `queue_capacity` or `batch_max` is zero.
     pub fn start_obs(cfg: &ServeConfig, obs: Option<&Obs>) -> Self {
         assert!(cfg.n_shards > 0, "need at least one shard");
-        assert!(cfg.queue_capacity > 0, "need a nonzero mailbox");
+        assert!(cfg.queue_capacity > 0, "need a nonzero queue");
         assert!(cfg.batch_max > 0, "need a nonzero batch cap");
-        let router = ShardRouter::new(cfg.n_shards);
-        let mut mailboxes = Vec::with_capacity(cfg.n_shards);
-        let mut workers = Vec::with_capacity(cfg.n_shards);
-        for i in 0..cfg.n_shards {
-            let name = format!("shard-{i}");
-            let (tx, rx) = mpsc::sync_channel::<ShardMsg>(cfg.queue_capacity);
-            let mut core =
-                ShardCore::new(&name, cfg.history_depth, cfg.snapshot_every, cfg.trigger);
-            if let Some(o) = obs {
-                core.attach_obs(o.clone());
-            }
-            let metrics = obs.map(|o| WorkerMetrics {
-                ops: o.registry().counter("coda_serve_ops_total"),
-                batches: o.registry().counter("coda_serve_batches"),
-                batch_size: o.registry().histogram("coda_serve_batch_size", BATCH_BOUNDS),
-                depth: o.registry().gauge("coda_serve_queue_depth"),
-                recoveries: o.registry().counter("coda_serve_recoveries"),
-                byte_identical: o.registry().counter("coda_serve_recoveries_byte_identical"),
-                mismatches: o.registry().counter("coda_serve_recovery_mismatches"),
-                queue_wait: o.registry().histogram("coda_serve_queue_wait_ms", DEFAULT_MS_BOUNDS),
-                queue_wait_shard: o.registry().histogram(
-                    &labeled_name("coda_serve_queue_wait_ms", "shard", &name),
-                    DEFAULT_MS_BOUNDS,
-                ),
-                service: o.registry().histogram("coda_serve_service_ms", DEFAULT_MS_BOUNDS),
-                service_shard: o.registry().histogram(
-                    &labeled_name("coda_serve_service_ms", "shard", &name),
-                    DEFAULT_MS_BOUNDS,
-                ),
-            });
-            // this shard's crash points, in plan order (each fires once)
-            let points: Vec<u64> =
-                cfg.plan.points().iter().filter(|p| p.node == name).map(|p| p.at_op).collect();
-            let batch_max = cfg.batch_max;
-            let worker_obs = obs.cloned();
-            workers.push(std::thread::spawn(move || {
-                worker_loop(core, rx, batch_max, points, metrics, worker_obs)
-            }));
-            mailboxes.push(tx);
-        }
+        let shards = (0..cfg.n_shards)
+            .map(|i| {
+                let name = format!("shard-{i}");
+                let mut core =
+                    ShardCore::new(&name, cfg.history_depth, cfg.snapshot_every, cfg.trigger);
+                if let Some(o) = obs {
+                    core.attach_obs(o.clone());
+                }
+                let points =
+                    cfg.plan.points().iter().filter(|p| p.node == name).map(|p| (p.at_op, false));
+                Shard {
+                    state: Mutex::new(ShardState {
+                        core,
+                        summary: ShardSummary { name: name.clone(), ..ShardSummary::default() },
+                        points: points.collect(),
+                        batch: Vec::with_capacity(cfg.batch_max),
+                    }),
+                    queue: Mutex::new(VecDeque::with_capacity(cfg.queue_capacity)),
+                    batch_max: cfg.batch_max,
+                    metrics: obs.map(|o| ShardMetrics::new(o, &name)),
+                }
+            })
+            .collect();
         ServeTier {
-            router,
-            mailboxes,
-            workers,
-            shed: Arc::new(AtomicU64::new(0)),
+            router: ShardRouter::new(cfg.n_shards),
+            shards,
+            queue_capacity: cfg.queue_capacity,
+            shed: AtomicU64::new(0),
             shed_counter: obs.map(|o| o.registry().counter("coda_serve_shed_total")),
-            depth_gauge: obs.map(|o| o.registry().gauge("coda_serve_queue_depth")),
             burn_state: cfg.burn_state.clone(),
             burn_admission: cfg.burn_admission,
             burn_shed_counter: obs.map(|o| o.registry().counter("coda_serve_burn_shed_total")),
-            obs: obs.cloned(),
         }
     }
 
@@ -292,216 +418,95 @@ impl ServeTier {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Routes and enqueues `req` without waiting for the reply. This *is*
-    /// the admission-control edge: a full mailbox sheds immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Overloaded`] when the owning shard's bounded mailbox
-    /// is full; [`ServeError::ShardUnavailable`] when its worker stopped.
-    pub fn submit_nowait(&self, req: ServeRequest) -> Result<Pending, ServeError> {
-        let shard = self.router.route(&req);
-        // SLO-burn back-pressure: when opted in and the attached burn state
-        // reports an active breach, shed before enqueueing — the tier
-        // trades availability for recovery headroom. Observational mode
-        // (the default) never touches this branch.
-        if self.burn_admission {
-            if let Some(state) = &self.burn_state {
-                if state.breached() {
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(c) = &self.shed_counter {
-                        c.inc();
-                    }
-                    if let Some(c) = &self.burn_shed_counter {
-                        c.inc();
-                    }
-                    return Err(ServeError::Overloaded { shard });
-                }
-            }
-        }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let enqueued_ms = self.obs.as_ref().map_or(0.0, Obs::now_ms);
-        match self.mailboxes[shard].try_send(ShardMsg::Op { req, reply: reply_tx, enqueued_ms }) {
-            Ok(()) => {
-                if let Some(g) = &self.depth_gauge {
-                    g.add(1.0);
-                }
-                Ok(Pending { shard, rx: reply_rx })
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = &self.shed_counter {
-                    c.inc();
-                }
-                Err(ServeError::Overloaded { shard })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::ShardUnavailable { shard }),
+    fn count_shed(&self) {
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        if let Some(c) = &self.shed_counter {
+            c.inc();
         }
     }
 
-    /// Routes `req` to its shard and waits for the reply (closed loop).
+    /// Routes and publishes `req` without applying it. This *is* the
+    /// admission-control edge: a full queue sheds immediately.
     ///
     /// # Errors
     ///
-    /// Same as [`ServeTier::submit_nowait`], plus
-    /// [`ServeError::ShardUnavailable`] if the worker stops mid-request.
+    /// [`ServeError::Overloaded`] when the owning shard's bounded queue is
+    /// full; [`ServeError::ShardUnavailable`] when the shard died.
+    pub fn submit_nowait(&self, req: ServeRequest) -> Result<Pending<'_>, ServeError> {
+        let index = self.router.route(&req);
+        // SLO-burn back-pressure: when opted in and the attached burn state
+        // reports an active breach, shed before publishing — the tier
+        // trades availability for recovery headroom. Observational mode
+        // (the default) never touches this branch.
+        if self.burn_admission && self.burn_state.as_ref().is_some_and(|s| s.breached()) {
+            self.count_shed();
+            if let Some(c) = &self.burn_shed_counter {
+                c.inc();
+            }
+            return Err(ServeError::Overloaded { shard: index });
+        }
+        let shard = &self.shards[index];
+        if shard.state.is_poisoned() {
+            return Err(ServeError::ShardUnavailable { shard: index });
+        }
+        let reply = ReplySlot::default();
+        let published_ms = shard.metrics.as_ref().map_or(0.0, |m| m.obs.now_ms());
+        {
+            let mut queue = shard.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            if queue.len() >= self.queue_capacity {
+                drop(queue);
+                self.count_shed();
+                return Err(ServeError::Overloaded { shard: index });
+            }
+            queue.push_back(Published { req, reply: Arc::clone(&reply), published_ms });
+        }
+        if let Some(m) = &shard.metrics {
+            m.depth.add(1.0);
+        }
+        Ok(Pending { shard, index, reply })
+    }
+
+    /// [`ServeTier::submit_nowait`] then [`Pending::wait`]: a closed-loop
+    /// round trip, applied on this thread unless another thread's pass did.
+    ///
+    /// # Errors
+    ///
+    /// Same as those two.
     pub fn submit(&self, req: ServeRequest) -> Result<ServeResponse, ServeError> {
         self.submit_nowait(req)?.wait()
     }
 
-    /// Control-plane clock broadcast: advances every shard's store and
-    /// DARR clocks by `ticks`, blocking until all shards applied it, so
-    /// logical clocks stay equal tier-wide. Control traffic is always
-    /// admitted (it uses blocking sends, not `try_send`).
+    /// Control-plane clock broadcast: advances every live shard's store and
+    /// DARR clocks by `ticks`, each after it applied everything published
+    /// before the broadcast, so logical clocks stay equal tier-wide.
     pub fn advance_clock(&self, ticks: u64) {
-        let mut acks = Vec::with_capacity(self.mailboxes.len());
-        for tx in &self.mailboxes {
-            let (done_tx, done_rx) = mpsc::channel();
-            if tx.send(ShardMsg::Advance { ticks, done: done_tx }).is_ok() {
-                acks.push(done_rx);
+        for shard in &self.shards {
+            let Ok(mut state) = shard.state.lock() else { continue };
+            let mut due = shard.queue.lock().unwrap_or_else(PoisonError::into_inner).len();
+            while due > 0 {
+                due = due.saturating_sub(shard.combine(&mut state).max(1));
             }
-        }
-        for rx in acks {
-            let _ = rx.recv();
+            state.core.advance_clock(ticks);
         }
     }
 
-    /// Test/bench hook: parks shard `shard`'s worker after it drains its
-    /// current message, returning once the worker is provably parked. While
-    /// held, the mailbox fills and admission control is observable
-    /// deterministically. Dropping the guard unparks the worker.
+    /// Test/bench hook: takes shard `shard`'s combiner lock once no pass is
+    /// running there. While held, nothing applies on that shard and its
+    /// queue fills, so admission control is observable deterministically.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    pub fn hold_shard(&self, shard: usize) -> HoldGuard {
-        let (entered_tx, entered_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel();
-        let msg = ShardMsg::Hold { entered: entered_tx, release: release_rx };
-        if self.mailboxes[shard].send(msg).is_ok() {
-            let _ = entered_rx.recv();
-        }
-        HoldGuard { _release: release_tx }
+    pub fn hold_shard(&self, shard: usize) -> HoldGuard<'_> {
+        let state = self.shards[shard].state.lock();
+        HoldGuard { _state: state.unwrap_or_else(PoisonError::into_inner) }
     }
 
-    /// Shuts the tier down: closes every mailbox, joins every worker, and
-    /// returns the per-shard summaries plus the canonical state they
-    /// carry.
+    /// Shuts the tier down: each shard applies whatever is still published;
+    /// the report lists every shard, in order, with its state.
     pub fn finish(self) -> TierReport {
-        drop(self.mailboxes);
-        let mut shards = Vec::with_capacity(self.workers.len());
-        for handle in self.workers {
-            if let Ok(state) = handle.join() {
-                shards.push(ShardSummary {
-                    name: state.core.name().to_string(),
-                    ops_applied: state.ops_applied,
-                    store_ops: state.core.ops(),
-                    trigger_firings: state.core.trigger_firings(),
-                    recoveries: state.recoveries,
-                    recoveries_byte_identical: state.recoveries_byte_identical,
-                    recovery_mismatches: state.recovery_mismatches,
-                    export_raw: state.core.export_raw(),
-                });
-            }
-        }
-        TierReport { shards, shed_total: self.shed.load(Ordering::Relaxed) }
-    }
-}
-
-/// The worker loop: blocking-recv one message, opportunistically drain up
-/// to `batch_max` in the same wakeup, apply in arrival order, fire any due
-/// crash points, reply. Returns the shard's final state when the mailbox
-/// closes.
-fn worker_loop(
-    mut core: ShardCore,
-    rx: Receiver<ShardMsg>,
-    batch_max: usize,
-    points: Vec<u64>,
-    metrics: Option<WorkerMetrics>,
-    obs: Option<Obs>,
-) -> ShardState {
-    let mut fired = vec![false; points.len()];
-    let mut state_ops = 0u64;
-    let mut recoveries = 0u64;
-    let mut byte_identical = 0u64;
-    let mut mismatches = 0u64;
-    loop {
-        let Ok(first) = rx.recv() else { break };
-        let mut batch = vec![first];
-        while batch.len() < batch_max {
-            match rx.try_recv() {
-                Ok(msg) => batch.push(msg),
-                Err(_) => break,
-            }
-        }
-        let n_ops = batch.iter().filter(|m| matches!(m, ShardMsg::Op { .. })).count();
-        if let Some(m) = &metrics {
-            if n_ops > 0 {
-                m.batches.inc();
-                m.batch_size.observe(n_ops as f64);
-                m.depth.add(-(n_ops as f64));
-            }
-        }
-        for msg in batch {
-            match msg {
-                ShardMsg::Op { req, reply, enqueued_ms } => {
-                    // queue-wait vs service-time decomposition: wait is the
-                    // admission-to-pickup gap (overload signature), service
-                    // is the time inside apply (slow-operator signature)
-                    let picked_up_ms = obs.as_ref().map_or(0.0, Obs::now_ms);
-                    let resp = core.apply(req);
-                    state_ops += 1;
-                    if let Some(m) = &metrics {
-                        m.ops.inc();
-                        let wait = (picked_up_ms - enqueued_ms).max(0.0);
-                        m.queue_wait.observe(wait);
-                        m.queue_wait_shard.observe(wait);
-                        let done_ms = obs.as_ref().map_or(picked_up_ms, Obs::now_ms);
-                        let service = (done_ms - picked_up_ms).max(0.0);
-                        m.service.observe(service);
-                        m.service_shard.observe(service);
-                    }
-                    let _ = reply.send(resp);
-                    // crash points key on the WAL operation count, exactly
-                    // like the PR-6 recovery driver
-                    for (i, &at_op) in points.iter().enumerate() {
-                        if !fired[i] && core.ops() >= at_op {
-                            fired[i] = true;
-                            let (_, ok) = core.crash_recover(obs.as_ref());
-                            recoveries += 1;
-                            if ok {
-                                byte_identical += 1;
-                            } else {
-                                mismatches += 1;
-                            }
-                            if let Some(m) = &metrics {
-                                m.recoveries.inc();
-                                if ok {
-                                    m.byte_identical.inc();
-                                } else {
-                                    m.mismatches.inc();
-                                }
-                            }
-                        }
-                    }
-                }
-                ShardMsg::Advance { ticks, done } => {
-                    core.advance_clock(ticks);
-                    let _ = done.send(());
-                }
-                ShardMsg::Hold { entered, release } => {
-                    let _ = entered.send(());
-                    let _ = release.recv(); // parked until the guard drops
-                }
-            }
-        }
-    }
-    ShardState {
-        core,
-        ops_applied: state_ops,
-        recoveries,
-        recoveries_byte_identical: byte_identical,
-        recovery_mismatches: mismatches,
+        let shed_total = self.shed.load(Ordering::Relaxed);
+        TierReport { shards: self.shards.into_iter().map(Shard::finish).collect(), shed_total }
     }
 }
 
@@ -556,7 +561,7 @@ mod tests {
         let tier = ServeTier::start_obs(&cfg, Some(&obs));
         let hold = tier.hold_shard(0);
 
-        // deterministic burst: 4 fit the mailbox, the next 3 must shed
+        // deterministic burst: 4 fit the queue, the next 3 must shed
         let mut pendings = Vec::new();
         for i in 0..4 {
             pendings.push(tier.submit_nowait(put(&format!("o{i}"), 1)).expect("fits the queue"));
@@ -571,7 +576,7 @@ mod tests {
         let depth = obs.registry().gauge("coda_serve_queue_depth").get();
         assert!((depth - 4.0).abs() < f64::EPSILON, "queue depth must be exact, got {depth}");
 
-        // drain: release the worker, collect every queued reply
+        // drain: release the hold, collect every queued reply
         hold.release();
         for p in pendings {
             let ServeResponse::Put { version, .. } = p.wait().expect("queued op completes") else {
@@ -650,7 +655,7 @@ mod tests {
         // healthy: admits normally
         tier.submit(put("before", 1)).expect("healthy SLO admits");
 
-        // breached: every new request sheds before touching a mailbox
+        // breached: every new request sheds before it is published
         burn.update(4.0, true);
         for i in 0..3 {
             let err = tier.submit_nowait(put(&format!("b{i}"), 1));
@@ -685,7 +690,7 @@ mod tests {
         assert_eq!(tier_report.total_ops(), 16);
         let snap = obs.registry().snapshot();
         let batches = snap.counter("coda_serve_batches");
-        assert!(batches < 16, "16 queued ops must coalesce into fewer wakeups, got {batches}");
+        assert!(batches < 16, "16 queued ops must coalesce into fewer passes, got {batches}");
         assert_eq!(snap.counter("coda_serve_ops_total"), 16);
     }
 
@@ -712,7 +717,7 @@ mod tests {
         tier.submit(shard1_req).expect("admitted");
 
         // three ops queue against a held shard 0, then the clock advances
-        // 40 ms before the worker drains: each waited exactly 40 ms
+        // 40 ms before the hold lifts: each waited exactly 40 ms
         let hold = tier.hold_shard(0);
         let mut pendings = Vec::new();
         while pendings.len() < 3 {
@@ -780,5 +785,70 @@ mod tests {
         assert_eq!(s0.recovery_mismatches, 0);
         assert_eq!(report.shards[1].recoveries, 0, "shard-1 was never scheduled");
         assert_eq!(obs.registry().snapshot().counter("coda_serve_recoveries_byte_identical"), 1);
+    }
+
+    /// A submitter combines on its own thread, but the requests it applies
+    /// must not join the trace of whatever span that thread has open:
+    /// `store.put` stays a root, and the caller's span is current again
+    /// afterwards.
+    #[test]
+    fn a_combining_caller_does_not_adopt_the_request_into_its_trace() {
+        let obs = Obs::deterministic();
+        let tier = ServeTier::start_obs(
+            &ServeConfig { n_shards: 1, ..ServeConfig::default() },
+            Some(&obs),
+        );
+        let caller = obs.span("client.request", &[]);
+        tier.submit(put("o1", 1)).expect("admitted");
+        assert_eq!(obs.tracer().current_context(), Some(caller.context()));
+        drop(caller);
+        let starts: Vec<_> = obs
+            .tracer()
+            .events()
+            .into_iter()
+            .filter(|e| e.name == "store.put" && e.kind == coda_obs::EventKind::SpanStart)
+            .collect();
+        assert_eq!(starts.len(), 1, "the put is traced once");
+        assert_eq!(starts[0].parent, None, "store.put must stay a root");
+        tier.finish();
+    }
+
+    /// A panic under a shard's lock kills that shard alone: its queued and
+    /// new requests answer `ShardUnavailable` at once, the other shard
+    /// keeps serving, and `finish` still reports both shards, in order.
+    #[test]
+    fn a_panic_under_a_shard_lock_fails_that_shard_fast() {
+        let tier =
+            ServeTier::start_obs(&ServeConfig { n_shards: 2, ..ServeConfig::default() }, None);
+        let on_shard = |shard: usize, skip: usize| {
+            (0..)
+                .map(|i| put(&format!("o{i}"), 1))
+                .filter(|req| tier.router.route(req) == shard)
+                .nth(skip)
+                .expect("some id routes to every shard")
+        };
+        let queued = tier.submit_nowait(on_shard(0, 0)).expect("admitted");
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _hold = tier.hold_shard(0);
+                panic!("injected panic while shard 0 is held");
+            });
+            assert!(holder.join().is_err(), "the holder panicked");
+        });
+        let unavailable = ServeError::ShardUnavailable { shard: 0 };
+        assert_eq!(queued.wait().unwrap_err(), unavailable, "a queued request resolves");
+        assert_eq!(tier.submit(on_shard(0, 1)).unwrap_err(), unavailable, "new submits fail fast");
+        assert_eq!(tier.submit_nowait(on_shard(0, 2)).unwrap_err(), unavailable);
+        let ServeResponse::Put { version, .. } =
+            tier.submit(on_shard(1, 0)).expect("shard 1 serves")
+        else {
+            panic!("put answers Put")
+        };
+        assert_eq!(version, 1);
+        tier.advance_clock(3);
+        let report = tier.finish();
+        let shards: Vec<_> =
+            report.shards.iter().map(|s| (s.name.as_str(), s.died, s.ops_applied)).collect();
+        assert_eq!(shards, [("shard-0", true, 0), ("shard-1", false, 1)]);
     }
 }

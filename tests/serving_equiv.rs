@@ -7,7 +7,7 @@
 //!
 //! The baseline is deliberately not built from serve-crate internals: it
 //! drives the raw store/DARR/monitor APIs directly and renders through
-//! [`coda_serve::shard::export_parts`], so the tier's routing, mailboxes
+//! [`coda_serve::shard::export_parts`], so the tier's routing, queues
 //! and batching are checked against an independent oracle.
 
 use std::collections::BTreeMap;

@@ -7,6 +7,7 @@
 use coda::chaos::{FaultPlan, RetryPolicy};
 use coda::cluster::{run_chaos_coop, ChaosCoopConfig};
 use coda::obs::Obs;
+use coda::store::content_hash;
 
 /// The scenario from the issue: 20% drops, one client crashing and
 /// restarting mid-run, and a DARR partition that heals.
@@ -79,6 +80,15 @@ fn same_seed_produces_byte_identical_trace_and_metrics() {
         obs_a.registry().render_prometheus(),
         obs_b.registry().render_prometheus(),
         "metric expositions must be byte-identical"
+    );
+
+    // pinned before implicit parenting moved to a thread-local stack: a
+    // change to how the driver's DARR calls find their parent span that
+    // adds, drops or re-parents any event fails here
+    assert_eq!(
+        content_hash(log_a.as_bytes()),
+        0x7744_63c8_85eb_17e9,
+        "the seed-17 trace log changed"
     );
 
     // an instrumented run must not perturb the uninstrumented ground truth

@@ -151,13 +151,19 @@ fn main() {
             if !parsed.histograms.is_empty() {
                 println!("=== latency quantiles ===");
                 for (name, h) in &parsed.histograms {
-                    println!(
-                        "{name}: p50={:.3} p95={:.3} p99={:.3} ms (count={})",
-                        h.quantile(0.50),
-                        h.quantile(0.95),
-                        h.quantile(0.99),
-                        h.count
-                    );
+                    // bucket quantiles read as latencies only for `_ms`
+                    // families; a size histogram reads as its exact mean
+                    if coda_obs::name_parts(name).0.ends_with("_ms") {
+                        println!(
+                            "{name}: p50={:.3} p95={:.3} p99={:.3} ms (count={})",
+                            h.quantile(0.50),
+                            h.quantile(0.95),
+                            h.quantile(0.99),
+                            h.count
+                        );
+                    } else {
+                        println!("{name}: mean={:.3} (count={})", h.mean(), h.count);
+                    }
                 }
             }
         }
@@ -426,8 +432,7 @@ fn exp_f5() {
         ),
     ]);
     p.fit(&ds).expect("fits");
-    let fit_trace = log.lock().unwrap().join(", ");
-    log.lock().unwrap().clear();
+    let fit_trace = std::mem::take(&mut *log.lock().unwrap()).join(", ");
     p.predict(&ds).expect("predicts");
     let predict_trace = log.lock().unwrap().join(", ");
     println!("\n## F5 — Fig. 5 pipeline operation semantics");

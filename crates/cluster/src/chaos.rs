@@ -231,11 +231,12 @@ fn score_for(idx: usize) -> f64 {
 /// With `obs`, every work item gets a `chaos.key` root span, each claim →
 /// work → complete cycle a `chaos.attempt` child, and protocol events
 /// (claims, takeovers, journal writes, replays, crash losses) attach to
-/// those spans — the DARR's own `darr.claim`/`darr.complete`/`darr.merge`
-/// spans link in through the carried [`SpanContext`], so the whole run
-/// yields one coherent trace forest. If the observer's clock is a manual
-/// clock it is kept in lockstep with the driver's logical time, so two
-/// same-seed runs emit byte-identical trace logs.
+/// those spans. The driver enters the carried [`SpanContext`] around each
+/// DARR call, so the DARR's own `darr.claim`/`darr.complete`/`darr.merge`
+/// spans link in under it and the whole run yields one coherent trace
+/// forest. If the observer's clock is a manual clock it is kept in
+/// lockstep with the driver's logical time, so two same-seed runs emit
+/// byte-identical trace logs.
 pub fn run_chaos_coop(
     cfg: &ChaosCoopConfig,
     n_shards: usize,
@@ -280,6 +281,9 @@ pub fn run_chaos_coop(
             o.tracer().event_in(c, name, &[("client", client), ("key", key)]);
         }
     };
+    // the carried context as the current span around one DARR call; with
+    // `None` no span is current, so the call traces nothing
+    let enter = |ctx: Option<SpanContext>| obs.map(|o| o.tracer().enter(ctx));
     let mut key_spans: Vec<Option<SpanContext>> = vec![None; cfg.n_keys];
     let mut key_open: Vec<bool> = vec![false; cfg.n_keys];
     let mut clients: Vec<ClientState> = (0..cfg.n_clients)
@@ -343,14 +347,11 @@ pub fn run_chaos_coop(
                     reach(&mut injector, &client.name, &policy, &mut now_ms, &lanes, obs);
                 report.retry.merge(&stats);
                 if ok {
-                    lanes[lane_of[idx]].complete_in(
-                        &keys[idx],
-                        &client.name,
-                        score_for(idx),
-                        vec![],
-                        "chaos",
-                        attempt,
-                    );
+                    {
+                        let _attempt = enter(attempt);
+                        let lane = &lanes[lane_of[idx]];
+                        lane.complete(&keys[idx], &client.name, score_for(idx), vec![], "chaos");
+                    }
                     report.computed += 1;
                     trace(attempt, "chaos.complete", &client.name, &keys[idx].pipeline);
                     if let (Some(o), Some(a)) = (obs, attempt) {
@@ -394,7 +395,10 @@ pub fn run_chaos_coop(
                             trace(ctx, "chaos.duplicate", &client.name, &record.key.pipeline);
                         } else {
                             trace(ctx, "chaos.replay", &client.name, &record.key.pipeline);
-                            lanes[lane_of[idx]].merge_record(record, ctx);
+                            {
+                                let _key = enter(ctx);
+                                lanes[lane_of[idx]].merge_record(record);
+                            }
                             report.replayed += 1;
                             close_key(obs, &key_spans, &mut key_open, idx, "replayed");
                         }
@@ -425,12 +429,11 @@ pub fn run_chaos_coop(
                 trace(root, "chaos.journal", &client.name, &keys[idx].pipeline);
                 continue;
             }
-            match lanes[lane_of[idx]].try_claim_in(
-                &keys[idx],
-                &client.name,
-                cfg.claim_duration,
-                root,
-            ) {
+            let outcome = {
+                let _key = enter(root);
+                lanes[lane_of[idx]].try_claim(&keys[idx], &client.name, cfg.claim_duration)
+            };
+            match outcome {
                 ClaimOutcome::AlreadyComputed(_) => {
                     report.reused += 1;
                     trace(root, "chaos.reuse", &client.name, &keys[idx].pipeline);

@@ -122,7 +122,7 @@ pub fn run_cooperative(
                     .map(|p| computation_key("shared", 1, p.spec().key(), cv, metric))
                     .collect();
                 let coop = CooperativeClient::new(darr, client_name.clone(), 60_000);
-                let (summary, outcomes) = coop.run(&keys, wait_for_holders, None, |key| {
+                let (summary, outcomes) = coop.run(&keys, wait_for_holders, |key| {
                     evaluations.fetch_add(1, Ordering::SeqCst);
                     let idx =
                         keys.iter().position(|k| k == key).ok_or("key outside the work list")?;

@@ -338,7 +338,10 @@ fn run_lane(cfg: &CrashRecoveryConfig, obs: Option<&Obs>, lane: &LaneSpec) -> Cr
         for node in schedule.due_restarts(now_ms) {
             let i = idx_of(&node);
             let Some(image) = images[i].take() else { continue };
-            let (recovered, replayed) = DurableStore::recover(image, obs, root);
+            let (recovered, replayed) = {
+                let _run = obs.map(|o| o.tracer().enter(root));
+                DurableStore::recover(image, obs)
+            };
             report.wal_replayed_records += replayed as u64;
             match saved_exports[i].take() {
                 Some(expected) if recovered.export_state() == expected => {

@@ -303,7 +303,7 @@ pub fn run_job(
     policy: &RetryPolicy,
     obs: Option<&Obs>,
 ) -> (Result<AnalyticsRecord, JobError>, RetryStats) {
-    let span =
+    let _span =
         obs.map(|o| o.span("cluster.job", &[("client", client), ("dataset", &spec.dataset_id)]));
     let count = |name: &str, n: u64| {
         if let Some(o) = obs {
@@ -322,8 +322,7 @@ pub fn run_job(
             }
             let evaluator = Evaluator::new(CvStrategy::kfold(spec.cv_folds), metric);
             let key = spec.computation_key();
-            let ctx = span.as_ref().map(|s| s.context());
-            let (summary, mut outcomes) = coop.run(std::slice::from_ref(&key), policy, ctx, |_| {
+            let (summary, mut outcomes) = coop.run(std::slice::from_ref(&key), policy, |_| {
                 let scores =
                     evaluator.evaluate_pipeline(&pipeline, data).map_err(|e| e.to_string())?;
                 let mean = scores.iter().sum::<f64>() / scores.len() as f64;
@@ -399,7 +398,9 @@ mod tests {
     fn registry_builds_and_runs_spec() {
         let registry = ComponentRegistry::standard();
         assert!(registry.names().contains(&"pca"));
+        let obs = Obs::deterministic();
         let darr = Darr::new();
+        darr.attach_obs(obs.clone());
         let ds = synth::linear_regression(90, 5, 0.2, 401);
         let record = run_job(&registry, &spec(), &ds, &darr, "client-a", &once(), None).0.unwrap();
         assert!(record.score.is_finite());
@@ -408,7 +409,7 @@ mod tests {
         // a second client reuses instead of recomputing
         let again = run_job(&registry, &spec(), &ds, &darr, "client-b", &once(), None).0.unwrap();
         assert_eq!(again.producer, "client-a");
-        assert_eq!(darr.stats().stored, 1);
+        assert_eq!(obs.registry().snapshot().counter("coda_darr_records_stored"), 1);
     }
 
     #[test]

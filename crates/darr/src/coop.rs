@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use coda_chaos::{RetryPolicy, RetryStats};
-use coda_obs::{Obs, SpanContext};
+use coda_obs::Obs;
 
 use crate::record::{AnalyticsRecord, ComputationKey};
 use crate::repo::{ClaimOutcome, Darr};
@@ -160,12 +160,12 @@ impl<'a> CooperativeClient<'a> {
     ///    back — before the next online key and at the end of the run.
     ///
     /// Every `darr.process` span, with the repository's `darr.claim`,
-    /// `darr.complete` and `darr.merge` spans, nests under `parent`.
+    /// `darr.complete` and `darr.merge` spans, nests under the caller's
+    /// current span.
     pub fn run<F>(
         &self,
         keys: &[ComputationKey],
         policy: &RetryPolicy,
-        parent: Option<SpanContext>,
         mut compute: F,
     ) -> (CoopSummary, Vec<CoopOutcome>)
     where
@@ -174,8 +174,8 @@ impl<'a> CooperativeClient<'a> {
         let mut summary = CoopSummary::default();
         let mut outcomes = Vec::with_capacity(keys.len());
         for key in keys {
-            summary.replayed += self.replay(parent);
-            outcomes.push(self.process(key, parent, &mut compute));
+            summary.replayed += self.replay();
+            outcomes.push(self.process(key, &mut compute));
         }
         for (key, outcome) in keys.iter().zip(&mut outcomes) {
             let mut state = policy.state();
@@ -188,7 +188,7 @@ impl<'a> CooperativeClient<'a> {
                     ticks => darr.advance_clock(ticks),
                 }
                 state.begin_attempt();
-                *outcome = self.process(key, parent, &mut compute);
+                *outcome = self.process(key, &mut compute);
                 if matches!(outcome, CoopOutcome::Computed(_)) {
                     summary.takeovers += 1;
                     self.obs_count("coda_darr_takeovers", 1);
@@ -200,7 +200,7 @@ impl<'a> CooperativeClient<'a> {
             );
             summary.retry.merge(&state.finish(resolved));
         }
-        summary.replayed += self.replay(parent);
+        summary.replayed += self.replay();
         for outcome in &outcomes {
             match outcome {
                 CoopOutcome::Computed(_) => {
@@ -225,25 +225,15 @@ impl<'a> CooperativeClient<'a> {
         (summary, outcomes)
     }
 
-    /// One attempt at one key, traced as a `darr.process` span whose
-    /// context propagates into the repository's claim and complete.
-    fn process<F>(
-        &self,
-        key: &ComputationKey,
-        parent: Option<SpanContext>,
-        compute: &mut F,
-    ) -> CoopOutcome
+    /// One attempt at one key, traced as a `darr.process` span that the
+    /// repository's claim and complete nest under.
+    fn process<F>(&self, key: &ComputationKey, compute: &mut F) -> CoopOutcome
     where
         F: FnMut(&ComputationKey) -> Result<(f64, Vec<f64>, String), String>,
     {
-        let span = self.obs.as_ref().map(|o| {
-            o.tracer().span_with_parent(
-                parent,
-                "darr.process",
-                &[("client", &self.name), ("key", &key.pipeline)],
-            )
+        let _span = self.obs.as_ref().map(|o| {
+            o.tracer().span("darr.process", &[("client", &self.name), ("key", &key.pipeline)])
         });
-        let ctx = span.as_ref().map(|s| s.context()).or(parent);
         let Some(darr) = self.link.darr() else {
             return match compute(key) {
                 Ok((score, fold_scores, explanation)) => {
@@ -261,17 +251,16 @@ impl<'a> CooperativeClient<'a> {
                 Err(e) => CoopOutcome::Failed(e),
             };
         };
-        match darr.try_claim_in(key, &self.name, self.claim_duration, ctx) {
+        match darr.try_claim(key, &self.name, self.claim_duration) {
             ClaimOutcome::AlreadyComputed(record) => CoopOutcome::Reused(record),
             ClaimOutcome::HeldBy(owner) => CoopOutcome::SkippedHeld(owner),
             ClaimOutcome::Claimed => match compute(key) {
-                Ok((score, folds, explanation)) => CoopOutcome::Computed(darr.complete_in(
+                Ok((score, folds, explanation)) => CoopOutcome::Computed(darr.complete(
                     key,
                     &self.name,
                     score,
                     folds,
                     &explanation,
-                    ctx,
                 )),
                 Err(e) => {
                     darr.release_claim(key, &self.name);
@@ -285,10 +274,10 @@ impl<'a> CooperativeClient<'a> {
     /// returning how many records it applied — a record another client
     /// stored with a newer timestamp during the partition wins, and the
     /// journaled copy is dropped rather than duplicated.
-    fn replay(&self, parent: Option<SpanContext>) -> usize {
+    fn replay(&self) -> usize {
         let Some(darr) = self.link.darr() else { return 0 };
         let drained = std::mem::take(&mut *self.journal.lock());
-        drained.into_iter().map(|record| usize::from(darr.merge_record(record, parent))).sum()
+        drained.into_iter().map(|record| usize::from(darr.merge_record(record))).sum()
     }
 }
 
@@ -318,12 +307,11 @@ mod tests {
         let darr = Darr::new();
         let client = CooperativeClient::new(&darr, "a", 100);
         let work = keys(5);
-        let (summary, _) = client.run(&work, &once(), None, |k| {
-            Ok((k.pipeline.len() as f64, vec![], "test".to_string()))
-        });
+        let (summary, _) = client
+            .run(&work, &once(), |k| Ok((k.pipeline.len() as f64, vec![], "test".to_string())));
         assert_eq!(summary.computed, 5);
         // a second pass reuses all five
-        let (summary2, outcomes) = client.run(&work, &once(), None, |_| unreachable!());
+        let (summary2, outcomes) = client.run(&work, &once(), |_| unreachable!());
         assert_eq!(summary2.reused, 5);
         assert!(matches!(outcomes[0], CoopOutcome::Reused(_)));
     }
@@ -334,8 +322,8 @@ mod tests {
         let a = CooperativeClient::new(&darr, "a", 100);
         let b = CooperativeClient::new(&darr, "b", 100);
         let work = keys(10);
-        let (sa, _) = a.run(&work[..6], &once(), None, ok);
-        let (sb, _) = b.run(&work, &once(), None, ok);
+        let (sa, _) = a.run(&work[..6], &once(), ok);
+        let (sb, _) = b.run(&work, &once(), ok);
         assert_eq!(sa.computed, 6);
         assert_eq!(sb.computed, 4);
         assert_eq!(sb.reused, 6);
@@ -349,11 +337,11 @@ mod tests {
         let a = CooperativeClient::new(&darr, "a", 100);
         let b = CooperativeClient::new(&darr, "b", 100);
         let work = keys(1);
-        let (summary, outcomes) = a.run(&work, &once(), None, |_| Err("boom".to_string()));
+        let (summary, outcomes) = a.run(&work, &once(), |_| Err("boom".to_string()));
         assert_eq!(summary.failed, 1);
         assert!(matches!(outcomes[0], CoopOutcome::Failed(_)));
         // b can immediately claim and finish
-        let (_, outcomes) = b.run(&work, &once(), None, ok);
+        let (_, outcomes) = b.run(&work, &once(), ok);
         assert!(matches!(outcomes[0], CoopOutcome::Computed(_)));
     }
 
@@ -363,7 +351,7 @@ mod tests {
         let work = keys(1);
         darr.try_claim(&work[0], "other", 100);
         let a = CooperativeClient::new(&darr, "a", 100);
-        let (summary, outcomes) = a.run(&work, &once(), None, |_| unreachable!());
+        let (summary, outcomes) = a.run(&work, &once(), |_| unreachable!());
         assert_eq!(summary.skipped, 1);
         assert_eq!(outcomes[0], CoopOutcome::SkippedHeld("other".to_string()));
     }
@@ -375,7 +363,7 @@ mod tests {
         // a client that died mid-compute holds the claim for 50 ticks
         darr.try_claim(&work[0], "dead", 50);
         let a = CooperativeClient::new(&darr, "a", 100);
-        let (summary, outcomes) = a.run(&work, &RetryPolicy::fixed(30.0, 5), None, ok);
+        let (summary, outcomes) = a.run(&work, &RetryPolicy::fixed(30.0, 5), ok);
         assert_eq!(summary.computed, 1);
         assert_eq!(summary.skipped, 0);
         assert_eq!(summary.takeovers, 1);
@@ -391,7 +379,7 @@ mod tests {
         // "other" holds p1 and finishes it while we compute p0
         darr.try_claim(&work[1], "other", 1000);
         let a = CooperativeClient::new(&darr, "a", 100);
-        let (summary, outcomes) = a.run(&work, &RetryPolicy::fixed(10.0, 4), None, |k| {
+        let (summary, outcomes) = a.run(&work, &RetryPolicy::fixed(10.0, 4), |k| {
             if k == &work[0] {
                 darr.complete(&work[1], "other", 0.7, vec![], "done elsewhere");
             }
@@ -409,8 +397,7 @@ mod tests {
         let work = keys(1);
         darr.try_claim(&work[0], "busy", 1_000_000);
         let a = CooperativeClient::new(&darr, "a", 100);
-        let (summary, outcomes) =
-            a.run(&work, &RetryPolicy::fixed(10.0, 3), None, |_| unreachable!());
+        let (summary, outcomes) = a.run(&work, &RetryPolicy::fixed(10.0, 3), |_| unreachable!());
         assert_eq!(summary.skipped, 1);
         assert_eq!(summary.takeovers, 0);
         assert_eq!(summary.retry.exhausted, 1);
@@ -427,7 +414,7 @@ mod tests {
         darr.try_claim(&work[0], "other", 1000);
         darr.try_claim(&work[1], "dead", 15);
         let a = CooperativeClient::new(&darr, "a", 100).with_obs(obs.clone());
-        let (summary, outcomes) = a.run(&work, &RetryPolicy::fixed(10.0, 4), None, |k| {
+        let (summary, outcomes) = a.run(&work, &RetryPolicy::fixed(10.0, 4), |k| {
             if k == &work[2] {
                 darr.complete(&work[0], "other", 0.7, vec![], "done elsewhere");
             }
@@ -452,7 +439,10 @@ mod tests {
         darr.attach_obs(obs.clone());
         let client = CooperativeClient::new(&darr, "a", 100).with_obs(obs.clone());
         let job = obs.tracer().begin_span("cluster.job", None, &[]);
-        let (summary, _) = client.run(&keys(1), &once(), Some(job), ok);
+        let (summary, _) = {
+            let _job = obs.tracer().enter(Some(job));
+            client.run(&keys(1), &once(), ok)
+        };
         obs.tracer().end_span(job, &[]);
         assert_eq!(summary.computed, 1);
         let forest = TraceForest::from_events(&obs.tracer().events());
@@ -474,7 +464,7 @@ mod tests {
         let work = keys(4);
         client.link().set_up(false);
         let mut seen = 0;
-        let (summary, _) = client.run(&work, &once(), None, |_| {
+        let (summary, _) = client.run(&work, &once(), |_| {
             seen += 1;
             if seen == 2 {
                 // the partition heals while we are mid-list
@@ -493,7 +483,7 @@ mod tests {
         let darr = Darr::new();
         let client = CooperativeClient::new(&darr, "a", 100);
         client.link().set_up(false);
-        let (summary, outcomes) = client.run(&keys(1), &once(), None, |_| Err("boom".to_string()));
+        let (summary, outcomes) = client.run(&keys(1), &once(), |_| Err("boom".to_string()));
         assert_eq!(summary.failed, 1);
         assert_eq!(summary.journaled, 0);
         assert!(matches!(outcomes[0], CoopOutcome::Failed(_)));
@@ -511,7 +501,7 @@ mod tests {
             let work = work.clone();
             handles.push(std::thread::spawn(move || {
                 let client = CooperativeClient::new(&darr, format!("c{t}"), 1000);
-                client.run(&work, &once(), None, |_| {
+                client.run(&work, &once(), |_| {
                     computations.fetch_add(1, Ordering::SeqCst);
                     Ok((0.0, vec![], String::new()))
                 })

@@ -32,4 +32,4 @@ pub mod repo;
 
 pub use coop::{CoopOutcome, CoopSummary, CooperativeClient, DarrLink};
 pub use record::{AnalyticsRecord, ComputationKey};
-pub use repo::{ClaimOutcome, Darr, DarrStats};
+pub use repo::{ClaimOutcome, Darr};

@@ -4,8 +4,9 @@
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-use coda_obs::{Obs, SpanContext};
+use coda_obs::{Obs, SpanGuard};
 
 use crate::record::{AnalyticsRecord, ComputationKey};
 
@@ -27,23 +28,6 @@ impl ClaimOutcome {
     }
 }
 
-/// Usage counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DarrStats {
-    /// Lookups that found a stored result (computations avoided).
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Results stored.
-    pub stored: u64,
-    /// Claims granted.
-    pub claims_granted: u64,
-    /// Claims refused because another client held them.
-    pub claims_refused: u64,
-    /// Unexpired claims reaped because their owner was declared dead.
-    pub claims_reaped: u64,
-}
-
 #[derive(Debug, Clone)]
 struct Claim {
     owner: String,
@@ -56,16 +40,6 @@ struct Inner {
     claims: BTreeMap<ComputationKey, Claim>,
     /// Latest known version per dataset id (for staleness checks).
     dataset_versions: BTreeMap<String, u64>,
-    stats: DarrStats,
-    obs: Option<Obs>,
-}
-
-/// Counts into the attached registry (no-op without one) — the one place
-/// the repository's `coda_darr_*` counters are emitted.
-fn obs_count(inner: &Inner, name: &str, n: u64) {
-    if let Some(o) = &inner.obs {
-        o.count(name, n);
-    }
 }
 
 /// The shared Data Analytics Results Repository. Cheap to share across
@@ -74,6 +48,9 @@ fn obs_count(inner: &Inner, name: &str, n: u64) {
 pub struct Darr {
     inner: RwLock<Inner>,
     clock: AtomicU64,
+    /// Read without the lock: an operation learns that no span is current
+    /// without cloning the handle.
+    obs: OnceLock<Obs>,
 }
 
 impl std::fmt::Debug for Darr {
@@ -96,9 +73,26 @@ impl Darr {
     }
 
     /// Attaches an observability handle: lookups, claims and stores count
-    /// live into its registry under `coda_darr_*` names.
+    /// live into its registry under `coda_darr_*` names, and claims,
+    /// completions and merges made while a span is current on the calling
+    /// thread trace as its children. The first handle attached stays.
     pub fn attach_obs(&self, obs: Obs) {
-        self.inner.write().obs = Some(obs);
+        let _ = self.obs.set(obs);
+    }
+
+    /// Counts into the attached registry (no-op without one) — the one
+    /// place the repository's `coda_darr_*` counters are emitted.
+    fn count(&self, name: &str, n: u64) {
+        if let Some(o) = self.obs.get() {
+            o.count(name, n);
+        }
+    }
+
+    /// A `name` span under this thread's current span, or `None`, opening
+    /// nothing, when no [`Obs`] is attached or no span is current.
+    fn span(&self, name: &str, fields: &[(&str, &str)]) -> Option<SpanGuard<'_>> {
+        let tracer = self.obs.get()?.tracer();
+        Some(tracer.span_child(tracer.current_context()?, name, fields))
     }
 
     /// Current logical time.
@@ -137,24 +131,19 @@ impl Darr {
     /// Looks up a stored result. Stale results (older dataset versions) are
     /// treated as misses.
     pub fn lookup(&self, key: &ComputationKey) -> Option<AnalyticsRecord> {
-        let mut inner = self.inner.write();
-        if Self::is_stale(&inner, key) {
-            inner.stats.misses += 1;
-            obs_count(&inner, "coda_darr_lookup_misses", 1);
-            return None;
-        }
-        match inner.records.get(key).cloned() {
-            Some(r) => {
-                inner.stats.hits += 1;
-                obs_count(&inner, "coda_darr_lookup_hits", 1);
-                Some(r)
-            }
-            None => {
-                inner.stats.misses += 1;
-                obs_count(&inner, "coda_darr_lookup_misses", 1);
+        let found = {
+            let inner = self.inner.read();
+            if Self::is_stale(&inner, key) {
                 None
+            } else {
+                inner.records.get(key).cloned()
             }
+        };
+        match found {
+            Some(_) => self.count("coda_darr_lookup_hits", 1),
+            None => self.count("coda_darr_lookup_misses", 1),
         }
+        found
     }
 
     /// Everything computed so far for a dataset at its current version —
@@ -190,37 +179,15 @@ impl Darr {
         )
     }
 
-    /// The attached observability handle, if any (cheap clone of two
-    /// `Arc`s) — taken *before* repository operations so span recording
-    /// never runs under the inner lock.
-    fn obs_handle(&self) -> Option<Obs> {
-        self.inner.read().obs.clone()
-    }
-
-    /// [`Darr::try_claim`] inside a causal trace: when the requesting
-    /// client carries a [`SpanContext`] (and an [`Obs`] is attached), the
-    /// claim runs in a `darr.claim` child span of that context, with the
-    /// outcome recorded as a point event — so a coordinator's trace shows
-    /// exactly where contention and reuse happened. Without a carried
-    /// context this is identical to `try_claim`.
-    pub fn try_claim_in(
-        &self,
-        key: &ComputationKey,
-        client: &str,
-        duration: u64,
-        parent: Option<SpanContext>,
-    ) -> ClaimOutcome {
-        let obs = self.obs_handle();
-        let span = match (parent, obs.as_ref()) {
-            (Some(p), Some(o)) => Some(o.tracer().span_child(
-                p,
-                "darr.claim",
-                &[("client", client), ("key", &key.pipeline)],
-            )),
-            _ => None,
-        };
-        let outcome = self.try_claim(key, client, duration);
-        if let (Some(s), Some(o)) = (&span, obs.as_ref()) {
+    /// Attempts to claim `key` for `client` for `duration` logical ticks.
+    /// While a span is current on this thread (and an [`Obs`] is attached)
+    /// the claim runs in a `darr.claim` child span with the outcome
+    /// recorded as a point event — so a coordinator's trace shows exactly
+    /// where contention and reuse happened.
+    pub fn try_claim(&self, key: &ComputationKey, client: &str, duration: u64) -> ClaimOutcome {
+        let span = self.span("darr.claim", &[("client", client), ("key", &key.pipeline)]);
+        let outcome = self.claim(key, client, duration);
+        if let (Some(s), Some(o)) = (&span, self.obs.get()) {
             let label = match &outcome {
                 ClaimOutcome::Claimed => "claimed",
                 ClaimOutcome::HeldBy(_) => "held",
@@ -231,14 +198,12 @@ impl Darr {
         outcome
     }
 
-    /// Attempts to claim `key` for `client` for `duration` logical ticks.
-    pub fn try_claim(&self, key: &ComputationKey, client: &str, duration: u64) -> ClaimOutcome {
+    fn claim(&self, key: &ComputationKey, client: &str, duration: u64) -> ClaimOutcome {
         let now = self.now();
         let mut inner = self.inner.write();
         if !Self::is_stale(&inner, key) {
             if let Some(r) = inner.records.get(key).cloned() {
-                inner.stats.hits += 1;
-                obs_count(&inner, "coda_darr_lookup_hits", 1);
+                self.count("coda_darr_lookup_hits", 1);
                 return ClaimOutcome::AlreadyComputed(r);
             }
         }
@@ -249,8 +214,7 @@ impl Darr {
             .map(|c| c.owner.clone());
         match holder {
             Some(owner) => {
-                inner.stats.claims_refused += 1;
-                obs_count(&inner, "coda_darr_claims_refused", 1);
+                self.count("coda_darr_claims_refused", 1);
                 ClaimOutcome::HeldBy(owner)
             }
             None => {
@@ -258,8 +222,7 @@ impl Darr {
                     key.clone(),
                     Claim { owner: client.to_string(), expires_at: now + duration },
                 );
-                inner.stats.claims_granted += 1;
-                obs_count(&inner, "coda_darr_claims_granted", 1);
+                self.count("coda_darr_claims_granted", 1);
                 ClaimOutcome::Claimed
             }
         }
@@ -304,37 +267,13 @@ impl Darr {
         }
         let n = doomed.len();
         if n > 0 {
-            inner.stats.claims_reaped += n as u64;
-            obs_count(&inner, "coda_darr_claims_reaped_total", n as u64);
+            self.count("coda_darr_claims_reaped_total", n as u64);
         }
         n
     }
 
-    /// [`Darr::complete`] inside a causal trace: the store-and-release runs
-    /// in a `darr.complete` child span of the producing client's carried
-    /// context (no-op linkage without one).
-    pub fn complete_in(
-        &self,
-        key: &ComputationKey,
-        client: &str,
-        score: f64,
-        fold_scores: Vec<f64>,
-        explanation: &str,
-        parent: Option<SpanContext>,
-    ) -> AnalyticsRecord {
-        let obs = self.obs_handle();
-        let _span = match (parent, obs.as_ref()) {
-            (Some(p), Some(o)) => Some(o.tracer().span_child(
-                p,
-                "darr.complete",
-                &[("client", client), ("key", &key.pipeline)],
-            )),
-            _ => None,
-        };
-        self.complete(key, client, score, fold_scores, explanation)
-    }
-
-    /// Stores a completed result and releases the claim.
+    /// Stores a completed result and releases the claim — in a
+    /// `darr.complete` child span while a span is current on this thread.
     pub fn complete(
         &self,
         key: &ComputationKey,
@@ -343,6 +282,7 @@ impl Darr {
         fold_scores: Vec<f64>,
         explanation: &str,
     ) -> AnalyticsRecord {
+        let _span = self.span("darr.complete", &[("client", client), ("key", &key.pipeline)]);
         let record = AnalyticsRecord {
             key: key.clone(),
             score,
@@ -354,8 +294,7 @@ impl Darr {
         let mut inner = self.inner.write();
         inner.claims.remove(key);
         inner.records.insert(key.clone(), record.clone());
-        inner.stats.stored += 1;
-        obs_count(&inner, "coda_darr_records_stored", 1);
+        self.count("coda_darr_records_stored", 1);
         record
     }
 
@@ -363,19 +302,12 @@ impl Darr {
     /// journal after a partition healed), keeping the *newer* `stored_at`
     /// on conflict — the same rule as [`Darr::import_records`]. Releases
     /// any claim on the key and returns true when the record was applied.
-    /// With a carried `parent` context (and an attached [`Obs`]) the merge
-    /// runs in a `darr.merge` child span, its applied/ignored outcome
-    /// recorded as an event.
-    pub fn merge_record(&self, record: AnalyticsRecord, parent: Option<SpanContext>) -> bool {
-        let obs = self.obs_handle();
-        let span = match (parent, obs.as_ref()) {
-            (Some(p), Some(o)) => Some(o.tracer().span_child(
-                p,
-                "darr.merge",
-                &[("producer", &record.producer), ("key", &record.key.pipeline)],
-            )),
-            _ => None,
-        };
+    /// While a span is current on this thread (and an [`Obs`] is attached)
+    /// the merge runs in a `darr.merge` child span, its applied/ignored
+    /// outcome recorded as an event.
+    pub fn merge_record(&self, record: AnalyticsRecord) -> bool {
+        let span = self
+            .span("darr.merge", &[("producer", &record.producer), ("key", &record.key.pipeline)]);
         let applied = {
             let mut inner = self.inner.write();
             let keep_incoming = inner
@@ -386,12 +318,11 @@ impl Darr {
             if keep_incoming {
                 inner.claims.remove(&record.key);
                 inner.records.insert(record.key.clone(), record);
-                inner.stats.stored += 1;
-                obs_count(&inner, "coda_darr_records_stored", 1);
+                self.count("coda_darr_records_stored", 1);
             }
             keep_incoming
         };
-        if let (Some(s), Some(o)) = (&span, obs.as_ref()) {
+        if let (Some(s), Some(o)) = (&span, self.obs.get()) {
             let label = if applied { "applied" } else { "ignored" };
             o.event_in(s.context(), "darr.merge_outcome", &[("outcome", label)]);
         }
@@ -432,11 +363,6 @@ impl Darr {
         Ok(applied)
     }
 
-    /// Usage counters.
-    pub fn stats(&self) -> DarrStats {
-        self.inner.read().stats
-    }
-
     /// Number of stored records (including stale ones).
     pub fn len(&self) -> usize {
         self.inner.read().records.len()
@@ -458,7 +384,9 @@ mod tests {
 
     #[test]
     fn store_lookup_roundtrip() {
+        let obs = Obs::deterministic();
         let darr = Darr::new();
+        darr.attach_obs(obs.clone());
         assert!(darr.lookup(&key("p1")).is_none());
         darr.complete(&key("p1"), "c1", 0.5, vec![0.4, 0.6], "why");
         let r = darr.lookup(&key("p1")).unwrap();
@@ -466,10 +394,10 @@ mod tests {
         assert_eq!(r.producer, "c1");
         assert_eq!(darr.len(), 1);
         assert!(!darr.is_empty());
-        let stats = darr.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.stored, 1);
+        let snap = obs.registry().snapshot();
+        assert_eq!(snap.counter("coda_darr_lookup_hits"), 1);
+        assert_eq!(snap.counter("coda_darr_lookup_misses"), 1);
+        assert_eq!(snap.counter("coda_darr_records_stored"), 1);
     }
 
     #[test]
@@ -509,7 +437,9 @@ mod tests {
 
     #[test]
     fn reaping_waits_out_the_grace_period() {
+        let obs = Obs::deterministic();
         let darr = Darr::new();
+        darr.attach_obs(obs.clone());
         darr.try_claim(&key("p1"), "dead", 1000);
         darr.try_claim(&key("p2"), "dead", 1000);
         darr.try_claim(&key("p3"), "alive", 1000);
@@ -519,7 +449,7 @@ mod tests {
         assert!(matches!(darr.try_claim(&key("p1"), "b", 50), ClaimOutcome::HeldBy(_)));
         darr.advance_clock(5); // now = 30 = dead_since + grace
         assert_eq!(darr.reap_claims("dead", 10, 20), 2);
-        assert_eq!(darr.stats().claims_reaped, 2);
+        assert_eq!(obs.registry().snapshot().counter("coda_darr_claims_reaped_total"), 2);
         // the dead owner's keys are re-claimable; the live owner's is not
         assert!(darr.try_claim(&key("p1"), "b", 50).is_claimed());
         assert!(darr.try_claim(&key("p2"), "b", 50).is_claimed());
@@ -530,7 +460,6 @@ mod tests {
 
     #[test]
     fn reaping_counts_into_an_attached_registry() {
-        use coda_obs::Obs;
         let obs = Obs::deterministic();
         let darr = Darr::new();
         darr.attach_obs(obs.clone());
@@ -642,7 +571,7 @@ mod tests {
             producer: "b".to_string(),
             stored_at: 5,
         };
-        assert!(!darr.merge_record(old, None));
+        assert!(!darr.merge_record(old));
         assert_eq!(darr.lookup(&key("p")).unwrap().producer, "a");
         // a newer one wins and releases any claim on the key
         darr.try_claim(&key("p2"), "c", 100);
@@ -654,7 +583,7 @@ mod tests {
             producer: "b".to_string(),
             stored_at: 50,
         };
-        assert!(darr.merge_record(newer, None));
+        assert!(darr.merge_record(newer));
         match darr.try_claim(&key("p2"), "d", 100) {
             ClaimOutcome::AlreadyComputed(r) => assert_eq!(r.producer, "b"),
             other => panic!("expected AlreadyComputed, got {other:?}"),
@@ -662,14 +591,17 @@ mod tests {
     }
 
     #[test]
-    fn claim_and_complete_link_to_the_carried_context() {
-        use coda_obs::{Obs, TraceForest};
+    fn claim_and_complete_link_to_the_entered_context() {
+        use coda_obs::TraceForest;
         let obs = Obs::deterministic();
         let darr = Darr::new();
         darr.attach_obs(obs.clone());
         let req = obs.tracer().begin_span("client.process", None, &[]);
-        assert!(darr.try_claim_in(&key("p"), "a", 50, Some(req)).is_claimed());
-        darr.complete_in(&key("p"), "a", 0.5, vec![], "done", Some(req));
+        {
+            let _req = obs.tracer().enter(Some(req));
+            assert!(darr.try_claim(&key("p"), "a", 50).is_claimed());
+            darr.complete(&key("p"), "a", 0.5, vec![], "done");
+        }
         obs.tracer().end_span(req, &[]);
         let forest = TraceForest::from_events(&obs.tracer().events());
         assert!(forest.orphans().is_empty());
@@ -678,11 +610,16 @@ mod tests {
             let span = forest.spans().find(|s| s.name == name).unwrap();
             assert_eq!(span.parent, Some(req.span_id), "{name} hangs off the request");
         }
-        // without a carried context the operations trace nothing
-        let quiet = Darr::new();
-        quiet.attach_obs(Obs::deterministic());
-        quiet.try_claim_in(&key("q"), "a", 50, None);
-        assert_eq!(quiet.obs_handle().unwrap().tracer().len(), 0);
+        // with no span current the operations trace nothing
+        let quiet = Obs::deterministic();
+        let darr = Darr::new();
+        darr.attach_obs(quiet.clone());
+        darr.try_claim(&key("q"), "a", 50);
+        darr.complete(&key("q"), "a", 0.5, vec![], "done");
+        assert!(
+            darr.merge_record(AnalyticsRecord { stored_at: 9, ..darr.lookup(&key("q")).unwrap() })
+        );
+        assert_eq!(quiet.tracer().len(), 0);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use slo::{
     SloStatus,
 };
 pub use trace::{
-    DetachGuard, EventKind, SpanContext, SpanGuard, SpanId, TailPolicy, TailSampleReport,
+    EnterGuard, EventKind, SpanContext, SpanGuard, SpanId, TailPolicy, TailSampleReport,
     TraceEvent, TraceId, Tracer,
 };
 

@@ -8,12 +8,17 @@
 //! simulated distributed boundaries (`store::lease::UpdateMessage`, DARR
 //! claim/complete calls, cluster job dispatch).
 //!
-//! Parenting is explicit or implicit:
-//! - implicit: [`Tracer::span`] parents under the innermost open span on
-//!   the *current thread* (a per-thread context stack), so lexical nesting
-//!   just works;
-//! - explicit: [`Tracer::span_child`] links to a carried [`SpanContext`]
-//!   from another thread, node, or message — the propagation primitive;
+//! Parenting is implicit, entered or explicit:
+//! - implicit: [`Tracer::span`] parents under the tracer's innermost open
+//!   span on the *current thread*, kept on a thread-local stack (no lock,
+//!   no thread id), so lexical nesting just works;
+//! - entered: [`Tracer::enter`] makes a carried [`SpanContext`] the
+//!   thread's current span for the guard's lifetime, so a caller holding a
+//!   context from a message, another thread or a driver's rounds calls the
+//!   plain, implicitly parented API under it; `enter(None)` hides the open
+//!   spans instead;
+//! - explicit: [`Tracer::span_child`] links one span to a carried context
+//!   (a worker thread parenting under its submitter's span);
 //! - non-lexical: [`Tracer::begin_span`]/[`Tracer::end_span`] for drivers
 //!   whose spans outlive any stack frame (e.g. a chaos claim held across
 //!   rounds).
@@ -25,11 +30,11 @@
 //!
 //! [`ManualClock`]: crate::clock::ManualClock
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::ThreadId;
 
 use parking_lot::Mutex;
 
@@ -144,14 +149,25 @@ impl TraceEvent {
     }
 }
 
+/// Hands out tracer ids. Ids never repeat, so an entry a tracer left on a
+/// thread's stack can never match a later tracer.
+static NEXT_TRACER: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's open spans and entered contexts for every tracer,
+    /// innermost last, as `(tracer id, context)`. A `None` context hides
+    /// the tracer's entries below it ([`Tracer::enter`] with `None`).
+    static STACK: RefCell<Vec<(u64, Option<SpanContext>)>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Records causally-linked spans and events against a pluggable [`Clock`].
 pub struct Tracer {
     clock: Arc<dyn Clock>,
     events: Mutex<Vec<TraceEvent>>,
     next_trace: AtomicU64,
     next_span: AtomicU64,
-    /// Per-thread stack of open spans (implicit parenting).
-    stacks: Mutex<HashMap<ThreadId, Vec<SpanContext>>>,
+    /// Tags this tracer's entries on the thread-local span stacks.
+    id: u64,
 }
 
 impl fmt::Debug for Tracer {
@@ -172,7 +188,7 @@ impl Tracer {
             events: Mutex::new(Vec::new()),
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
-            stacks: Mutex::new(HashMap::new()),
+            id: NEXT_TRACER.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -194,27 +210,27 @@ impl Tracer {
         TraceId(self.next_trace.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// The innermost open span on the *current thread*, if any.
+    /// This tracer's current span on the *current thread*: the innermost
+    /// open span or entered context, if any.
     pub fn current_context(&self) -> Option<SpanContext> {
-        let stacks = self.stacks.lock();
-        stacks.get(&std::thread::current().id()).and_then(|s| s.last().copied())
+        STACK.with_borrow(|stack| stack.iter().rev().find(|(t, _)| *t == self.id)?.1)
     }
 
-    fn push_current(&self, ctx: SpanContext) {
-        self.stacks.lock().entry(std::thread::current().id()).or_default().push(ctx);
+    fn push_current(&self, ctx: Option<SpanContext>) {
+        STACK.with_borrow_mut(|stack| stack.push((self.id, ctx)));
     }
 
-    fn pop_current(&self, ctx: SpanContext) {
-        let mut stacks = self.stacks.lock();
-        let id = std::thread::current().id();
-        if let Some(stack) = stacks.get_mut(&id) {
-            if let Some(pos) = stack.iter().rposition(|c| *c == ctx) {
+    /// Removes the innermost matching entry, so guards may drop in any
+    /// order. Equal entries are interchangeable, so which one goes does
+    /// not matter.
+    fn pop_current(&self, ctx: Option<SpanContext>) {
+        // a guard dropped while the thread tears down finds no stack
+        let _ = STACK.try_with(|stack| {
+            let mut stack = stack.borrow_mut();
+            if let Some(pos) = stack.iter().rposition(|e| *e == (self.id, ctx)) {
                 stack.remove(pos);
             }
-            if stack.is_empty() {
-                stacks.remove(&id);
-            }
-        }
+        });
     }
 
     fn start_span(
@@ -273,27 +289,32 @@ impl Tracer {
         let parent = parent.or_else(|| self.current_context());
         let start = self.now_ms();
         let ctx = self.start_span(start, name, parent, fields);
-        self.push_current(ctx);
-        SpanGuard { tracer: self, ctx, start }
+        self.push_current(Some(ctx));
+        SpanGuard { tracer: self, ctx, start, _thread: PhantomData }
     }
 
-    /// Hides this thread's open spans until the returned guard drops, so
-    /// spans opened meanwhile start new root traces, as on a thread with no
-    /// open span. A thread that runs work on behalf of other threads (a
-    /// flat-combining shard applying their requests) uses this to keep that
-    /// work out of its own trace.
-    #[must_use = "the thread's open spans come back when the guard drops"]
-    pub fn detach(&self) -> DetachGuard<'_> {
-        let thread = std::thread::current().id();
-        let stack = self.stacks.lock().remove(&thread);
-        DetachGuard { tracer: self, thread, stack }
+    /// Makes `ctx` this thread's current span for this tracer until the
+    /// returned guard drops, recording nothing: spans and events opened
+    /// meanwhile parent under it as under an open span. A caller holding a
+    /// context from a message, another thread or a driver's earlier rounds
+    /// enters it around a plain call instead of passing it down.
+    ///
+    /// `None` hides this thread's open spans instead, so spans opened
+    /// meanwhile start new root traces, as on a thread with no open span.
+    /// A thread that runs work on behalf of other threads (a flat-combining
+    /// shard applying their requests) uses this to keep that work out of
+    /// its own trace.
+    #[must_use = "the thread's previous current span comes back when the guard drops"]
+    pub fn enter(&self, ctx: Option<SpanContext>) -> EnterGuard<'_> {
+        self.push_current(ctx);
+        EnterGuard { tracer: self, ctx, _thread: PhantomData }
     }
 
     /// Opens a non-lexical span stamped at the clock's current reading and
     /// returns its context; close it with [`Tracer::end_span`]. Does not
     /// touch the implicit per-thread stack — drivers whose spans outlive
-    /// any stack frame (claims held across rounds) manage contexts
-    /// themselves.
+    /// any stack frame (claims held across rounds) keep the context and
+    /// [`Tracer::enter`] it around the calls that belong to it.
     pub fn begin_span(
         &self,
         name: &str,
@@ -522,11 +543,13 @@ pub struct TailSampleReport {
 }
 
 /// Closes its span (recording `dur_ms`) on drop; exposes the span's
-/// [`SpanContext`] for in-band propagation while it is open.
+/// [`SpanContext`] for in-band propagation while it is open. Not `Send`:
+/// the span sits on the opening thread's stack until the guard drops.
 pub struct SpanGuard<'a> {
     tracer: &'a Tracer,
     ctx: SpanContext,
     start: f64,
+    _thread: PhantomData<*const ()>,
 }
 
 impl SpanGuard<'_> {
@@ -540,7 +563,7 @@ impl SpanGuard<'_> {
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let end = self.tracer.now_ms();
-        self.tracer.pop_current(self.ctx);
+        self.tracer.pop_current(Some(self.ctx));
         self.tracer.record(TraceEvent {
             name: String::new(),
             kind: EventKind::SpanEnd,
@@ -552,19 +575,17 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// Returned by [`Tracer::detach`]; puts the thread's open spans back on
-/// drop.
-pub struct DetachGuard<'a> {
+/// Returned by [`Tracer::enter`]; restores the thread's previous current
+/// span on drop. Not `Send`, like [`SpanGuard`].
+pub struct EnterGuard<'a> {
     tracer: &'a Tracer,
-    thread: ThreadId,
-    stack: Option<Vec<SpanContext>>,
+    ctx: Option<SpanContext>,
+    _thread: PhantomData<*const ()>,
 }
 
-impl Drop for DetachGuard<'_> {
+impl Drop for EnterGuard<'_> {
     fn drop(&mut self) {
-        if let Some(stack) = self.stack.take() {
-            self.tracer.stacks.lock().insert(self.thread, stack);
-        }
+        self.tracer.pop_current(self.ctx);
     }
 }
 
@@ -793,12 +814,71 @@ mod tests {
         let (_clock, tracer) = manual_tracer();
         let outer = tracer.span("outer", &[]);
         {
-            let _detached = tracer.detach();
+            let _detached = tracer.enter(None);
             assert_eq!(tracer.current_context(), None);
             let _inner = tracer.span("inner", &[]);
         }
         assert_eq!(tracer.current_context(), Some(outer.context()));
         let inner = tracer.events().into_iter().find(|e| e.name == "inner");
         assert_eq!(inner.map(|e| e.parent), Some(None), "a span opened while detached is a root");
+    }
+
+    #[test]
+    fn an_entered_context_parents_plain_spans_and_the_open_spans_come_back() {
+        let (_clock, tracer) = manual_tracer();
+        let carried = tracer.begin_span("driver.key", None, &[]);
+        let outer = tracer.span("outer", &[]);
+        {
+            let _entered = tracer.enter(Some(carried));
+            assert_eq!(tracer.current_context(), Some(carried));
+            let _inner = tracer.span("inner", &[]);
+        }
+        assert_eq!(tracer.current_context(), Some(outer.context()));
+        let events = tracer.events();
+        assert_eq!(events.len(), 4, "entering records nothing: {events:?}");
+        let inner = &events[2];
+        assert_eq!(inner.parent, Some(carried.span_id));
+        assert_eq!(inner.ctx.map(|c| c.trace_id), Some(carried.trace_id));
+    }
+
+    #[test]
+    fn two_tracers_on_one_thread_never_parent_each_others_spans() {
+        let (_ca, a) = manual_tracer();
+        let (_cb, b) = manual_tracer();
+        let a_outer = a.span("a.outer", &[]);
+        let b_root = b.span("b.root", &[]);
+        {
+            let _detached = a.enter(None);
+            assert_eq!(b.current_context(), Some(b_root.context()), "detaching a leaves b alone");
+        }
+        let _a_inner = a.span("a.inner", &[]);
+        let starts = |t: &Tracer| -> Vec<Option<SpanId>> {
+            t.events().iter().filter(|e| e.kind == EventKind::SpanStart).map(|e| e.parent).collect()
+        };
+        // both tracers number their first span 1, so only the tracer tag
+        // keeps b's root from parenting under a's open span
+        assert_eq!(a_outer.context(), b_root.context());
+        assert_eq!(starts(&b), vec![None]);
+        assert_eq!(starts(&a), vec![None, Some(a_outer.context().span_id)]);
+    }
+
+    #[test]
+    fn guards_dropped_out_of_order_leave_no_stale_entry() {
+        let (_clock, tracer) = manual_tracer();
+        let carried = tracer.begin_span("driver.key", None, &[]);
+        let a = tracer.span("a", &[]);
+        let entered = tracer.enter(Some(carried));
+        let b = tracer.span("b", &[]);
+        let detached = tracer.enter(None);
+        drop(a);
+        drop(entered);
+        assert_eq!(tracer.current_context(), None, "still detached");
+        drop(detached);
+        assert_eq!(tracer.current_context(), Some(b.context()));
+        drop(b);
+        assert_eq!(tracer.current_context(), None);
+        STACK.with_borrow(|stack| {
+            assert!(stack.iter().all(|(t, _)| *t != tracer.id), "stale entries: {stack:?}");
+        });
     }
 }

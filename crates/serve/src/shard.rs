@@ -158,7 +158,7 @@ impl ShardCore {
         let expected = self.store.export_state();
         let store = std::mem::replace(&mut self.store, DurableStore::new("swapped-out", 1, 0));
         let image = store.crash();
-        let (recovered, replayed) = DurableStore::recover(image, obs, None);
+        let (recovered, replayed) = DurableStore::recover(image, obs);
         let byte_identical = recovered.export_state() == expected;
         self.store = recovered;
         (replayed, byte_identical)

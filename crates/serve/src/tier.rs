@@ -232,7 +232,7 @@ impl Shard {
             // the pass applies other threads' requests: hide this thread's
             // open spans, so each request's spans start their own traces
             // whichever thread happens to apply them
-            let _detached = self.metrics.as_ref().map(|m| m.obs.tracer().detach());
+            let _detached = self.metrics.as_ref().map(|m| m.obs.tracer().enter(None));
             for published in batch.drain(..) {
                 self.apply(state, published);
             }

@@ -10,7 +10,7 @@ use bytes::Bytes;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
-use coda_obs::{Obs, SpanContext};
+use coda_obs::Obs;
 
 use crate::delta::{content_hash, Delta, DeltaCodec};
 use crate::lease::{Lease, PushMode, UpdateMessage};
@@ -225,31 +225,18 @@ impl HomeDataStore {
     /// lease makes the put encode a delta (the step from the preceding
     /// version); every other delta waits for the fetch that needs it.
     /// Returns the new version number and any push messages to deliver.
+    ///
+    /// An instrumented store opens a `store.put` span under the caller's
+    /// current span and stamps every push message with its
+    /// [`coda_obs::SpanContext`], so receiving clients link their apply
+    /// work back to this update.
     pub fn put<S: AsRef<str>>(&mut self, id: S, data: Bytes) -> (u64, Vec<UpdateMessage>) {
-        self.put_in(id, data, None)
-    }
-
-    /// [`HomeDataStore::put`] inside a causal trace: opens a `store.put`
-    /// span (child of `parent` when carried in, else of the caller's
-    /// current span) and stamps every push message with the span's
-    /// [`SpanContext`], so receiving clients link their apply work back to
-    /// this update. Uninstrumented stores pass `parent` through unchanged.
-    pub fn put_in<S: AsRef<str>>(
-        &mut self,
-        id: S,
-        data: Bytes,
-        parent: Option<SpanContext>,
-    ) -> (u64, Vec<UpdateMessage>) {
         let id = id.as_ref();
-        let obs = self.obs.clone();
-        let span = obs.as_ref().map(|o| {
-            o.tracer().span_with_parent(
-                parent,
-                "store.put",
-                &[("object", id), ("store", &self.name)],
-            )
-        });
-        let push_ctx = span.as_ref().map(|s| s.context()).or(parent);
+        let span = self
+            .obs
+            .as_ref()
+            .map(|o| o.tracer().span("store.put", &[("object", id), ("store", &self.name)]));
+        let push_ctx = span.as_ref().map(|s| s.context());
         let entry = self.objects.entry(id.to_string()).or_default();
         entry.advance(entry.version + 1, data, self.history_depth);
         let (cur_version, cur_data) = (entry.version, entry.data.clone());
@@ -262,7 +249,7 @@ impl HomeDataStore {
                 && matches!(l.mode, PushMode::Delta | PushMode::NotifyOnly)
         });
         let prev_delta = if reads_delta {
-            entry.delta_from(cur_version - 1, obs.as_ref()).cloned()
+            entry.delta_from(cur_version - 1, self.obs.as_ref()).cloned()
         } else {
             None
         };
@@ -342,7 +329,9 @@ impl HomeDataStore {
     /// version; the store replies with a delta when that version is
     /// retained and the delta is considerably smaller than the full object,
     /// otherwise the full copy. The delta is encoded on the first fetch
-    /// that needs it and memoized until the next put.
+    /// that needs it and memoized until the next put. An instrumented
+    /// store runs the pull in a `store.fetch` span under the caller's
+    /// current span.
     ///
     /// # Errors
     ///
@@ -353,31 +342,10 @@ impl HomeDataStore {
         id: &str,
         client_version: Option<u64>,
     ) -> Result<Option<FetchReply>, std::convert::Infallible> {
-        self.fetch_in(id, client_version, None)
-    }
-
-    /// [`HomeDataStore::fetch`] inside a causal trace: the pull work runs
-    /// in a `store.fetch` span linked to the requesting client's carried
-    /// context (pull-paradigm counterpart to [`HomeDataStore::put_in`]).
-    ///
-    /// # Errors
-    ///
-    /// Never fails today; the `Result` reserves room for storage-backend
-    /// errors.
-    pub fn fetch_in(
-        &mut self,
-        id: &str,
-        client_version: Option<u64>,
-        parent: Option<SpanContext>,
-    ) -> Result<Option<FetchReply>, std::convert::Infallible> {
-        let obs = self.obs.clone();
-        let _span = obs.as_ref().map(|o| {
-            o.tracer().span_with_parent(
-                parent,
-                "store.fetch",
-                &[("object", id), ("store", &self.name)],
-            )
-        });
+        let _span = self
+            .obs
+            .as_ref()
+            .map(|o| o.tracer().span("store.fetch", &[("object", id), ("store", &self.name)]));
         let Some(object) = self.objects.get_mut(id) else {
             return Ok(None);
         };
@@ -388,7 +356,7 @@ impl HomeDataStore {
                 self.stats.bytes += 16;
                 FetchReply::UpToDate { version: v }
             }
-            Some(v) => match object.delta_from(v, obs.as_ref()) {
+            Some(v) => match object.delta_from(v, self.obs.as_ref()) {
                 Some(d) if (d.wire_size() as f64) < DELTA_ADVANTAGE * full_len as f64 => {
                     self.stats.record_delta(d.wire_size());
                     FetchReply::Delta(d.clone())
@@ -680,6 +648,26 @@ mod tests {
         s.put("o", edit(5));
         assert!(s.objects["o"].deltas.is_empty(), "the next put drops the memo");
         assert_eq!(encodes(&obs), 2);
+    }
+
+    #[test]
+    fn an_entered_context_parents_a_plain_put_and_its_pushes() {
+        let obs = Obs::deterministic();
+        let mut s = HomeDataStore::new("h", 2);
+        s.attach_obs(obs.clone());
+        s.subscribe("c", "o", PushMode::Full, 100);
+        let carried = obs.tracer().begin_span("client.request", None, &[]);
+        let open = obs.span("caller", &[]);
+        let (_, pushed) = {
+            let _entered = obs.tracer().enter(Some(carried));
+            s.put("o", patterned(64, 1))
+        };
+        assert_eq!(obs.tracer().current_context(), Some(open.context()));
+        drop(open);
+        let forest = obs.forest();
+        let put = forest.spans().find(|sp| sp.name == "store.put").unwrap();
+        assert_eq!(put.parent, Some(carried.span_id));
+        assert_eq!(pushed[0].context(), Some(put.ctx), "pushes carry the put's span");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! versions.
 
 use bytes::Bytes;
-use coda_obs::{Obs, SpanContext};
+use coda_obs::Obs;
 
 use crate::client::{catch_up, Incoming};
 use crate::home::{FetchReply, HomeDataStore};
@@ -149,37 +149,21 @@ impl ReplicatedStore {
     /// needed) and synchronously propagates to every available replica.
     /// Returns the committed version number.
     ///
+    /// An instrumented store runs the whole write in a
+    /// `store.replicate_put` span under the caller's current span, so the
+    /// primary's and each in-sync replica's `store.put` appear as its
+    /// children. A replica that fell behind fetches from the primary under
+    /// the same span instead.
+    ///
     /// # Errors
     ///
     /// [`ReplicationError::AllSitesDown`] when no site can accept the write.
     pub fn put(&mut self, id: &str, data: Bytes) -> Result<u64, ReplicationError> {
-        self.put_in(id, data, None)
-    }
-
-    /// [`ReplicatedStore::put`] inside a causal trace: the whole write runs
-    /// in a `store.replicate_put` span (child of `parent` when carried in)
-    /// whose context propagates into the primary's and every in-sync
-    /// replica's `put_in`, so each synchronous replica write appears as a
-    /// child span of the replicated operation. A replica that fell behind
-    /// fetches from the primary under the same context instead.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplicationError::AllSitesDown`] when no site can accept the write.
-    pub fn put_in(
-        &mut self,
-        id: &str,
-        data: Bytes,
-        parent: Option<SpanContext>,
-    ) -> Result<u64, ReplicationError> {
         let obs = self.obs.clone();
-        let span = obs
-            .as_ref()
-            .map(|o| o.tracer().span_with_parent(parent, "store.replicate_put", &[("object", id)]));
-        let ctx = span.as_ref().map(|s| s.context()).or(parent);
+        let _span = obs.as_ref().map(|o| o.tracer().span("store.replicate_put", &[("object", id)]));
         self.failover_if_needed()?;
         let primary = self.primary;
-        let (version, _) = self.sites[primary].store.put_in(id, data.clone(), ctx);
+        let (version, _) = self.sites[primary].store.put(id, data.clone());
         for i in 0..self.sites.len() {
             if i == primary || !self.sites[i].up {
                 continue;
@@ -187,13 +171,13 @@ impl ReplicatedStore {
             let held = self.sites[i].store.version_of(id);
             // in sync: the replica holds the primary's previous version
             if held.unwrap_or(0) + 1 == version {
-                self.sites[i].store.put_in(id, data.clone(), ctx);
+                self.sites[i].store.put(id, data.clone());
                 continue;
             }
             // the replica missed writes while it was down: fetch from the
             // primary with its own version and install what that brings (a
             // reply that does not apply leaves the replica where it was)
-            let Ok(Some(reply)) = self.sites[primary].store.fetch_in(id, held, ctx) else {
+            let Ok(Some(reply)) = self.sites[primary].store.fetch(id, held) else {
                 continue;
             };
             let replica = &mut self.sites[i].store;
@@ -205,7 +189,9 @@ impl ReplicatedStore {
     }
 
     /// Version-aware read served by the primary, or by the first available
-    /// replica when the primary is down (degraded read — no failover).
+    /// replica when the primary is down (degraded read — no failover). An
+    /// instrumented store runs the read, wherever it lands, in a
+    /// `store.replicate_fetch` span under the caller's current span.
     ///
     /// # Errors
     ///
@@ -215,33 +201,15 @@ impl ReplicatedStore {
         id: &str,
         client_version: Option<u64>,
     ) -> Result<Option<FetchReply>, ReplicationError> {
-        self.fetch_in(id, client_version, None)
-    }
-
-    /// [`ReplicatedStore::fetch`] inside a causal trace: the read (wherever
-    /// it lands) runs in a `store.replicate_fetch` span and propagates its
-    /// context into the serving site's `fetch_in`.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplicationError::AllSitesDown`] when nothing is reachable.
-    pub fn fetch_in(
-        &mut self,
-        id: &str,
-        client_version: Option<u64>,
-        parent: Option<SpanContext>,
-    ) -> Result<Option<FetchReply>, ReplicationError> {
         let obs = self.obs.clone();
-        let span = obs.as_ref().map(|o| {
-            o.tracer().span_with_parent(parent, "store.replicate_fetch", &[("object", id)])
-        });
-        let ctx = span.as_ref().map(|s| s.context()).or(parent);
+        let _span =
+            obs.as_ref().map(|o| o.tracer().span("store.replicate_fetch", &[("object", id)]));
         let order: Vec<usize> = std::iter::once(self.primary)
             .chain((0..self.sites.len()).filter(|&i| i != self.primary))
             .collect();
         for i in order {
             if self.sites[i].up {
-                let Ok(reply) = self.sites[i].store.fetch_in(id, client_version, ctx);
+                let Ok(reply) = self.sites[i].store.fetch(id, client_version);
                 return Ok(reply);
             }
         }
@@ -347,7 +315,10 @@ mod tests {
         let mut rs = ReplicatedStore::new(2, 4);
         rs.attach_obs(obs.clone());
         let root = obs.tracer().begin_span("client.request", None, &[]);
-        rs.put_in("o", blob(5, 64), Some(root)).unwrap();
+        {
+            let _root = obs.tracer().enter(Some(root));
+            rs.put("o", blob(5, 64)).unwrap();
+        }
         obs.tracer().end_span(root, &[]);
         let forest = TraceForest::from_events(&obs.tracer().events());
         assert!(forest.orphans().is_empty());

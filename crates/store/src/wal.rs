@@ -17,7 +17,7 @@
 //! and recovery must converge from all of them.
 
 use bytes::Bytes;
-use coda_obs::{Obs, SpanContext};
+use coda_obs::Obs;
 
 use crate::delta::content_hash;
 use crate::home::{FetchReply, HomeDataStore};
@@ -232,7 +232,7 @@ impl DurableStore {
     }
 
     /// The wrapped store (reads don't need logging, but go through
-    /// [`DurableStore::fetch_in`] for accounting anyway).
+    /// [`DurableStore::fetch`] for accounting anyway).
     pub fn store(&self) -> &HomeDataStore {
         &self.store
     }
@@ -335,7 +335,7 @@ impl DurableStore {
         id: &str,
         client_version: Option<u64>,
     ) -> Result<Option<FetchReply>, std::convert::Infallible> {
-        self.store.fetch_in(id, client_version, None)
+        self.store.fetch(id, client_version)
     }
 
     /// Unlogged version probe.
@@ -367,21 +367,15 @@ impl DurableStore {
     /// and replays the log tail in order. Returns the recovered store and
     /// the number of records replayed. The recovered durable state is
     /// byte-identical to the pre-crash state. With `obs` the whole replay
-    /// runs in a `store.wal_replay` span (child of `parent`), and counts
-    /// `coda_store_wal_replays` / `coda_store_wal_replayed_records`.
-    pub fn recover(
-        image: DurableImage,
-        obs: Option<&Obs>,
-        parent: Option<SpanContext>,
-    ) -> (Self, usize) {
-        let span = obs.map(|o| {
-            o.tracer().span_with_parent(
-                parent,
+    /// runs in a `store.wal_replay` span under the caller's current span,
+    /// and counts `coda_store_wal_replays` / `coda_store_wal_replayed_records`.
+    pub fn recover(image: DurableImage, obs: Option<&Obs>) -> (Self, usize) {
+        let _span = obs.map(|o| {
+            o.tracer().span(
                 "store.wal_replay",
                 &[("store", &image.name), ("records", &image.wal.len().to_string())],
             )
         });
-        let ctx = span.as_ref().map(|s| s.context()).or(parent);
         let mut store = match &image.snapshot {
             Some(snap) => snap.store.clone(),
             None => HomeDataStore::new(image.name.clone(), image.history_depth),
@@ -393,7 +387,7 @@ impl DurableStore {
         for record in image.wal.records() {
             match record {
                 WalRecord::Put { id, data } => {
-                    store.put_in(id, data.clone(), ctx);
+                    store.put(id, data.clone());
                 }
                 WalRecord::Install { id, version, data } => {
                     store.install_version(id, *version, data.clone());
@@ -467,7 +461,7 @@ mod tests {
         drive(&mut live, 23);
         let expected = live.export_state();
         let ops = live.ops();
-        let (recovered, replayed) = DurableStore::recover(live.crash(), None, None);
+        let (recovered, replayed) = DurableStore::recover(live.crash(), None);
         assert_eq!(replayed, ops as usize, "no snapshot: the whole log replays");
         assert_eq!(recovered.export_state(), expected, "byte-identical recovery");
         assert_eq!(recovered.ops(), ops, "op counter survives");
@@ -481,7 +475,7 @@ mod tests {
         assert!(live.wal().len() < 5, "log tail stays short");
         let expected = live.export_state();
         let ops = live.ops();
-        let (recovered, replayed) = DurableStore::recover(live.crash(), None, None);
+        let (recovered, replayed) = DurableStore::recover(live.crash(), None);
         assert!(replayed < 5, "only the tail replays");
         assert_eq!(recovered.export_state(), expected);
         assert_eq!(recovered.ops(), ops);
@@ -498,7 +492,7 @@ mod tests {
 
             let mut victim = DurableStore::new("home", 2, 4);
             drive(&mut victim, cut); // crash lands exactly after `cut` ops
-            let (recovered, _) = DurableStore::recover(victim.crash(), None, None);
+            let (recovered, _) = DurableStore::recover(victim.crash(), None);
             assert_eq!(recovered.export_state(), expected, "crash point {cut}");
         }
     }
@@ -508,13 +502,13 @@ mod tests {
         let mut live = DurableStore::new("home", 3, 0);
         live.put("o", payload(1, 256));
         live.subscribe("c", "o", PushMode::Full, 100);
-        let (mut recovered, _) = DurableStore::recover(live.crash(), None, None);
+        let (mut recovered, _) = DurableStore::recover(live.crash(), None);
         // the lease survived the crash: the next put pushes
         let (v, messages) = recovered.put("o", payload(2, 256));
         assert_eq!(v, 2);
         assert_eq!(messages.len(), 1);
         // and the new op is logged for the *next* crash
-        let (again, _) = DurableStore::recover(recovered.crash(), None, None);
+        let (again, _) = DurableStore::recover(recovered.crash(), None);
         assert_eq!(again.current_version("o"), Some(2));
     }
 
@@ -541,7 +535,7 @@ mod tests {
         assert_eq!(live.current_version("o"), Some(5));
         assert!(!live.install_version("o", 4, payload(3, 128)), "versions never regress");
         let expected = live.export_state();
-        let (recovered, _) = DurableStore::recover(live.crash(), None, None);
+        let (recovered, _) = DurableStore::recover(live.crash(), None);
         assert_eq!(recovered.export_state(), expected);
         assert_eq!(recovered.current_version("o"), Some(5));
     }

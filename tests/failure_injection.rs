@@ -137,7 +137,7 @@ fn darr_claim_taken_over_after_lease_expiry() {
     let once = RetryPolicy::fixed(0.0, 1);
     let work = std::slice::from_ref(&key);
     let (_, mut outcomes) =
-        survivor.run(work, &once, None, |_| Ok((0.25, vec![0.2, 0.3], "takeover".into())));
+        survivor.run(work, &once, |_| Ok((0.25, vec![0.2, 0.3], "takeover".into())));
     match outcomes.remove(0) {
         CoopOutcome::Computed(record) => assert_eq!(record.producer, "survivor"),
         other => panic!("expected takeover compute, got {other:?}"),
@@ -168,7 +168,7 @@ fn skipped_held_keys_eventually_reused_across_two_clients() {
     let b = CooperativeClient::new(&darr, "b", 1_000);
     let policy = RetryPolicy::fixed(10.0, 5);
     let mut b_revisits = 0;
-    let (summary, outcomes) = b.run(&keys, &policy, None, |key| {
+    let (summary, outcomes) = b.run(&keys, &policy, |key| {
         // emulate A finishing concurrently: A completes both held keys
         // while B computes its last unheld key (after the first pass
         // already skipped the held ones), so only the revisit sees them
@@ -225,8 +225,7 @@ fn partitioned_client_journals_then_replays_and_defers_to_newer_results() {
     let once = RetryPolicy::fixed(0.0, 1);
     let offline = CooperativeClient::new(&darr, "offline", 100);
     offline.link().set_up(false);
-    let (summary, outcomes) =
-        offline.run(&keys, &once, None, |_| Ok((1.0, vec![], "offline".into())));
+    let (summary, outcomes) = offline.run(&keys, &once, |_| Ok((1.0, vec![], "offline".into())));
     assert_eq!(summary.journaled, 3);
     assert_eq!(summary.replayed, 0, "nothing reaches the DARR during the partition");
     assert!(outcomes.iter().all(|o| matches!(o, CoopOutcome::Journaled(_))));
@@ -236,11 +235,11 @@ fn partitioned_client_journals_then_replays_and_defers_to_newer_results() {
     // meanwhile another client stores p0 with a later DARR timestamp
     darr.advance_clock(1_000);
     let online = CooperativeClient::new(&darr, "online", 100);
-    online.run(&keys[..1], &once, None, |_| Ok((9.0, vec![], "fresher".into())));
+    online.run(&keys[..1], &once, |_| Ok((9.0, vec![], "fresher".into())));
 
     // after the heal the journal replays before any key is consulted
     offline.link().set_up(true);
-    let (summary, outcomes) = offline.run(&keys, &once, None, |_| unreachable!("all stored"));
+    let (summary, outcomes) = offline.run(&keys, &once, |_| unreachable!("all stored"));
     assert_eq!(summary.replayed, 2, "only the keys nobody else stored apply");
     assert_eq!(summary.reused, 3);
     assert_eq!(offline.journaled(), 0);

@@ -375,7 +375,7 @@ proptest! {
             prop_assert_eq!(read.export_state(), unread.export_state());
         }
         let expected = read.export_state();
-        let (recovered, _) = DurableStore::recover(read.crash(), None, None);
+        let (recovered, _) = DurableStore::recover(read.crash(), None);
         prop_assert_eq!(recovered.export_state(), expected);
     }
 

@@ -30,7 +30,7 @@ fn update_flow_store_trigger_darr() {
         .map(|i| ComputationKey::new("ds", 1, &format!("pipeline-{i}") as &str, "kfold(5)", "rmse"))
         .collect();
     let client = CooperativeClient::new(&darr, "c1", 100);
-    let (summary, _) = client.run(&keys, &once(), None, |_| Ok((1.0, vec![], "v1".to_string())));
+    let (summary, _) = client.run(&keys, &once(), |_| Ok((1.0, vec![], "v1".to_string())));
     assert_eq!(summary.computed, 4);
 
     // three updates arrive; the third crosses the recompute threshold
@@ -50,8 +50,7 @@ fn update_flow_store_trigger_darr() {
     // all v1 results are now stale: nothing to reuse
     assert!(darr.computed_for("ds").is_empty());
     let new_keys: Vec<ComputationKey> = keys.iter().map(|k| k.at_version(4)).collect();
-    let (summary2, _) =
-        client.run(&new_keys, &once(), None, |_| Ok((2.0, vec![], "v4".to_string())));
+    let (summary2, _) = client.run(&new_keys, &once(), |_| Ok((2.0, vec![], "v4".to_string())));
     assert_eq!(summary2.computed, 4, "stale results must not be reused");
     assert_eq!(summary2.reused, 0);
 }
@@ -155,9 +154,9 @@ fn best_result_visible_to_all_clients() {
     let mk = |p: &str| ComputationKey::new("ds", 1, p, "kfold(5)", "rmse");
     let a = CooperativeClient::new(&darr, "a", 100);
     let b = CooperativeClient::new(&darr, "b", 100);
-    a.run(&[mk("p1")], &once(), None, |_| Ok((0.9, vec![], String::new())));
-    b.run(&[mk("p2")], &once(), None, |_| Ok((0.2, vec![], String::new())));
-    a.run(&[mk("p3")], &once(), None, |_| Ok((0.5, vec![], String::new())));
+    a.run(&[mk("p1")], &once(), |_| Ok((0.9, vec![], String::new())));
+    b.run(&[mk("p2")], &once(), |_| Ok((0.2, vec![], String::new())));
+    a.run(&[mk("p3")], &once(), |_| Ok((0.5, vec![], String::new())));
     let best = darr.best_for("ds", "rmse", false).unwrap();
     assert_eq!(best.key.pipeline, "p2");
     assert_eq!(best.producer, "b");

@@ -22,10 +22,18 @@
 //! distinct prefixes fitted regardless of thread interleaving — the
 //! accounting is deterministic under [`Evaluator::with_threads`].
 //!
+//! Release: a cache built [`TransformCache::with_planned_reads`] knows how
+//! many lookups each entry will receive and drops the entry from its map at
+//! the last one, so an output lives only while a path that reads it is
+//! still queued or running. A reader that already holds the slot keeps it
+//! alive and still observes the hit. An entry read fewer times than planned
+//! (its path failed before reaching it) stays until the cache is dropped,
+//! so nothing is ever fitted twice.
+//!
 //! [`Teg`]: crate::graph::Teg
 //! [`Evaluator::with_threads`]: crate::eval::Evaluator::with_threads
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,7 +50,9 @@ pub struct CacheStats {
     pub hits: u64,
     /// Prefix lookups that had to fit (one per distinct `(fold, prefix)`).
     pub misses: u64,
-    /// Approximate bytes of transformed datasets held by the cache.
+    /// Approximate bytes of the transformed datasets fitted into the cache.
+    /// A cache that frees entries at their last read holds less at any
+    /// one time.
     pub bytes: u64,
     /// Transformer refits avoided — one per cache hit.
     pub refits_avoided: u64,
@@ -101,6 +111,27 @@ pub type PrefixOutput = Result<Arc<(Dataset, Dataset)>, ComponentError>;
 
 type Slot = Arc<Mutex<Option<PrefixOutput>>>;
 
+/// A held entry: its slot, and the lookups it still expects (`None` when
+/// unplanned: kept until the cache drops).
+#[derive(Debug)]
+struct Held {
+    slot: Slot,
+    reads_left: Option<usize>,
+}
+
+impl Held {
+    /// Counts one lookup; true when it was the last planned one.
+    fn read(&mut self) -> bool {
+        match &mut self.reads_left {
+            Some(left) if *left > 0 => {
+                *left -= 1;
+                *left == 0
+            }
+            _ => false,
+        }
+    }
+}
+
 /// A cache of fitted transformer-prefix outputs, keyed by
 /// `(fold id, canonical prefix spec key)`.
 ///
@@ -110,16 +141,27 @@ type Slot = Arc<Mutex<Option<PrefixOutput>>>;
 /// bit-identical to an uncached run.
 #[derive(Debug, Default)]
 pub struct TransformCache {
-    slots: Mutex<HashMap<(usize, String), Slot>>,
+    slots: Mutex<HashMap<(usize, String), Held>>,
+    /// Lookups each fold's entry of a prefix key will receive.
+    planned_reads: BTreeMap<String, usize>,
     hits: AtomicU64,
     misses: AtomicU64,
     bytes: AtomicU64,
 }
 
 impl TransformCache {
-    /// Creates an empty cache.
+    /// Creates an empty cache that keeps every entry until it is dropped.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty cache that drops each `(fold, key)` entry at its
+    /// last planned lookup: `planned_reads[key]` lookups per fold. Keys
+    /// missing from the plan are kept until the cache is dropped. A plan
+    /// must never count fewer lookups than a key receives, or the key is
+    /// fitted again.
+    pub fn with_planned_reads(planned_reads: BTreeMap<String, usize>) -> Self {
+        TransformCache { planned_reads, ..Self::default() }
     }
 
     /// Returns the output for `(fold, prefix_key)`, fitting it with `fit`
@@ -131,7 +173,16 @@ impl TransformCache {
     {
         let slot = {
             let mut slots = self.slots.lock();
-            Arc::clone(slots.entry((fold, prefix_key.to_string())).or_default())
+            let key = (fold, prefix_key.to_string());
+            let held = slots.entry(key.clone()).or_insert_with(|| Held {
+                slot: Slot::default(),
+                reads_left: self.planned_reads.get(prefix_key).copied(),
+            });
+            let slot = Arc::clone(&held.slot);
+            if held.read() {
+                slots.remove(&key);
+            }
+            slot
         };
         let mut guard = slot.lock();
         if let Some(out) = guard.as_ref() {
@@ -271,6 +322,90 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.misses, 3);
         assert_eq!(s.hits, 8 * 3 - 3);
+    }
+
+    fn planned(reads: &[(&str, usize)]) -> TransformCache {
+        TransformCache::with_planned_reads(
+            reads.iter().map(|&(key, n)| (key.to_string(), n)).collect(),
+        )
+    }
+
+    #[test]
+    fn an_entry_is_released_at_its_last_planned_read() {
+        let cache = planned(&[("p", 3), ("single", 1)]);
+        let mut fits = 0;
+        for fold in 0..2 {
+            for read in 1..=3 {
+                cache
+                    .get_or_fit(fold, "p", || {
+                        fits += 1;
+                        Ok((tiny(4), tiny(2)))
+                    })
+                    .unwrap();
+                let held = if read < 3 { 1 } else { 0 };
+                assert_eq!(cache.len(), held, "fold {fold}, read {read}");
+            }
+        }
+        // a key read once is never held at all
+        cache.get_or_fit(0, "single", || Ok((tiny(4), tiny(2)))).unwrap();
+        assert!(cache.is_empty());
+        assert_eq!(fits, 2, "one fit per fold");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits), (3, 4), "release leaves the accounting alone");
+        assert_eq!(s.bytes, 3 * 18 * 8, "bytes count every fit, released or not");
+    }
+
+    #[test]
+    fn a_racing_reader_of_a_released_slot_still_hits() {
+        // the first reader fits; the second and last takes the slot, which
+        // releases the entry, and then waits on the fit in progress
+        let cache = planned(&[("p", 2)]);
+        let (first, second) = std::thread::scope(|scope| {
+            let (started_tx, started_rx) = std::sync::mpsc::channel();
+            let cache = &cache;
+            let first = scope.spawn(move || {
+                cache.get_or_fit(0, "p", || {
+                    started_tx.send(()).unwrap();
+                    // the second reader took the slot once the entry is gone
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                    while !cache.is_empty() && std::time::Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    Ok((tiny(4), tiny(2)))
+                })
+            });
+            started_rx.recv().unwrap();
+            let second = scope.spawn(move || cache.get_or_fit(0, "p", || panic!("refitted")));
+            (first.join().unwrap().unwrap(), second.join().unwrap().unwrap())
+        });
+        assert!(Arc::ptr_eq(&first, &second), "both readers share the one fit");
+        assert!(cache.is_empty());
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
+    }
+
+    #[test]
+    fn an_entry_read_fewer_times_than_planned_is_kept_and_never_refitted() {
+        // a path that fails before its lookup leaves the plan one read short
+        let cache = planned(&[("p", 3), ("bad", 2)]);
+        let mut fits = 0;
+        for _ in 0..2 {
+            let _ = cache.get_or_fit(0, "p", || {
+                fits += 1;
+                Ok((tiny(4), tiny(2)))
+            });
+        }
+        let _ = cache.get_or_fit(0, "bad", || {
+            fits += 1;
+            Err(ComponentError::InvalidInput("boom".to_string()))
+        });
+        assert_eq!(cache.len(), 2, "both entries are kept until the cache drops");
+        // unplanned keys are kept too
+        cache.get_or_fit(1, "unplanned", || Ok((tiny(4), tiny(2)))).unwrap();
+        assert_eq!(cache.len(), 3);
+        assert_eq!(fits, 2);
+        let out = cache.get_or_fit(0, "bad", || panic!("refitted"));
+        assert!(matches!(out, Err(ComponentError::InvalidInput(_))), "the error is replayed");
+        assert_eq!(cache.len(), 2, "the last planned read releases it");
     }
 
     #[test]

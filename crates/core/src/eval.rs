@@ -4,7 +4,7 @@
 //! in parallel across threads, and reusing shared transformer prefixes
 //! through a [`TransformCache`].
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -425,15 +425,16 @@ impl Evaluator {
     /// dispatched grouped by shared transformer prefix (a stable order by
     /// the full prefix key, original index as tiebreak), so reuse lands
     /// early; restoring enumeration order keeps reports bit-identical to
-    /// the uncached run, tie order included.
+    /// the uncached run, tie order included. The plan also counts each
+    /// prefix's lookups, so the cache frees an output after its last reader.
     pub(crate) fn run_jobs(
         &self,
         jobs: &[(Pipeline, Params)],
         data: &Dataset,
     ) -> (Vec<PathResult>, Option<CacheStats>, Option<EvalTiming>) {
-        let cached = self.use_cache.then(|| (TransformCache::new(), self.cv.splits_for(data)));
         let mut order: Vec<usize> = (0..jobs.len()).collect();
-        if cached.is_some() {
+        let cached = self.use_cache.then(|| {
+            let mut planned_reads: BTreeMap<String, usize> = BTreeMap::new();
             let plan_keys: Vec<String> = jobs
                 .iter()
                 .map(|(pipeline, params)| {
@@ -443,11 +444,16 @@ impl Evaluator {
                         .filter(|n| !n.component().is_estimator())
                         .map(|n| n.name().to_string())
                         .collect();
+                    for depth in 1..=cached_prefixes(pipeline) {
+                        let key = PipelineSpec::prefix_key(&steps[..depth], params);
+                        *planned_reads.entry(key).or_default() += 1;
+                    }
                     PipelineSpec::prefix_key(&steps, params)
                 })
                 .collect();
             order.sort_by(|&a, &b| plan_keys[a].cmp(&plan_keys[b]).then(a.cmp(&b)));
-        }
+            (TransformCache::with_planned_reads(planned_reads), self.cv.splits_for(data))
+        });
         let scope = self.obs_scope(jobs.len());
         let hist = scope.as_ref().map(|(_, h, _)| h);
         let graph_ctx = scope.as_ref().map(|(s, _, _)| s.context());
@@ -619,6 +625,19 @@ impl Evaluator {
         }
         Err(ComponentError::InvalidInput("pipeline has no estimator".to_string()).into())
     }
+}
+
+/// How many leading transformer prefixes of `pipeline` a fold looks up in
+/// the cache: [`Evaluator::score_fold_cached`]'s walk looks up every
+/// transformer before the first estimator, except a transformer in last
+/// place.
+fn cached_prefixes(pipeline: &Pipeline) -> usize {
+    let nodes = pipeline.nodes();
+    nodes
+        .iter()
+        .take(nodes.len().saturating_sub(1))
+        .take_while(|n| !n.component().is_estimator())
+        .count()
 }
 
 /// The one ranking order of path results, best first: successful paths
@@ -941,6 +960,33 @@ mod tests {
         assert_eq!(uncached.n_failed(), 1, "the OLS branch must actually fail");
         assert_eq!(uncached.n_ok(), 1);
         assert_identical(&uncached, &cached);
+    }
+
+    #[test]
+    fn prefixes_read_fewer_times_than_planned_are_never_refitted() {
+        // the k = 0 job fails to apply its params and reads nothing; the OLS
+        // path fails on fold 0 and never reads fold 1: the plan over-counts
+        // both prefixes, so the cache keeps them and fits each once per fold
+        let ds = synth::linear_regression(12, 6, 0.01, 210);
+        let graph = TegBuilder::new()
+            .add_feature_scalers(vec![Box::new(StandardScaler::new())])
+            .add_models(vec![Box::new(LinearRegression::new()), Box::new(KnnRegressor::new(3))])
+            .create_graph()
+            .unwrap();
+        let mut grid = crate::grid::ParamGrid::new();
+        grid.add("knn_regressor__k", vec![0usize.into(), 3usize.into()]);
+        let uncached = Evaluator::new(CvStrategy::kfold(2), Metric::Rmse)
+            .evaluate_graph_with_grid(&graph, &ds, &grid)
+            .unwrap();
+        let cached = Evaluator::new(CvStrategy::kfold(2), Metric::Rmse)
+            .with_prefix_cache(true)
+            .evaluate_graph_with_grid(&graph, &ds, &grid)
+            .unwrap();
+        assert_eq!(uncached.n_failed(), 2, "the OLS path and the k = 0 job must fail");
+        assert_identical(&uncached, &cached);
+        // fold 0: OLS and k = 3 read the scaler; fold 1: k = 3 alone
+        let stats = cached.cache.unwrap();
+        assert_eq!((stats.misses, stats.hits), (2, 1));
     }
 
     #[test]

@@ -89,7 +89,10 @@ impl Transformer for RandomOversampler {
         let classes = data.classes()?;
         let counts: Vec<usize> =
             classes.iter().map(|c| y.iter().filter(|&&v| v == *c).count()).collect();
-        let majority = *counts.iter().max().expect("at least one class");
+        let majority = *counts
+            .iter()
+            .max()
+            .ok_or_else(|| ComponentError::InvalidInput("no classes to balance".to_string()))?;
         let target = ((majority as f64) * self.target_ratio).round() as usize;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut indices: Vec<usize> = (0..data.n_samples()).collect();

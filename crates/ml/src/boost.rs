@@ -141,15 +141,10 @@ impl Estimator for GradientBoostingRegressor {
         self.n_features = data.n_features();
         self.stages.clear();
         let mut residual: Vec<f64> = y.iter().map(|v| v - self.base).collect();
-        let features_only = coda_data::Dataset::new(data.features().clone());
         for _ in 0..self.n_stages {
-            let stage_data = features_only
-                .clone()
-                .with_target(residual.clone())
-                .expect("lengths match by construction");
             let mut tree = DecisionTreeRegressor::new().with_max_depth(self.max_depth);
-            tree.fit(&stage_data)?;
-            let pred = tree.predict(&stage_data)?;
+            tree.fit_xy(data.features(), &residual);
+            let pred = tree.predict_x(data.features())?;
             for (r, p) in residual.iter_mut().zip(&pred) {
                 *r -= self.learning_rate * p;
             }

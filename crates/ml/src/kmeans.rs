@@ -97,7 +97,11 @@ impl KMeans {
                 best = Some((inertia, centers));
             }
         }
-        let (inertia, centers) = best.expect("restarts >= 1");
+        let (inertia, centers) = best.ok_or_else(|| ComponentError::InvalidParam {
+            component: "kmeans".to_string(),
+            param: "restarts".to_string(),
+            reason: "must be positive".to_string(),
+        })?;
         self.inertia = Some(inertia);
         self.centers = Some(centers);
         Ok(self)

@@ -459,9 +459,11 @@ impl ServeTier {
                 return Err(ServeError::Overloaded { shard: index });
             }
             queue.push_back(Published { req, reply: Arc::clone(&reply), published_ms });
-        }
-        if let Some(m) = &shard.metrics {
-            m.depth.add(1.0);
+            // raised under the queue lock, before any pass can drain the
+            // request and lower it, so the gauge never reads below zero
+            if let Some(m) = &shard.metrics {
+                m.depth.add(1.0);
+            }
         }
         Ok(Pending { shard, index, reply })
     }
@@ -692,6 +694,38 @@ mod tests {
         let batches = snap.counter("coda_serve_batches");
         assert!(batches < 16, "16 queued ops must coalesce into fewer passes, got {batches}");
         assert_eq!(snap.counter("coda_serve_ops_total"), 16);
+    }
+
+    #[test]
+    fn the_queue_depth_gauge_never_reads_below_zero() {
+        // two submitters publish while a third thread drains the queue and
+        // samples the gauge right after each pass: a request must be counted
+        // before any pass can drain it and subtract it
+        let obs = Obs::deterministic();
+        let cfg = ServeConfig { n_shards: 1, ..ServeConfig::default() };
+        let tier = ServeTier::start_obs(&cfg, Some(&obs));
+        let depth = obs.registry().gauge("coda_serve_queue_depth");
+        let submitting = std::sync::atomic::AtomicUsize::new(2);
+        let lowest = std::thread::scope(|s| {
+            for t in 0..2 {
+                let (tier, submitting) = (&tier, &submitting);
+                s.spawn(move || {
+                    for i in 0..30_000 {
+                        tier.submit(put(&format!("t{t}-{}", i % 64), 1)).expect("admitted");
+                    }
+                    submitting.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            let mut lowest = f64::INFINITY;
+            while submitting.load(Ordering::SeqCst) > 0 {
+                tier.advance_clock(0);
+                lowest = lowest.min(depth.get());
+            }
+            lowest
+        });
+        assert!(lowest >= 0.0, "the queue depth gauge read {lowest}");
+        assert!(depth.get().abs() < f64::EPSILON, "a drained queue reads 0");
+        assert_eq!(tier.finish().total_ops(), 60_000);
     }
 
     /// Tentpole: the latency decomposition splits queue wait (admission →

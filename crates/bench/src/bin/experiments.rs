@@ -154,13 +154,22 @@ fn main() {
                     // bucket quantiles read as latencies only for `_ms`
                     // families; a size histogram reads as its exact mean
                     if coda_obs::name_parts(name).0.ends_with("_ms") {
+                        let (p50, mean) = (h.quantile(0.50), h.mean());
                         println!(
-                            "{name}: p50={:.3} p95={:.3} p99={:.3} ms (count={})",
-                            h.quantile(0.50),
+                            "{name}: p50={p50:.6} p95={:.6} p99={:.6} ms (count={})",
                             h.quantile(0.95),
                             h.quantile(0.99),
                             h.count
                         );
+                        // no median of non-negative samples exceeds twice
+                        // their mean (Markov), and a bucket quantile reads
+                        // within 1/16 of its sample
+                        if run("d7") {
+                            assert!(
+                                p50 <= 2.0 * (1.0 + 1.0 / 16.0) * mean,
+                                "{name}: p50 {p50} ms cannot exceed twice the mean {mean} ms"
+                            );
+                        }
                     } else {
                         println!("{name}: mean={:.3} (count={})", h.mean(), h.count);
                     }

@@ -30,7 +30,7 @@ use coda_obs::{
     diagnose, labeled_name, BurnWindows, DiagReport, DiagnoseConfig, FlightConfig, FlightRecorder,
     ManualClock, Obs, SloEngine, SloSignal, SloSpec,
 };
-use coda_serve::{ServeConfig, ServeRequest, ServeTier, SERVE_LATENCY_BOUNDS};
+use coda_serve::{ServeConfig, ServeRequest, ServeTier};
 use coda_store::shard_of;
 use serde::impl_serde_struct;
 
@@ -316,7 +316,7 @@ fn run_targeted(seed: u64, n_shards: usize, hot: bool) -> ScenarioArtifacts {
         }
 
         // --- request latencies (seeded closed-form draws, always healthy) ---
-        let latency = obs.registry().histogram("coda_serve_latency_ms", SERVE_LATENCY_BOUNDS);
+        let latency = obs.registry().histogram("coda_serve_latency_ms");
         for _ in 0..20 {
             latency.observe(uniform(&mut rng, 1.0, 30.0));
         }

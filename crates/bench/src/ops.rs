@@ -24,7 +24,7 @@ use coda_obs::{
     BurnWindows, CostProfile, FlightConfig, FlightRecorder, FlightWindow, Obs, SloEngine,
     SloReport, SloSignal, SloSpec, SpanId, TailPolicy, TraceForest,
 };
-use coda_serve::{ServeConfig, ServeRequest, ServeTier, SERVE_LATENCY_BOUNDS};
+use coda_serve::{ServeConfig, ServeRequest, ServeTier};
 use serde::impl_serde_struct;
 
 /// Level-0 flight window length, milliseconds of manual-clock time.
@@ -288,7 +288,7 @@ pub fn run_ops_scenario_full(seed: u64, fault: bool) -> (OpsScenario, ScenarioAr
         }
 
         // --- request latencies (seeded closed-form draws) ---
-        let latency = obs.registry().histogram("coda_serve_latency_ms", SERVE_LATENCY_BOUNDS);
+        let latency = obs.registry().histogram("coda_serve_latency_ms");
         for i in 0..20 {
             let v = if in_fault && i < 8 {
                 uniform(&mut rng, 60.0, 400.0) // the injected tail

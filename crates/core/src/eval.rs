@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use coda_data::cv::{CvError, Split};
 use coda_data::metrics::MetricError;
 use coda_data::{ComponentError, CvStrategy, Dataset, Metric, Params};
-use coda_obs::{labeled_name, Histogram, HistogramSnapshot, Obs, DEFAULT_MS_BOUNDS};
+use coda_obs::{labeled_name, Histogram, HistogramSnapshot, Obs};
 
 use crate::cache::{CacheStats, TransformCache};
 use crate::graph::{GraphError, Teg};
@@ -336,7 +336,7 @@ impl Evaluator {
     fn obs_scope(&self, n_jobs: usize) -> Option<(coda_obs::SpanGuard<'_>, Histogram, f64)> {
         self.obs.as_ref().map(|o| {
             let span = o.span("eval.graph", &[("paths", &n_jobs.to_string() as &str)]);
-            (span, Histogram::new(DEFAULT_MS_BOUNDS), o.now_ms())
+            (span, Histogram::new(), o.now_ms())
         })
     }
 
@@ -352,7 +352,7 @@ impl Evaluator {
         drop(span);
         let obs = self.obs.as_ref()?;
         let path_ms = hist.snapshot();
-        obs.registry().histogram("coda_core_eval_path_ms", DEFAULT_MS_BOUNDS).merge(&path_ms);
+        obs.registry().histogram("coda_core_eval_path_ms").merge(&path_ms);
         obs.count("coda_core_eval_graphs", 1);
         obs.count("coda_core_eval_paths", n_jobs as u64);
         Some(EvalTiming { wall_ms: obs.now_ms() - start, path_ms })
@@ -390,7 +390,7 @@ impl Evaluator {
             h.observe(elapsed);
         }
         obs.registry()
-            .histogram(&labeled_name("coda_core_eval_path_ms", "spec", &key), DEFAULT_MS_BOUNDS)
+            .histogram(&labeled_name("coda_core_eval_path_ms", "spec", &key))
             .observe(elapsed);
         obs.exemplars().offer(
             "coda_core_eval_path_ms",

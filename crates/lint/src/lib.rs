@@ -19,9 +19,9 @@
 //!    reductions over unordered sources;
 //! 5. **Observability contract** ([`obs_contract`]) — extracts every
 //!    metric/span/event name into a canonical `OBS_SCHEMA.json` and flags
-//!    consumed-but-never-produced names, label-set and bounds mismatches,
-//!    kind conflicts, case/underscore collisions, and drift from the
-//!    committed schema (drift is never baselineable).
+//!    consumed-but-never-produced names, label-set mismatches, kind
+//!    conflicts, case/underscore collisions, and drift from the committed
+//!    schema (drift is never baselineable).
 //!
 //! Pre-existing violations are frozen by the one-way ratchet in
 //! [`baseline`]; the escape hatch is a `// lint:allow(<rule>) <reason>`
@@ -78,8 +78,8 @@ pub enum Rule {
     UnorderedFlow,
     /// Float `sum`/`fold`/`+=` fed by an unordered source.
     FloatReduction,
-    /// Observability-contract violation (unregistered name, label-set or
-    /// bounds mismatch, case/underscore collision).
+    /// Observability-contract violation (unregistered name, label-set
+    /// mismatch, case/underscore collision).
     ObsContract,
     /// Extracted observability schema drifted from the committed
     /// `OBS_SCHEMA.json` (never baselineable: regenerate and commit).

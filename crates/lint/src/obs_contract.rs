@@ -1,9 +1,8 @@
 //! Observability contract: statically extracts every metric
-//! registration/observation name, label key, help text, histogram bounds
-//! expression and span/event name in the workspace into a canonical
-//! [`ObsSchema`] (committed as `OBS_SCHEMA.json`), and checks the surface
-//! for the interface-drift failure modes that unchecked stringly-typed
-//! metrics invite:
+//! registration/observation name, label key, help text and span/event
+//! name in the workspace into a canonical [`ObsSchema`] (committed as
+//! `OBS_SCHEMA.json`), and checks the surface for the interface-drift
+//! failure modes that unchecked stringly-typed metrics invite:
 //!
 //! - **consumed-but-never-produced** — a `coda_*` name read from a
 //!   snapshot, asserted by a smoke test, or referenced by an SLO spec that
@@ -11,9 +10,6 @@
 //! - **help-but-never-observed** — `set_help` on a name nothing increments
 //!   (the lazy-registration analog of registered-but-never-observed);
 //! - **kind conflicts** — one name used as both a counter and a histogram;
-//! - **bounds conflicts** — one histogram family registered with two
-//!   different bounds expressions (first registration wins silently at
-//!   runtime, so the loser's buckets never exist);
 //! - **label-set mismatches** — one base name split by two different label
 //!   keys (`{shard=…}` in one crate, `{spec=…}` in another);
 //! - **case/underscore collisions** — names that differ only by case or
@@ -46,11 +42,9 @@ pub struct MetricSchema {
     pub help: String,
     /// Label keys the family is split by (`labeled_name` second argument).
     pub labels: Vec<String>,
-    /// Distinct bounds expressions seen at `histogram(name, bounds)` sites.
-    pub bounds: Vec<String>,
 }
 
-impl_serde_struct!(MetricSchema { kind, help, labels, bounds });
+impl_serde_struct!(MetricSchema { kind, help, labels });
 
 /// The whole extracted observability surface, canonically ordered.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -146,8 +140,6 @@ struct Extraction {
     helps: BTreeMap<String, (String, Site)>,
     /// name → label key → first site.
     labels: BTreeMap<String, BTreeMap<String, Site>>,
-    /// name → bounds expression → first site.
-    bounds: BTreeMap<String, BTreeMap<String, Site>>,
     /// Loose references (snapshot reads, SLO specs, asserts): name → sites.
     refs: BTreeMap<String, Vec<Site>>,
     /// Span names → first site.
@@ -213,7 +205,7 @@ fn extract(sf: &SourceFile, ex: &mut Extraction) {
         let kind: Option<&'static str> = match t.text.as_str() {
             "count" | "counter" | "obs_count" => Some("counter"),
             "gauge" => Some("gauge"),
-            "histogram" | "observe_ms" => Some("histogram"),
+            "histogram" => Some("histogram"),
             _ => None,
         };
         if let Some(kind) = kind {
@@ -232,23 +224,7 @@ fn extract(sf: &SourceFile, ex: &mut Extraction) {
                     ex.refs.entry(name).or_default().push(site(name_j));
                     continue;
                 }
-                ex.kinds
-                    .entry(name.clone())
-                    .or_default()
-                    .entry(kind)
-                    .or_insert_with(|| site(name_j));
-                if t.is_ident("histogram") {
-                    // second top-level argument is the bounds expression
-                    if let Some(b) = bounds_expr(toks, i + 1, close) {
-                        ex.bounds.entry(name).or_default().entry(b).or_insert_with(|| site(name_j));
-                    }
-                } else if t.is_ident("observe_ms") {
-                    ex.bounds
-                        .entry(name)
-                        .or_default()
-                        .entry("DEFAULT_MS_BOUNDS".to_string())
-                        .or_insert_with(|| site(name_j));
-                }
+                ex.kinds.entry(name).or_default().entry(kind).or_insert_with(|| site(name_j));
             }
             continue;
         }
@@ -362,41 +338,11 @@ fn is_snapshot_receiver(toks: &[crate::lexer::Tok], i: usize) -> bool {
     false
 }
 
-/// The second top-level argument of a call, rendered, when it is a simple
-/// ident or path (`DEFAULT_MS_BOUNDS`); `None` for computed bounds.
-fn bounds_expr(toks: &[crate::lexer::Tok], open: usize, close: usize) -> Option<String> {
-    let mut depth = 0i32;
-    let mut arg = 0usize;
-    let mut parts: Vec<String> = Vec::new();
-    for t in &toks[open + 1..close] {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-            depth -= 1;
-        } else if t.is_punct(',') && depth == 0 {
-            arg += 1;
-            if arg > 1 {
-                break;
-            }
-            continue;
-        }
-        if arg == 1 && depth == 0 {
-            if t.kind == TokKind::Ident {
-                parts.push(t.text.clone());
-            } else if !(t.is_punct('&') || t.is_punct(':')) {
-                return None; // computed expression
-            }
-        }
-    }
-    (!parts.is_empty()).then(|| parts.join("::"))
-}
-
 fn assemble(ex: &Extraction) -> ObsSchema {
     let mut metrics: BTreeMap<String, MetricSchema> = BTreeMap::new();
     let mut names: Vec<&String> = ex.kinds.keys().collect();
     names.extend(ex.helps.keys());
     names.extend(ex.labels.keys());
-    names.extend(ex.bounds.keys());
     names.sort();
     names.dedup();
     for name in names {
@@ -409,9 +355,7 @@ fn assemble(ex: &Extraction) -> ObsSchema {
         let help = ex.helps.get(name).map(|(h, _)| h.clone()).unwrap_or_default();
         let labels: Vec<String> =
             ex.labels.get(name).map(|ls| ls.keys().cloned().collect()).unwrap_or_default();
-        let bounds: Vec<String> =
-            ex.bounds.get(name).map(|bs| bs.keys().cloned().collect()).unwrap_or_default();
-        metrics.insert(name.clone(), MetricSchema { kind, help, labels, bounds });
+        metrics.insert(name.clone(), MetricSchema { kind, help, labels });
     }
     ObsSchema {
         version: 1,
@@ -469,23 +413,6 @@ fn contract_findings(ex: &Extraction) -> Vec<Finding> {
                     &mut out,
                     site,
                     format!("metric `{name}` is used as multiple kinds: {}", list.join(" and ")),
-                );
-            }
-        }
-    }
-    // bounds conflicts
-    for (name, bounds) in &ex.bounds {
-        if bounds.len() > 1 {
-            let list: Vec<&str> = bounds.keys().map(String::as_str).collect();
-            if let Some(site) = bounds.values().min() {
-                push(
-                    &mut out,
-                    site,
-                    format!(
-                        "histogram `{name}` is registered with conflicting bounds ({}) — \
-                         first registration wins silently, the loser's buckets never exist",
-                        list.join(" vs ")
-                    ),
                 );
             }
         }
@@ -552,13 +479,11 @@ pub fn drift(committed: &ObsSchema, current: &ObsSchema) -> Vec<Finding> {
         match committed.metrics.get(name) {
             None => msgs.push(format!("metric `{name}` added")),
             Some(old) if old != m => msgs.push(format!(
-                "metric `{name}` changed (kind {} → {}, labels [{}] → [{}], bounds [{}] → [{}])",
+                "metric `{name}` changed (kind {} → {}, labels [{}] → [{}])",
                 old.kind,
                 m.kind,
                 old.labels.join(","),
-                m.labels.join(","),
-                old.bounds.join(","),
-                m.bounds.join(",")
+                m.labels.join(",")
             )),
             Some(_) => {}
         }
@@ -604,13 +529,12 @@ mod tests {
     #[test]
     fn producers_land_in_the_schema() {
         let (schema, findings) = run("fn f(o: &Obs) {\n o.registry().count(\"coda_x_ops\", 1);\n\
-             o.registry().histogram(\"coda_x_wait_ms\", DEFAULT_MS_BOUNDS);\n\
+             o.registry().histogram(\"coda_x_wait_ms\");\n\
              o.registry().gauge(\"coda_x_depth\").set(1);\n\
              o.tracer().span(\"x.request\", &[]);\n o.tracer().event(\"x.done\", &[]);\n}");
         assert!(findings.is_empty(), "{findings:#?}");
         assert_eq!(schema.metrics["coda_x_ops"].kind, "counter");
         assert_eq!(schema.metrics["coda_x_wait_ms"].kind, "histogram");
-        assert_eq!(schema.metrics["coda_x_wait_ms"].bounds, vec!["DEFAULT_MS_BOUNDS"]);
         assert_eq!(schema.metrics["coda_x_depth"].kind, "gauge");
         assert_eq!(schema.spans, vec!["x.request"]);
         assert_eq!(schema.events, vec!["x.done"]);
@@ -645,18 +569,9 @@ mod tests {
     }
 
     #[test]
-    fn conflicting_bounds_are_flagged() {
-        let (_, findings) =
-            run("fn f(r: &Reg) { r.histogram(\"coda_x_ms\", DEFAULT_MS_BOUNDS); }\n\
-             fn g(r: &Reg) { r.histogram(\"coda_x_ms\", FINE_BOUNDS); }");
-        assert_eq!(findings.len(), 1, "{findings:#?}");
-        assert!(findings[0].message.contains("conflicting bounds"), "{findings:#?}");
-    }
-
-    #[test]
     fn kind_conflict_is_flagged() {
         let (_, findings) =
-            run("fn f(r: &Reg) { r.count(\"coda_x_val\", 1); r.observe_ms(\"coda_x_val\", 2.0); }");
+            run("fn f(r: &Reg) { r.count(\"coda_x_val\", 1); r.histogram(\"coda_x_val\"); }");
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert!(findings[0].message.contains("multiple kinds"), "{findings:#?}");
     }
@@ -699,7 +614,7 @@ mod tests {
     fn schema_json_round_trips_and_is_stable() {
         let (schema, _) = run("fn f(o: &Obs) {\n o.registry().count(\"coda_x_ops\", 1);\n\
              o.registry().set_help(\"coda_x_ops\", \"ops served\");\n\
-             o.registry().histogram(&labeled_name(\"coda_x_ms\", \"shard\", s), BOUNDS);\n\
+             o.registry().histogram(&labeled_name(\"coda_x_ms\", \"shard\", s));\n\
              o.tracer().span(\"x.request\", &[]);\n}");
         let text = schema.to_pretty_json();
         let back = ObsSchema::parse(&text).expect("parse back");

@@ -603,8 +603,8 @@ mod tests {
             if i > 6 {
                 reg.count("coda_serve_shed_total", 40);
                 // identical sums land in the aggregate and the shard split
-                reg.observe_ms("coda_serve_queue_wait_ms", 50.0);
-                reg.observe_ms(&per_shard, 50.0);
+                reg.histogram("coda_serve_queue_wait_ms").observe(50.0);
+                reg.histogram(&per_shard).observe(50.0);
             }
             rec.tick(i as f64 * 10.0, &reg.snapshot());
             engine.step(&rec, None);
@@ -698,11 +698,11 @@ mod tests {
         rec.tick(0.0, &reg.snapshot());
         for i in 1..=10 {
             if i > 6 {
-                reg.observe_ms("coda_core_eval_path_ms", 80.0);
-                reg.observe_ms(&spec_series, 80.0);
+                reg.histogram("coda_core_eval_path_ms").observe(80.0);
+                reg.histogram(&spec_series).observe(80.0);
             } else {
-                reg.observe_ms("coda_core_eval_path_ms", 1.0);
-                reg.observe_ms(&spec_series, 1.0);
+                reg.histogram("coda_core_eval_path_ms").observe(1.0);
+                reg.histogram(&spec_series).observe(1.0);
             }
             rec.tick(i as f64 * 10.0, &reg.snapshot());
             engine.step(&rec, None);

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 
 use serde::impl_serde_struct;
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 
 /// Recorder shape: window width and the downsampling ladder.
 #[derive(Debug, Clone)]
@@ -58,21 +58,6 @@ pub struct FlightWindow {
 
 impl_serde_struct!(FlightWindow { start_ms, end_ms, windows, delta });
 
-/// Folds `b`'s histogram delta into `a`'s: bucket-wise when the bounds
-/// match; with mismatched bounds the later snapshot wins (the instrument
-/// was re-registered mid-flight, so the older buckets are not comparable).
-fn merge_hist(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
-    if a.bounds != b.bounds {
-        return b.clone();
-    }
-    HistogramSnapshot {
-        bounds: a.bounds.clone(),
-        counts: a.counts.iter().zip(&b.counts).map(|(x, y)| x + y).collect(),
-        count: a.count + b.count,
-        sum: a.sum + b.sum,
-    }
-}
-
 impl FlightWindow {
     /// Merges an older window with the one that follows it: counters and
     /// gauge deltas add, histogram buckets add, the interval widens.
@@ -86,7 +71,7 @@ impl FlightWindow {
         }
         for (k, h) in &newer.delta.histograms {
             match delta.histograms.get_mut(k) {
-                Some(existing) => *existing = merge_hist(existing, h),
+                Some(existing) => *existing = existing.merge(h),
                 None => {
                     delta.histograms.insert(k.clone(), h.clone());
                 }
@@ -225,8 +210,6 @@ impl FlightRecorder {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
-
     use super::*;
     use crate::metrics::MetricsRegistry;
 
@@ -297,7 +280,7 @@ mod tests {
         let mut rec = recorder(2, 2, 2);
         rec.tick(0.0, &reg.snapshot());
         for i in 1..=3 {
-            reg.observe_ms("coda_test_ms", i as f64);
+            reg.histogram("coda_test_ms").observe(i as f64);
             reg.gauge("coda_test_depth").add(1.0);
             rec.tick(i as f64 * 10.0, &reg.snapshot());
         }
@@ -379,41 +362,6 @@ mod tests {
         assert_eq!(total, 1 + 2 + 3 + 4 + 5, "no mass lost at the boundary");
     }
 
-    /// Satellite: a mid-flight re-registered histogram (different bounds)
-    /// is not comparable across the fold — the newer window's buckets win.
-    #[test]
-    fn merge_with_mismatched_histogram_bounds_keeps_newer() {
-        let older = FlightWindow {
-            start_ms: 0.0,
-            end_ms: 10.0,
-            windows: 1,
-            delta: MetricsSnapshot {
-                counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                histograms: [(
-                    "coda_test_ms".to_string(),
-                    HistogramSnapshot { bounds: vec![1.0], counts: vec![4, 0], count: 4, sum: 2.0 },
-                )]
-                .into_iter()
-                .collect(),
-            },
-        };
-        let mut newer = older.clone();
-        newer.start_ms = 10.0;
-        newer.end_ms = 20.0;
-        newer.delta.histograms.insert(
-            "coda_test_ms".to_string(),
-            HistogramSnapshot { bounds: vec![5.0], counts: vec![1, 1], count: 2, sum: 9.0 },
-        );
-        let merged = FlightWindow::merge(&older, &newer);
-        assert_eq!(merged.start_ms, 0.0);
-        assert_eq!(merged.end_ms, 20.0);
-        assert_eq!(merged.windows, 2);
-        let h = &merged.delta.histograms["coda_test_ms"];
-        assert_eq!(h.bounds, vec![5.0], "mismatched bounds: newer snapshot wins");
-        assert_eq!(h.count, 2);
-    }
-
     #[test]
     fn same_driver_sequence_dumps_byte_identical_json() {
         let run = || {
@@ -422,7 +370,7 @@ mod tests {
             rec.tick(0.0, &reg.snapshot());
             for i in 1..=9 {
                 reg.count("coda_test_ops", i);
-                reg.observe_ms("coda_test_ms", 0.25 * i as f64);
+                reg.histogram("coda_test_ms").observe(0.25 * i as f64);
                 rec.tick(i as f64 * 10.0, &reg.snapshot());
             }
             rec.to_json()

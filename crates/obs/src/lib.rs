@@ -44,7 +44,7 @@ pub use diagnose::{
 pub use flight::{FlightConfig, FlightRecorder, FlightWindow};
 pub use metrics::{
     label_value, labeled_name, name_parts, Counter, Gauge, Histogram, HistogramSnapshot,
-    MetricsRegistry, MetricsSnapshot, DEFAULT_MS_BOUNDS,
+    MetricsRegistry, MetricsSnapshot,
 };
 pub use profile::{CostEntry, CostProfile, Exemplar, ExemplarStore};
 pub use publish::Publish;

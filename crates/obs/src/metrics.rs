@@ -1,4 +1,4 @@
-//! A lock-cheap registry of named counters, gauges, and fixed-bucket
+//! A lock-cheap registry of named counters, gauges, and log-linear
 //! histograms, with two exposition surfaces: Prometheus-style text and a
 //! `serde_json` snapshot.
 //!
@@ -6,6 +6,16 @@
 //! are `Arc`-shared: a registration returns a handle whose updates are
 //! plain atomic operations; the registry lock (a `parking_lot::RwLock`
 //! around a `BTreeMap`) is touched only on registration and snapshot.
+//!
+//! Every histogram shares one fixed bucket layout, defined in this module
+//! alone, in the style of HdrHistogram and DDSketch: 16 sub-buckets per
+//! power of two between the edges 2^-20 (about 1 ns, in milliseconds) and
+//! 2^24 (about 4.7 h), so a bucket is at most 1/16 as wide as its lower
+//! edge and a quantile read from it is within 1/16 of the sample it
+//! estimates. A
+//! value equal to an edge lands in the bucket that edge closes (the
+//! Prometheus `le` meaning); `v ≤ 0` has a bucket of its own that reads
+//! back as 0, and values past 2^24 or NaN land in an overflow bucket.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -14,10 +24,6 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use serde::impl_serde_struct;
-
-/// Default bucket upper bounds (milliseconds) for timing histograms.
-pub const DEFAULT_MS_BOUNDS: &[f64] =
-    &[0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0];
 
 /// Builds a flat registry name carrying one label dimension:
 /// `base{label="value"}` (value escaped per the Prometheus text format).
@@ -104,14 +110,7 @@ impl Gauge {
 
     /// Adds `v` to the gauge (compare-and-swap loop).
     pub fn add(&self, v: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+        add_f64(&self.bits, v);
     }
 
     /// Current value.
@@ -120,106 +119,148 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket histogram: `bounds` are inclusive upper bounds, with an
-/// implicit `+Inf` bucket at the end.
+/// Adds `v` to the `f64` held as bits in `cell`.
+fn add_f64(cell: &AtomicU64, v: f64) {
+    // the closure always returns `Some`, so the update cannot fail
+    let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+        Some((f64::from_bits(bits) + v).to_bits())
+    });
+}
+
+/// Mantissa bits that pick the sub-bucket: 16 per power of two.
+const SUB_BITS: u32 = 4;
+/// Shifting an `f64`'s bits right by this keeps its biased exponent and
+/// top [`SUB_BITS`] mantissa bits: the rank of the edge at or below it.
+const KEY_SHIFT: u32 = 52 - SUB_BITS;
+/// The rank of the lowest finite edge, 2^-20 (biased exponent 1023 - 20).
+const FIRST_KEY: u64 = (1023 - 20) << SUB_BITS;
+/// Log-linear buckets between 2^-20 and 2^24: 44 powers of two.
+const LOG_BUCKETS: usize = 44 << SUB_BITS;
+/// The zero bucket, the log-linear buckets and the overflow bucket.
+const BUCKETS: usize = LOG_BUCKETS + 2;
+
+/// The `k`-th finite edge: `2^-20 · 2^(k / 16) · (1 + (k % 16) / 16)`.
+fn edge(k: usize) -> f64 {
+    f64::from_bits((FIRST_KEY + k as u64) << KEY_SHIFT)
+}
+
+/// The bucket `v` lands in: 0 for `v ≤ 0`; bucket `k + 1` holds
+/// `(edge(k), edge(k + 1)]`, with anything smaller than 2^-20 in the
+/// first; the last bucket holds what lies past 2^24, and NaN.
+fn bucket_of(v: f64) -> usize {
+    if v <= 0.0 {
+        return 0;
+    }
+    // the float just below `v` shares the exponent and top mantissa bits
+    // of the edge below `v`, so an edge closes its own bucket
+    let key = (v.to_bits() - 1) >> KEY_SHIFT;
+    1 + key.saturating_sub(FIRST_KEY).min(LOG_BUCKETS as u64) as usize
+}
+
+/// Bucket `i`'s lower and upper edges; the zero bucket reads as `(0, 0)`.
+fn bucket_edges(i: usize) -> (f64, f64) {
+    match i {
+        0 => (0.0, 0.0),
+        i if i > LOG_BUCKETS => (edge(LOG_BUCKETS), f64::INFINITY),
+        i => (edge(i - 1), edge(i)),
+    }
+}
+
+/// A histogram over the one log-linear layout (module docs): an atomic
+/// count per bucket and the running sum.
 #[derive(Debug)]
 pub struct Histogram {
-    bounds: Vec<f64>,
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
+    buckets: [AtomicU64; BUCKETS],
     sum_bits: AtomicU64,
 }
 
-impl Histogram {
-    /// Creates a histogram with the given sorted upper bounds.
-    pub fn new(bounds: &[f64]) -> Self {
-        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
+impl Default for Histogram {
+    fn default() -> Self {
         Histogram {
-            bounds: bounds.to_vec(),
-            buckets,
-            count: AtomicU64::new(0),
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
             sum_bits: AtomicU64::new(0f64.to_bits()),
         }
+    }
+}
+
+impl Histogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Records one observation.
     pub fn observe(&self, v: f64) {
-        let idx = self.bounds.iter().position(|b| v <= *b).unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        add_f64(&self.sum_bits, v);
     }
 
-    /// Folds another histogram's snapshot into this one. Bucket-by-bucket
-    /// when the bounds match; otherwise each of `snap`'s observations is
-    /// re-bucketed conservatively at its bound's value.
+    /// Folds another histogram's snapshot into this one, bucket by bucket.
     pub fn merge(&self, snap: &HistogramSnapshot) {
-        if snap.bounds == self.bounds {
-            for (bucket, n) in self.buckets.iter().zip(&snap.counts) {
-                bucket.fetch_add(*n, Ordering::Relaxed);
-            }
-            self.count.fetch_add(snap.count, Ordering::Relaxed);
-            let mut cur = self.sum_bits.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(cur) + snap.sum).to_bits();
-                match self.sum_bits.compare_exchange_weak(
-                    cur,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return,
-                    Err(actual) => cur = actual,
-                }
+        for (&i, &n) in snap.buckets.iter().zip(&snap.counts) {
+            if let Some(bucket) = self.buckets.get(usize::from(i)) {
+                bucket.fetch_add(n, Ordering::Relaxed);
             }
         }
-        for (i, n) in snap.counts.iter().enumerate() {
-            let at = snap.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            for _ in 0..*n {
-                self.observe(at);
-            }
-        }
+        add_f64(&self.sum_bits, snap.sum);
     }
 
-    /// Point-in-time snapshot of the buckets.
+    /// Point-in-time snapshot of the non-empty buckets.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
-        }
+        HistogramSnapshot::from_dense(
+            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)),
+            f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
+        )
     }
 }
 
-/// A frozen copy of one histogram's buckets.
-#[derive(Debug, Clone, PartialEq)]
+/// A frozen copy of one histogram: its non-empty buckets in ascending
+/// order, as layout indices and counts in two parallel vectors.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSnapshot {
-    /// Upper bucket bounds (the final `+Inf` bucket is implicit).
-    pub bounds: Vec<f64>,
-    /// Per-bucket observation counts (`bounds.len() + 1` entries).
+    /// Layout indices of the non-empty buckets, ascending.
+    pub buckets: Vec<u16>,
+    /// Observations in each of those buckets.
     pub counts: Vec<u64>,
-    /// Total observations.
+    /// Total observations: the sum of `counts`.
     pub count: u64,
     /// Sum of observed values.
     pub sum: f64,
 }
 
-impl_serde_struct!(HistogramSnapshot { bounds, counts, count, sum });
+impl_serde_struct!(HistogramSnapshot { buckets, counts, count, sum });
 
 impl HistogramSnapshot {
+    /// Keeps the non-empty entries of a per-bucket count sequence.
+    fn from_dense(counts: impl Iterator<Item = u64>, sum: f64) -> Self {
+        let mut snap = HistogramSnapshot { sum, ..Self::default() };
+        for (i, n) in counts.enumerate().filter(|(_, n)| *n > 0) {
+            snap.buckets.push(i as u16);
+            snap.counts.push(n);
+            snap.count += n;
+        }
+        snap
+    }
+
+    /// Every bucket's count, empty ones included.
+    fn dense(&self) -> [u64; BUCKETS] {
+        let mut out = [0; BUCKETS];
+        for (&i, &n) in self.buckets.iter().zip(&self.counts) {
+            if let Some(slot) = out.get_mut(usize::from(i)) {
+                *slot += n;
+            }
+        }
+        out
+    }
+
+    /// `(lower edge, upper edge, count)` of each non-empty bucket.
+    fn iter(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
+        self.buckets.iter().zip(&self.counts).map(|(&i, &n)| {
+            let (lower, upper) = bucket_edges(usize::from(i));
+            (lower, upper, n)
+        })
+    }
+
     /// Mean observed value. Always finite: `0.0` with no observations, and
     /// a non-finite sum (a `NaN`/`inf` observation leaked in upstream)
     /// degrades to `0.0` rather than poisoning JSON expositions — the
@@ -237,60 +278,50 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Estimates the `q`-quantile (`q` in `[0, 1]`) by locating the bucket
-    /// that crosses rank `q * count` and interpolating linearly inside it
-    /// (the Prometheus `histogram_quantile` rule). The open `+Inf` bucket
-    /// has no upper edge, so ranks landing there report its lower bound —
-    /// as does an explicit non-finite upper bound, so interpolation can
-    /// never manufacture a `NaN` (`0 × inf`). Returns `0.0` with no
-    /// observations; the result is always finite.
+    /// Estimates the `q`-quantile (`q` in `[0, 1]`): the bucket holding
+    /// the nearest-rank sample, interpolated linearly at rank `q * count`
+    /// (the Prometheus `histogram_quantile` rule), so the estimate is
+    /// within 1/16 of that sample. The zero bucket reads as 0 and the
+    /// overflow bucket as its lower edge, 2^24; with no observations the
+    /// result is `0.0`. Always finite.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
         let rank = q.clamp(0.0, 1.0) * self.count as f64;
         let mut cumulative = 0u64;
-        for (i, n) in self.counts.iter().enumerate() {
+        for (lower, upper, n) in self.iter() {
             let before = cumulative;
             cumulative += n;
-            if *n > 0 && cumulative as f64 >= rank {
-                let lower = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let upper = match self.bounds.get(i) {
-                    Some(b) if b.is_finite() => *b,
-                    _ => return lower,
-                };
-                let fraction = ((rank - before as f64) / *n as f64).clamp(0.0, 1.0);
-                let v = lower + fraction * (upper - lower);
-                return if v.is_finite() { v } else { lower };
+            if n > 0 && cumulative as f64 >= rank {
+                if upper.is_infinite() {
+                    return lower;
+                }
+                let fraction = ((rank - before as f64) / n as f64).clamp(0.0, 1.0);
+                return lower + fraction * (upper - lower);
             }
         }
-        let fallback = self.bounds.last().copied().unwrap_or(0.0);
-        if fallback.is_finite() {
-            fallback
-        } else {
-            0.0
-        }
+        0.0
+    }
+
+    /// Observations in buckets whose lower edge is at or above
+    /// `threshold_ms`: exactly those above it when it is an edge (25 and
+    /// 50 ms are), else all but those in the bucket it splits.
+    pub fn count_above(&self, threshold_ms: f64) -> u64 {
+        self.iter().filter(|(lower, _, _)| *lower >= threshold_ms).map(|(_, _, n)| n).sum()
     }
 
     /// Bucket-wise delta `self - before` for two snapshots of the same
-    /// histogram (saturating at zero, so a reset or mismatched pairing
-    /// cannot underflow). With different bounds, returns `self` unchanged —
-    /// the two snapshots are not comparable.
+    /// histogram, saturating at zero so a reset cannot underflow.
     pub fn diff(&self, before: &HistogramSnapshot) -> HistogramSnapshot {
-        if self.bounds != before.bounds {
-            return self.clone();
-        }
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .zip(&before.counts)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            count: self.count.saturating_sub(before.count),
-            sum: (self.sum - before.sum).max(0.0),
-        }
+        let (a, b) = (self.dense(), before.dense());
+        Self::from_dense(
+            a.iter().zip(&b).map(|(x, y)| x.saturating_sub(*y)),
+            (self.sum - before.sum).max(0.0),
+        )
+    }
+
+    /// Bucket-wise sum of two snapshots, e.g. two adjacent windows' deltas.
+    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
+        let (a, b) = (self.dense(), other.dense());
+        Self::from_dense(a.iter().zip(&b).map(|(x, y)| x + y), self.sum + other.sum)
     }
 }
 
@@ -389,43 +420,17 @@ impl MetricsRegistry {
 
     /// Returns (registering on first use) the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        // the read guard is scoped out before the write acquisition: the
-        // fast path and the slow path never hold both sides of the lock
-        {
-            let counters = self.counters.read();
-            if let Some(c) = counters.get(name) {
-                return Arc::clone(c);
-            }
-        }
-        Arc::clone(self.counters.write().entry(name.to_string()).or_default())
+        instrument(&self.counters, name)
     }
 
     /// Returns (registering on first use) the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        {
-            let gauges = self.gauges.read();
-            if let Some(g) = gauges.get(name) {
-                return Arc::clone(g);
-            }
-        }
-        Arc::clone(self.gauges.write().entry(name.to_string()).or_default())
+        instrument(&self.gauges, name)
     }
 
-    /// Returns the histogram named `name`, registering it with `bounds` on
-    /// first use (later `bounds` are ignored — first registration wins).
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        {
-            let histograms = self.histograms.read();
-            if let Some(h) = histograms.get(name) {
-                return Arc::clone(h);
-            }
-        }
-        Arc::clone(
-            self.histograms
-                .write()
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new(bounds))),
-        )
+    /// Returns (registering on first use) the histogram named `name`.
+    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        instrument(&self.histograms, name)
     }
 
     /// Attaches `# HELP` text to metric `name` for the Prometheus
@@ -437,12 +442,6 @@ impl MetricsRegistry {
     /// Shorthand: add `n` to the counter named `name`.
     pub fn count(&self, name: &str, n: u64) {
         self.counter(name).add(n);
-    }
-
-    /// Shorthand: record `v` in the histogram named `name` (registered with
-    /// [`DEFAULT_MS_BOUNDS`] on first use).
-    pub fn observe_ms(&self, name: &str, v: f64) {
-        self.histogram(name, DEFAULT_MS_BOUNDS).observe(v);
     }
 
     /// A frozen copy of every instrument.
@@ -493,17 +492,17 @@ impl MetricsRegistry {
         for (name, h) in &snap.histograms {
             let (base, labels) = name_parts(name);
             head(&mut out, base, "histogram");
+            // the non-empty finite buckets, then `+Inf` (which also covers
+            // the overflow bucket)
             let mut cumulative = 0u64;
-            for (i, n) in h.counts.iter().enumerate() {
+            let finite = h.iter().filter(|(_, upper, _)| upper.is_finite()).map(|(_, upper, n)| {
                 cumulative += n;
-                let le = match h.bounds.get(i) {
-                    Some(b) => format!("{b}"),
-                    None => "+Inf".to_string(),
-                };
-                let le = escape_label(&le);
+                (upper.to_string(), cumulative)
+            });
+            for (le, c) in finite.chain(std::iter::once(("+Inf".to_string(), h.count))) {
                 let _ = match labels {
-                    Some(l) => writeln!(out, "{base}_bucket{{{l},le=\"{le}\"}} {cumulative}"),
-                    None => writeln!(out, "{base}_bucket{{le=\"{le}\"}} {cumulative}"),
+                    Some(l) => writeln!(out, "{base}_bucket{{{l},le=\"{le}\"}} {c}"),
+                    None => writeln!(out, "{base}_bucket{{le=\"{le}\"}} {c}"),
                 };
             }
             let _ = match labels {
@@ -515,6 +514,20 @@ impl MetricsRegistry {
         }
         out
     }
+}
+
+/// Returns the instrument named `name` in `map`, registering a fresh one
+/// on first use.
+fn instrument<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    // the read guard is scoped out before the write acquisition: the fast
+    // path and the slow path never hold both sides of the lock
+    {
+        let read = map.read();
+        if let Some(found) = read.get(name) {
+            return Arc::clone(found);
+        }
+    }
+    Arc::clone(map.write().entry(name.to_string()).or_default())
 }
 
 /// Escapes `# HELP` text per the Prometheus text format: backslash and
@@ -546,54 +559,137 @@ mod tests {
         assert_eq!(snap.counter("absent"), 0);
     }
 
+    /// The layout: each bucket is at most 1/16 as wide as its lower edge,
+    /// an edge closes its own bucket, every old default bound up to
+    /// 100 ms is an edge, `v ≤ 0` reads as 0, and NaN, `+inf` and values
+    /// past 2^24 land in the overflow bucket.
     #[test]
-    fn histogram_buckets_observations() {
-        let h = Histogram::new(&[1.0, 10.0]);
-        for v in [0.5, 1.0, 5.0, 100.0] {
+    fn edges_close_their_buckets() {
+        let above = |v: f64| f64::from_bits(v.to_bits() + 1);
+        for i in 1..=LOG_BUCKETS {
+            let (lower, upper) = bucket_edges(i);
+            assert!(upper - lower <= lower / 16.0, "bucket {i} is too wide");
+            assert_eq!(bucket_of(upper), i, "{upper} closes bucket {i}");
+            assert_eq!(bucket_of(above(lower)), i, "just above {lower} opens bucket {i}");
+        }
+        assert_eq!(bucket_edges(1), (2f64.powi(-20), 2f64.powi(-20) * 17.0 / 16.0));
+        assert_eq!(bucket_edges(LOG_BUCKETS).1, 2f64.powi(24));
+        for v in [0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0] {
+            assert_eq!(bucket_edges(bucket_of(v)).1, v, "{v} ms is an edge");
+        }
+        for v in [0.0, -0.0, -3.0, f64::NEG_INFINITY] {
+            assert_eq!(bucket_of(v), 0, "{v} lands in the zero bucket");
+        }
+        assert_eq!(bucket_of(1e-12), 1, "values below 2^-20 share the first bucket");
+        for v in [above(2f64.powi(24)), 1e300, f64::INFINITY, f64::NAN, -f64::NAN] {
+            assert_eq!(bucket_of(v), BUCKETS - 1, "{v} overflows");
+        }
+
+        let h = Histogram::new();
+        for v in [0.5, 1.0, 5.0, 100.0, 0.5] {
             h.observe(v);
         }
         let s = h.snapshot();
-        assert_eq!(s.counts, vec![2, 1, 1], "le=1: {{0.5, 1.0}}, le=10: {{5.0}}, +Inf: {{100}}");
-        assert_eq!(s.count, 4);
-        assert!((s.sum - 106.5).abs() < 1e-12);
-        assert!((s.mean() - 26.625).abs() < 1e-12);
+        let at = |v: f64| bucket_of(v) as u16;
+        assert_eq!(s.buckets, vec![at(0.5), at(1.0), at(5.0), at(100.0)]);
+        assert_eq!(s.counts, vec![2, 1, 1, 1]);
+        assert_eq!(s.count, 5);
+        assert!((s.sum - 107.0).abs() < 1e-12);
+        assert!((s.mean() - 21.4).abs() < 1e-12);
     }
 
     #[test]
-    fn histogram_merge_same_bounds_is_exact() {
-        let a = Histogram::new(&[1.0, 10.0]);
-        let b = Histogram::new(&[1.0, 10.0]);
+    fn histogram_merge_is_exact() {
+        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in [0.5, 5.0, 50.0, 50.0] {
+            both.observe(v);
+        }
         a.observe(0.5);
         b.observe(5.0);
         b.observe(50.0);
+        b.observe(50.0);
         a.merge(&b.snapshot());
-        let s = a.snapshot();
-        assert_eq!(s.counts, vec![1, 1, 1]);
-        assert_eq!(s.count, 3);
-        assert!((s.sum - 55.5).abs() < 1e-12);
+        assert_eq!(a.snapshot(), both.snapshot());
+        assert_eq!(a.snapshot().count, 4);
     }
 
     #[test]
-    fn quantile_interpolates_within_buckets() {
-        let h = Histogram::new(&[10.0, 20.0, 40.0]);
-        for v in [5.0, 12.0, 14.0, 18.0, 30.0] {
-            h.observe(v);
+    fn quantile_interpolates_within_a_bucket() {
+        let h = Histogram::new();
+        for _ in 0..4 {
+            h.observe(1.0);
         }
         let s = h.snapshot();
-        // counts: le=10 -> 1, le=20 -> 3, le=40 -> 1. Median rank 2.5 lands
-        // in the le=20 bucket at fraction (2.5-1)/3 of [10, 20].
-        assert_eq!(s.quantile(0.5), 15.0);
-        assert_eq!(s.quantile(0.0), 0.0, "rank 0 interpolates to the first bucket's floor");
-        assert_eq!(s.quantile(1.0), 40.0);
-        assert_eq!(s.quantile(2.0), 40.0, "q clamps into [0, 1]");
-        assert_eq!(
-            HistogramSnapshot { bounds: vec![], counts: vec![], count: 0, sum: 0.0 }.quantile(0.5),
-            0.0
-        );
-        // Observations past the last bound land in +Inf: report its floor.
-        let inf = Histogram::new(&[10.0]);
-        inf.observe(99.0);
-        assert_eq!(inf.snapshot().quantile(0.9), 10.0);
+        // four samples in (31/32, 1]: rank q * 4 interpolates across it
+        assert_eq!(s.quantile(0.0), 0.96875, "q=0 reads the bucket's lower edge");
+        assert_eq!(s.quantile(0.5), 0.984375);
+        assert_eq!(s.quantile(1.0), 1.0, "q=1 reads its upper edge");
+        assert_eq!(s.quantile(2.0), 1.0, "q clamps into [0, 1]");
+        // a zero below them reads back as 0
+        h.observe(0.0);
+        let s = h.snapshot();
+        assert_eq!(s.quantile(0.0), 0.0);
+        assert_eq!(s.quantile(0.2), 0.0);
+        assert_eq!(s.quantile(1.0), 1.0);
+    }
+
+    /// Seeded property: over samples log-uniform in 1 ns–1 h plus exact
+    /// edges, zeros and duplicates, every quantile is within 1/16 of the
+    /// exact nearest-rank sample, merging two snapshots equals the
+    /// snapshot of the union, and diffing the union against one part
+    /// leaves the other.
+    #[test]
+    fn quantiles_merges_and_diffs_hold_over_random_samples() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let edges = [0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0];
+        for case in 0..300 {
+            let n = 1 + next() % 200;
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let mut last = 1.0;
+            for _ in 0..n {
+                let v = match next() % 8 {
+                    0 => 0.0,
+                    1 => edges[(next() % 8) as usize],
+                    2 => edge((next() % (LOG_BUCKETS as u64 + 1)) as usize),
+                    3 => last,
+                    _ => 1e-6 * 3.6e12f64.powf((next() >> 11) as f64 / (1u64 << 53) as f64),
+                };
+                last = v;
+                if next() % 3 == 0 { &mut b } else { &mut a }.push(v);
+            }
+            let (ha, hb, hab) = (Histogram::new(), Histogram::new(), Histogram::new());
+            a.iter().for_each(|v| ha.observe(*v));
+            b.iter().for_each(|v| hb.observe(*v));
+            a.iter().chain(&b).for_each(|v| hab.observe(*v));
+            let (sa, sb, sab) = (ha.snapshot(), hb.snapshot(), hab.snapshot());
+
+            let mut sorted: Vec<f64> = a.iter().chain(&b).copied().collect();
+            sorted.sort_by(f64::total_cmp);
+            for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
+                let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+                let exact = sorted[rank - 1];
+                let est = sab.quantile(q);
+                assert!(
+                    (est - exact).abs() <= exact / 16.0,
+                    "case {case}: q={q} read {est} against the exact {exact}"
+                );
+            }
+
+            let merged = sa.merge(&sb);
+            assert_eq!((&merged.buckets, &merged.counts), (&sab.buckets, &sab.counts));
+            assert_eq!(merged.count, sab.count);
+            assert!((merged.sum - sab.sum).abs() <= 1e-9 * sab.sum, "case {case}: sums");
+            let rest = sab.diff(&sa);
+            assert_eq!((&rest.buckets, &rest.counts), (&sb.buckets, &sb.counts), "case {case}");
+            assert_eq!(rest.count, b.len() as u64);
+        }
     }
 
     #[test]
@@ -601,12 +697,12 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.count("coda_test_ops", 5);
         reg.gauge("coda_test_level").set(2.0);
-        reg.observe_ms("coda_test_ms", 1.0);
+        reg.histogram("coda_test_ms").observe(1.0);
         let before = reg.snapshot();
         reg.count("coda_test_ops", 3);
         reg.count("coda_test_new", 2);
         reg.gauge("coda_test_level").set(2.5);
-        reg.observe_ms("coda_test_ms", 100.0);
+        reg.histogram("coda_test_ms").observe(100.0);
         let delta = reg.snapshot().diff(&before);
         assert_eq!(delta.counter("coda_test_ops"), 3);
         assert_eq!(delta.counter("coda_test_new"), 2, "names absent before count in full");
@@ -624,7 +720,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.count("coda_test_a", 7);
         reg.gauge("coda_test_g").set(1.25);
-        reg.observe_ms("coda_test_ms", 3.0);
+        reg.histogram("coda_test_ms").observe(3.0);
         let snap = reg.snapshot();
         let json = snap.to_json();
         let back = MetricsSnapshot::from_json(&json).expect("snapshot JSON parses");
@@ -637,7 +733,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.count("coda_test_b", 2);
         reg.count("coda_test_a", 1);
-        reg.observe_ms("coda_test_ms", 2.0);
+        reg.histogram("coda_test_ms").observe(2.0);
         let text = reg.render_prometheus();
         assert_eq!(text, reg.render_prometheus());
         // names sorted, counters before the histogram of this snapshot
@@ -653,35 +749,21 @@ mod tests {
     /// single-bucket histogram, and the empty histogram all stay finite.
     #[test]
     fn quantile_and_mean_edges_are_finite() {
-        let empty = HistogramSnapshot { bounds: vec![], counts: vec![], count: 0, sum: 0.0 };
+        let empty = HistogramSnapshot::default();
         assert_eq!(empty.mean(), 0.0);
         assert_eq!(empty.quantile(0.0), 0.0);
         assert_eq!(empty.quantile(1.0), 0.0);
-
-        // empty but with declared bounds (registered, never observed)
-        let registered = Histogram::new(&[1.0, 10.0]).snapshot();
-        assert_eq!(registered.quantile(0.5), 0.0);
-        assert_eq!(registered.mean(), 0.0);
-
-        // single bucket: everything interpolates inside [0, bound]
-        let single = Histogram::new(&[8.0]);
-        single.observe(2.0);
-        single.observe(6.0);
-        let s = single.snapshot();
-        assert_eq!(s.quantile(0.0), 0.0, "q=0 reports the first bucket's floor");
-        assert_eq!(s.quantile(1.0), 8.0, "q=1 reports the bucket's ceiling");
-        assert_eq!(s.quantile(0.5), 4.0);
-        assert_eq!(s.mean(), 4.0);
+        assert_eq!(Histogram::new().snapshot(), empty, "registered, never observed");
 
         // q=0 and q=1 on a multi-bucket histogram
-        let multi = Histogram::new(&[1.0, 2.0, 4.0]);
+        let multi = Histogram::new();
         for v in [1.5, 1.6, 3.0] {
             multi.observe(v);
         }
         let m = multi.snapshot();
-        assert_eq!(m.quantile(0.0), 1.0, "q=0 lands at the first occupied bucket's floor");
-        assert_eq!(m.quantile(1.0), 4.0);
-        for q in [0.0, 0.25, 0.5, 0.75, 0.99, 1.0] {
+        assert_eq!(m.quantile(0.0), 1.4375, "q=0 lands at the first occupied bucket's floor");
+        assert_eq!(m.quantile(1.0), 3.0);
+        for q in [0.0, 0.25, 0.5, 0.75, 0.99, 1.0, f64::NAN] {
             assert!(m.quantile(q).is_finite(), "q={q} must be finite");
         }
     }
@@ -691,22 +773,16 @@ mod tests {
     /// JSON round-trip.
     #[test]
     fn non_finite_inputs_never_leak_nan() {
-        // an explicit +inf upper bound: interpolation would compute 0 × inf
-        let inf_bound = Histogram::new(&[10.0, f64::INFINITY]);
-        inf_bound.observe(50.0);
-        let s = inf_bound.snapshot();
-        assert_eq!(s.quantile(0.5), 10.0, "non-finite bucket edge reports its floor");
-        assert!(s.quantile(1.0).is_finite());
-        // only non-finite bounds occupied: the fallback stays finite
-        let only_inf = Histogram::new(&[f64::INFINITY]);
-        only_inf.observe(1.0);
-        assert!(only_inf.snapshot().quantile(0.99).is_finite());
-        // a NaN observation poisons the sum; mean degrades to 0 not NaN
-        let h = Histogram::new(&[1.0]);
-        h.observe(f64::NAN);
-        let s = h.snapshot();
-        assert!(!s.mean().is_nan());
-        assert!(s.quantile(0.5).is_finite());
+        // the overflow bucket has no upper edge: it reads as 2^24, never
+        // interpolating 0 × inf
+        for v in [f64::INFINITY, f64::NAN, 1e300] {
+            let h = Histogram::new();
+            h.observe(v);
+            let s = h.snapshot();
+            assert_eq!(s.quantile(0.5), 2f64.powi(24), "{v} reads as the overflow floor");
+            assert!(s.quantile(1.0).is_finite());
+            assert!(s.mean().is_finite(), "a non-finite sum degrades the mean to 0");
+        }
     }
 
     /// Satellite: after-only names (a shard spun up mid-window) count in
@@ -718,7 +794,7 @@ mod tests {
         let before = reg.snapshot();
         reg.count("coda_test_new_counter", 7);
         reg.gauge("coda_test_new_gauge").set(3.5);
-        reg.observe_ms("coda_test_new_ms", 2.0);
+        reg.histogram("coda_test_new_ms").observe(2.0);
         let delta = reg.snapshot().diff(&before);
         assert_eq!(delta.counter("coda_test_new_counter"), 7);
         assert_eq!(delta.gauges["coda_test_new_gauge"], 3.5, "gauge diffs against implicit 0");
@@ -735,7 +811,7 @@ mod tests {
         let a = MetricsRegistry::new();
         a.count("coda_test_ops", 9);
         a.gauge("coda_test_depth").set(4.0);
-        a.observe_ms("coda_test_ms", 1.0);
+        a.histogram("coda_test_ms").observe(1.0);
         let before = a.snapshot();
         // the "restarted shard": a fresh registry missing every old name
         let b = MetricsRegistry::new();
@@ -759,7 +835,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.count("coda_test_ops", 4);
         reg.gauge("coda_test_depth").set(1.5);
-        reg.observe_ms("coda_test_ms", 3.0);
+        reg.histogram("coda_test_ms").observe(3.0);
         reg.set_help("coda_test_ops", "requests served\nsecond line with \\ backslash");
         reg.set_help("coda_test_ms", "latency");
         let text = reg.render_prometheus();
@@ -835,16 +911,19 @@ mod tests {
     fn prometheus_renders_labeled_series_under_one_family() {
         let reg = MetricsRegistry::new();
         reg.set_help("coda_test_wait_ms", "queue wait");
-        reg.histogram("coda_test_wait_ms", &[1.0, 10.0]).observe(5.0);
+        reg.histogram("coda_test_wait_ms").observe(5.0);
         let labeled = labeled_name("coda_test_wait_ms", "shard", "shard-0");
-        reg.histogram(&labeled, &[1.0, 10.0]).observe(5.0);
+        reg.histogram(&labeled).observe(5.0);
         reg.count(&labeled_name("coda_test_ops", "shard", "shard-1"), 3);
         let text = reg.render_prometheus();
 
         assert_eq!(text.matches("# TYPE coda_test_wait_ms histogram").count(), 1);
         assert_eq!(text.matches("# HELP coda_test_wait_ms queue wait").count(), 1);
-        assert!(text.contains("coda_test_wait_ms_bucket{le=\"10\"} 1"));
-        assert!(text.contains("coda_test_wait_ms_bucket{shard=\"shard-0\",le=\"10\"} 1"));
+        // 5 ms closes its bucket; the empty buckets are not rendered
+        assert!(text.contains("coda_test_wait_ms_bucket{le=\"5\"} 1\ncoda_test_wait_ms_bucket"));
+        assert!(text.contains("coda_test_wait_ms_bucket{shard=\"shard-0\",le=\"5\"} 1"));
+        assert!(text.contains("coda_test_wait_ms_bucket{shard=\"shard-0\",le=\"+Inf\"} 1"));
+        assert_eq!(text.matches("_bucket{").count(), 4, "one finite bucket and +Inf per series");
         assert!(text.contains("coda_test_wait_ms_sum{shard=\"shard-0\"} 5"));
         assert!(text.contains("coda_test_wait_ms_count{shard=\"shard-0\"} 1"));
         assert!(text.contains("# TYPE coda_test_ops counter"));

@@ -256,15 +256,7 @@ fn burn_over(signal: &SloSignal, objective: f64, windows: &[&FlightWindow]) -> f
             for w in windows {
                 if let Some(h) = w.delta.histograms.get(histogram) {
                     total += h.count;
-                    for (i, n) in h.counts.iter().enumerate() {
-                        // the bucket's lower edge: bound[i-1], or 0 for the
-                        // first; a bucket is "above" when even its lower
-                        // edge clears the threshold
-                        let lower = if i == 0 { 0.0 } else { h.bounds[i - 1] };
-                        if lower >= *threshold_ms {
-                            above += n;
-                        }
-                    }
+                    above += h.count_above(*threshold_ms);
                 }
             }
             if total == 0 || objective <= 0.0 {
@@ -503,7 +495,7 @@ mod tests {
         rec.tick(0.0, &reg.snapshot());
         for i in 1..=3 {
             // every observation lands past 10ms, and a failover per window
-            reg.observe_ms("coda_serve_latency_ms", 50.0);
+            reg.histogram("coda_serve_latency_ms").observe(50.0);
             reg.count("coda_cluster_failovers_total", 1);
             rec.tick(i as f64 * 10.0, &reg.snapshot());
             engine.step(&rec, None);

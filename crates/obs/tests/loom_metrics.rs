@@ -1,5 +1,6 @@
 //! Model checks for `MetricsRegistry`'s lazy instrument registration
-//! (the read-then-write lock upgrade in `counter()`/`gauge()`).
+//! (the read-then-write lock upgrade behind `counter()`, `gauge()` and
+//! `histogram()`) and for histogram observation racing snapshots.
 //!
 //! Run with `RUSTFLAGS="--cfg loom" cargo test -p coda-obs --test
 //! loom_metrics`. Under the vendored `loom` stand-in this is a bounded
@@ -68,5 +69,49 @@ fn count_and_counter_share_one_instrument() {
             h.join().expect("model thread panicked");
         }
         assert_eq!(registry.snapshot().counter("mixed"), 3, "an update was lost");
+    });
+}
+
+/// Two threads register and observe the same histogram name while a third
+/// takes snapshots: every observation lands exactly once, in its own
+/// bucket, and every snapshot's `count` is its bucket total.
+#[test]
+fn histogram_observations_land_once_under_snapshots() {
+    loom::model(|| {
+        let registry = Arc::new(MetricsRegistry::new());
+        let writers: Vec<_> = [0.5, 40.0]
+            .into_iter()
+            .map(|v| {
+                let registry = Arc::clone(&registry);
+                thread::spawn(move || {
+                    thread::yield_now();
+                    let h = registry.histogram("coda_test_wait_ms");
+                    h.observe(v);
+                    thread::yield_now();
+                    registry.histogram("coda_test_wait_ms").observe(v);
+                })
+            })
+            .collect();
+        let reader = {
+            let registry = Arc::clone(&registry);
+            thread::spawn(move || {
+                for _ in 0..3 {
+                    let snap = registry.snapshot();
+                    if let Some(h) = snap.histograms.get("coda_test_wait_ms") {
+                        assert_eq!(h.count, h.counts.iter().sum::<u64>(), "count is not the total");
+                        assert!(h.count <= 4, "snapshot observed impossible count {}", h.count);
+                    }
+                    thread::yield_now();
+                }
+            })
+        };
+        for h in writers.into_iter().chain([reader]) {
+            h.join().expect("model thread panicked");
+        }
+        let snap = registry.snapshot();
+        let h = &snap.histograms["coda_test_wait_ms"];
+        assert_eq!(h.counts, vec![2, 2], "an observation was lost or doubled: {h:?}");
+        assert_eq!(h.count, 4);
+        assert_eq!(h.sum, 81.0);
     });
 }

@@ -37,7 +37,7 @@ pub mod router;
 pub mod shard;
 pub mod tier;
 
-pub use loadgen::{closed_loop, run_load, LoadGenConfig, LoadReport, SERVE_LATENCY_BOUNDS};
+pub use loadgen::{closed_loop, run_load, LoadGenConfig, LoadReport};
 pub use request::{ServeError, ServeRequest, ServeResponse};
 pub use router::ShardRouter;
 pub use shard::{merge_canonical_exports, ShardCore, TriggerPolicy};

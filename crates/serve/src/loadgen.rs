@@ -21,15 +21,6 @@ use coda_obs::Obs;
 use crate::request::{ServeError, ServeRequest, ServeResponse};
 use crate::tier::ServeTier;
 
-/// Histogram bounds (ms) for the `coda_serve_latency_ms` family. Every
-/// producer of that family must register with these bounds — the registry
-/// keeps whichever registration arrives first and silently drops the rest,
-/// so a second bounds expression would never take effect (and the
-/// `obs_contract` lint rejects it).
-pub const SERVE_LATENCY_BOUNDS: &[f64] = &[
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
-];
-
 /// Load-generator configuration. Weights are relative integer parts of a
 /// put/pull/claim mix; claims that win are followed by a completion, so
 /// cooperative dedup shows up in the workload for free.
@@ -168,8 +159,7 @@ pub fn closed_loop(
     let total_weight = (cfg.put_weight + cfg.pull_weight + cfg.claim_weight).max(1);
     let clients_per_thread = (cfg.n_clients / cfg.n_threads.max(1)).max(1);
     let mut tally = LoadReport::default();
-    let latency =
-        obs.map(|o| o.registry().histogram("coda_serve_latency_ms", SERVE_LATENCY_BOUNDS));
+    let latency = obs.map(|o| o.registry().histogram("coda_serve_latency_ms"));
 
     for _ in 0..cfg.ops_per_thread {
         let rank = zipf.sample(&mut rng);

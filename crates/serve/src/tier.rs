@@ -22,14 +22,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use coda_chaos::CrashPlan;
-use coda_obs::{labeled_name, BurnState, Counter, Gauge, Histogram, Obs, DEFAULT_MS_BOUNDS};
+use coda_obs::{labeled_name, BurnState, Counter, Gauge, Histogram, Obs};
 
 use crate::request::{ServeError, ServeRequest, ServeResponse};
 use crate::router::ShardRouter;
 use crate::shard::{merge_canonical_exports, ShardCore, TriggerPolicy};
-
-/// Histogram bounds for the per-pass batch size.
-const BATCH_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
 /// Tier configuration.
 #[derive(Debug, Clone)]
@@ -171,21 +168,15 @@ impl ShardMetrics {
             obs: obs.clone(),
             ops: r.counter("coda_serve_ops_total"),
             batches: r.counter("coda_serve_batches"),
-            batch_size: r.histogram("coda_serve_batch_size", BATCH_BOUNDS),
+            batch_size: r.histogram("coda_serve_batch_size"),
             depth: r.gauge("coda_serve_queue_depth"),
             recoveries: r.counter("coda_serve_recoveries"),
             byte_identical: r.counter("coda_serve_recoveries_byte_identical"),
             mismatches: r.counter("coda_serve_recovery_mismatches"),
-            queue_wait: r.histogram("coda_serve_queue_wait_ms", DEFAULT_MS_BOUNDS),
-            queue_wait_shard: r.histogram(
-                &labeled_name("coda_serve_queue_wait_ms", "shard", name),
-                DEFAULT_MS_BOUNDS,
-            ),
-            service: r.histogram("coda_serve_service_ms", DEFAULT_MS_BOUNDS),
-            service_shard: r.histogram(
-                &labeled_name("coda_serve_service_ms", "shard", name),
-                DEFAULT_MS_BOUNDS,
-            ),
+            queue_wait: r.histogram("coda_serve_queue_wait_ms"),
+            queue_wait_shard: r.histogram(&labeled_name("coda_serve_queue_wait_ms", "shard", name)),
+            service: r.histogram("coda_serve_service_ms"),
+            service_shard: r.histogram(&labeled_name("coda_serve_service_ms", "shard", name)),
         }
     }
 }
@@ -775,6 +766,8 @@ mod tests {
         let wait0 = &snap.histograms[&labeled_name("coda_serve_queue_wait_ms", "shard", "shard-0")];
         assert_eq!(wait0.count, 3);
         assert!((wait0.sum - 120.0).abs() < 1e-9, "the held shard owns all the wait");
+        let p50 = wait0.quantile(0.5);
+        assert!((p50 - 40.0).abs() <= 40.0 / 16.0, "shard-0's median wait reads 40 ms: {p50}");
         let wait1 = &snap.histograms[&labeled_name("coda_serve_queue_wait_ms", "shard", "shard-1")];
         assert_eq!(wait1.count, 1);
         assert_eq!(wait1.sum, 0.0, "closed-loop shard-1 op never waited");

@@ -15,8 +15,10 @@
 //!   refusal names that winner, and reuse is reported only once the
 //!   winner's completion has begun.
 //!
-//! `SERVE_SEED` (default 7) seeds the threads' op streams, as in
-//! `serving_equiv`.
+//! A lockstep tail after the contended loops forces one delta-rebuilt
+//! pull and one reused result into every history, so coverage does not
+//! hang on how the scheduler interleaved the threads. `SERVE_SEED`
+//! (default 7) seeds the threads' op streams, as in `serving_equiv`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,6 +32,7 @@ use coda_serve::{ServeConfig, ServeRequest, ServeResponse, ServeTier, TriggerPol
 
 const THREADS: usize = 4;
 const OBJECTS: u64 = 6;
+/// Keys the contended loops claim; key `KEYS` itself is the lockstep tail's.
 const KEYS: u64 = 8;
 const OPS_PER_THREAD: usize = 1_000;
 const PAYLOAD: usize = 1024;
@@ -119,7 +122,7 @@ fn stamped(tier: &ServeTier, clock: &AtomicU64, req: ServeRequest) -> (u64, Serv
 }
 
 /// One client thread's closed loop, started together with the others at
-/// `start`; returns its log.
+/// `start`, then a lockstep tail; returns its log.
 fn client(
     tier: &ServeTier,
     clock: &AtomicU64,
@@ -139,73 +142,19 @@ fn client(
         let roll = splitmix64(&mut rng) % 10;
         let object = splitmix64(&mut rng) % OBJECTS;
         if roll < 4 {
-            let data = payload(object, thread, seq);
-            seq += 1;
-            let req = ServeRequest::Put { id: object_id(object), data: data.clone() };
-            let (invoked, resp, returned) = stamped(tier, clock, req);
-            let ServeResponse::Put { version, .. } = resp else {
-                panic!("put answers Put: {resp:?}")
-            };
-            held.insert(object, (version, data.clone()));
-            log.push(Op { thread, invoked, returned, event: Event::Put { object, version, data } });
+            log.push(put(tier, clock, thread, object, &mut seq, &mut held));
         } else if roll < 8 {
             // odd rolls name the held version, so the reply may be a delta
-            let named = if roll % 2 == 1 { held.get(&object).map(|(v, _)| *v) } else { None };
-            let req = ServeRequest::Pull { id: object_id(object), client_version: named };
-            let (invoked, resp, returned) = stamped(tier, clock, req);
-            let ServeResponse::Pull(reply) = resp else { panic!("pull answers Pull: {resp:?}") };
-            let rebuilt = matches!(reply, Some(FetchReply::Delta(_)));
-            let read = reply.map(|reply| match reply {
-                FetchReply::Full { version, data } => (version, data),
-                FetchReply::Delta(delta) => {
-                    let (base_version, base) =
-                        held.get(&object).expect("a delta needs a held copy");
-                    assert_eq!(
-                        named,
-                        Some(delta.base_version),
-                        "a delta starts at the named version"
-                    );
-                    assert_eq!(*base_version, delta.base_version);
-                    let rebuilt = DeltaCodec::apply(base, &delta).expect("the delta rebuilds");
-                    (delta.target_version, rebuilt)
-                }
-                FetchReply::UpToDate { version } => {
-                    assert_eq!(named, Some(version), "only a named version can be up to date");
-                    let (_, data) = held.get(&object).expect("up to date with a held copy");
-                    (version, data.clone())
-                }
-            });
-            if let Some(copy) = &read {
-                held.insert(object, copy.clone());
-            }
-            log.push(Op {
-                thread,
-                invoked,
-                returned,
-                event: Event::Pull { object, read, rebuilt },
-            });
+            log.push(pull(tier, clock, thread, object, roll % 2 == 1, &mut held));
         } else {
             let key = splitmix64(&mut rng) % KEYS;
             // a held key is not claimed again: its owner would be re-granted
             if owed.iter().all(|(held, _)| *held != key) {
-                let req = ServeRequest::Claim {
-                    key: computation(key),
-                    client: client_name(thread),
-                    duration: 1_000_000,
-                };
-                let (invoked, resp, returned) = stamped(tier, clock, req);
-                let outcome = match resp {
-                    ServeResponse::Claim(ClaimOutcome::Claimed) => Outcome::Claimed,
-                    ServeResponse::Claim(ClaimOutcome::HeldBy(owner)) => Outcome::HeldBy(owner),
-                    ServeResponse::Claim(ClaimOutcome::AlreadyComputed(record)) => {
-                        Outcome::Reused { producer: record.producer }
-                    }
-                    other => panic!("claim answers Claim: {other:?}"),
-                };
-                if outcome == Outcome::Claimed {
+                let op = claim(tier, clock, thread, key);
+                if matches!(op.event, Event::Claim { outcome: Outcome::Claimed, .. }) {
                     owed.push((key, i + HOLD_OPS));
                 }
-                log.push(Op { thread, invoked, returned, event: Event::Claim { key, outcome } });
+                log.push(op);
             }
         }
         while owed.first().is_some_and(|(_, due)| *due <= i) {
@@ -216,7 +165,98 @@ fn client(
     for (key, _) in owed {
         log.push(complete(tier, clock, thread, key));
     }
+    // a lockstep tail no schedule can reorder, so the history holds a
+    // delta-rebuilt pull and a reused result however the loops above
+    // interleaved: client 0 puts obj-0, client 1 puts over it, client 0
+    // pulls naming its own version; then client 0 claims and completes
+    // the fresh key `KEYS` before client 1 claims it
+    for step in 0..5 {
+        start.wait();
+        match (step, thread) {
+            (0, 0) | (1, 1) => log.push(put(tier, clock, thread, 0, &mut seq, &mut held)),
+            (2, 0) => log.push(pull(tier, clock, thread, 0, true, &mut held)),
+            (3, 0) => {
+                log.push(claim(tier, clock, thread, KEYS));
+                log.push(complete(tier, clock, thread, KEYS));
+            }
+            (4, 1) => log.push(claim(tier, clock, thread, KEYS)),
+            _ => {}
+        }
+    }
     log
+}
+
+/// Puts the thread's next payload to `object` and holds it.
+fn put(
+    tier: &ServeTier,
+    clock: &AtomicU64,
+    thread: usize,
+    object: u64,
+    seq: &mut u64,
+    held: &mut BTreeMap<u64, (u64, Bytes)>,
+) -> Op {
+    let data = payload(object, thread, *seq);
+    *seq += 1;
+    let req = ServeRequest::Put { id: object_id(object), data: data.clone() };
+    let (invoked, resp, returned) = stamped(tier, clock, req);
+    let ServeResponse::Put { version, .. } = resp else { panic!("put answers Put: {resp:?}") };
+    held.insert(object, (version, data.clone()));
+    Op { thread, invoked, returned, event: Event::Put { object, version, data } }
+}
+
+/// Pulls `object`, naming the held version when `name` is set, and holds
+/// what it read.
+fn pull(
+    tier: &ServeTier,
+    clock: &AtomicU64,
+    thread: usize,
+    object: u64,
+    name: bool,
+    held: &mut BTreeMap<u64, (u64, Bytes)>,
+) -> Op {
+    let named = if name { held.get(&object).map(|(v, _)| *v) } else { None };
+    let req = ServeRequest::Pull { id: object_id(object), client_version: named };
+    let (invoked, resp, returned) = stamped(tier, clock, req);
+    let ServeResponse::Pull(reply) = resp else { panic!("pull answers Pull: {resp:?}") };
+    let rebuilt = matches!(reply, Some(FetchReply::Delta(_)));
+    let read = reply.map(|reply| match reply {
+        FetchReply::Full { version, data } => (version, data),
+        FetchReply::Delta(delta) => {
+            let (base_version, base) = held.get(&object).expect("a delta needs a held copy");
+            assert_eq!(named, Some(delta.base_version), "a delta starts at the named version");
+            assert_eq!(*base_version, delta.base_version);
+            let rebuilt = DeltaCodec::apply(base, &delta).expect("the delta rebuilds");
+            (delta.target_version, rebuilt)
+        }
+        FetchReply::UpToDate { version } => {
+            assert_eq!(named, Some(version), "only a named version can be up to date");
+            let (_, data) = held.get(&object).expect("up to date with a held copy");
+            (version, data.clone())
+        }
+    });
+    if let Some(copy) = &read {
+        held.insert(object, copy.clone());
+    }
+    Op { thread, invoked, returned, event: Event::Pull { object, read, rebuilt } }
+}
+
+/// Claims `key` for the thread's client.
+fn claim(tier: &ServeTier, clock: &AtomicU64, thread: usize, key: u64) -> Op {
+    let req = ServeRequest::Claim {
+        key: computation(key),
+        client: client_name(thread),
+        duration: 1_000_000,
+    };
+    let (invoked, resp, returned) = stamped(tier, clock, req);
+    let outcome = match resp {
+        ServeResponse::Claim(ClaimOutcome::Claimed) => Outcome::Claimed,
+        ServeResponse::Claim(ClaimOutcome::HeldBy(owner)) => Outcome::HeldBy(owner),
+        ServeResponse::Claim(ClaimOutcome::AlreadyComputed(record)) => {
+            Outcome::Reused { producer: record.producer }
+        }
+        other => panic!("claim answers Claim: {other:?}"),
+    };
+    Op { thread, invoked, returned, event: Event::Claim { key, outcome } }
 }
 
 /// The winner of `key` publishes its result.
@@ -363,7 +403,7 @@ fn run_and_check(seed: u64, n_shards: usize) {
     for object in 0..OBJECTS {
         check_object(&history, object, &label);
     }
-    for key in 0..KEYS {
+    for key in 0..=KEYS {
         check_key(&history, key, &label);
     }
     let covered = |what: &str, seen: &dyn Fn(&Event) -> bool| {

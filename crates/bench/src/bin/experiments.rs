@@ -15,6 +15,7 @@ use coda_ml::LinearRegression;
 use coda_obs::{Obs, WallClock};
 use coda_store::{
     CachingClient, ChangeMonitor, DeltaCodec, HomeDataStore, PushMode, RecomputeTrigger,
+    TransferStats,
 };
 use coda_templates::{
     AnomalyAnalysis, CohortAnalysis, FailurePredictionAnalysis, RootCauseAnalysis,
@@ -641,7 +642,9 @@ fn exp_d2() {
     ];
     let mut rows = Vec::new();
     for (name, mode) in modes {
+        let obs = Obs::deterministic();
         let mut store = HomeDataStore::new("home", 4);
+        store.attach_obs(obs.clone());
         let mut client = CachingClient::new("c");
         let mut blob = patterned_bytes(size, 2);
         store.put("o", Bytes::from(blob.clone()));
@@ -649,7 +652,7 @@ fn exp_d2() {
         if let Some(m) = mode {
             store.subscribe("c", "o", m, 1_000_000);
         }
-        store.reset_stats();
+        let start = obs.registry().snapshot();
         let before = client.bytes_received;
         for i in 0..n_updates {
             blob[i * 64] ^= 0xFF;
@@ -665,7 +668,7 @@ fn exp_d2() {
         if mode == Some(PushMode::NotifyOnly) {
             client.pull(&mut store, "o").expect("pull");
         }
-        let stats = store.stats();
+        let stats = TransferStats::from_snapshot(&obs.registry().snapshot().diff(&start));
         rows.push(vec![
             name.into(),
             stats.messages.to_string(),
@@ -1144,7 +1147,9 @@ fn exp_a1() {
     let object_size = 65_536usize;
     let mut rows = Vec::new();
     for depth in [1usize, 2, 4, 8] {
+        let obs = Obs::deterministic();
         let mut store = HomeDataStore::new("home", depth);
+        store.attach_obs(obs.clone());
         let mut blob = patterned_bytes(object_size, 3);
         store.put("o", Bytes::from(blob.clone()));
         // 8 versions
@@ -1152,12 +1157,12 @@ fn exp_a1() {
             blob[i * 128] ^= 0xFF;
             store.put("o", Bytes::from(blob.clone()));
         }
-        store.reset_stats();
+        let start = obs.registry().snapshot();
         // clients holding versions 1..=8 all sync to version 9
         for held in 1..=8u64 {
             store.fetch("o", Some(held)).expect("infallible");
         }
-        let stats = store.stats();
+        let stats = TransferStats::from_snapshot(&obs.registry().snapshot().diff(&start));
         rows.push(vec![
             depth.to_string(),
             stats.delta_transfers.to_string(),

@@ -8,9 +8,10 @@
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use coda_chaos::{RetryPolicy, RetryStats};
-use coda_obs::Obs;
+use coda_obs::{Counter, Obs};
 
 use crate::record::{AnalyticsRecord, ComputationKey};
 use crate::repo::{ClaimOutcome, Darr};
@@ -83,6 +84,32 @@ impl<'a> DarrLink<'a> {
     }
 }
 
+/// The attached [`Obs`] and the client's `coda_darr_*` counter handles,
+/// resolved once at attach.
+#[derive(Debug)]
+struct CoopMetrics {
+    obs: Obs,
+    computed: Arc<Counter>,
+    reused: Arc<Counter>,
+    skipped_held: Arc<Counter>,
+    failed: Arc<Counter>,
+    takeovers: Arc<Counter>,
+}
+
+impl CoopMetrics {
+    fn new(obs: Obs) -> Self {
+        let r = obs.registry();
+        CoopMetrics {
+            computed: r.counter("coda_darr_computed"),
+            reused: r.counter("coda_darr_reused"),
+            skipped_held: r.counter("coda_darr_skipped_held"),
+            failed: r.counter("coda_darr_failed"),
+            takeovers: r.counter("coda_darr_takeovers"),
+            obs,
+        }
+    }
+}
+
 /// A cooperating client bound to a shared [`Darr`] through its own
 /// [`DarrLink`].
 #[derive(Debug)]
@@ -90,7 +117,7 @@ pub struct CooperativeClient<'a> {
     link: DarrLink<'a>,
     name: String,
     claim_duration: u64,
-    obs: Option<Obs>,
+    metrics: Option<CoopMetrics>,
     /// Results computed while the link was down, waiting for replay.
     journal: Mutex<Vec<AnalyticsRecord>>,
     /// Logical timestamp for journaled records; bumped per record so replay
@@ -105,7 +132,7 @@ impl<'a> CooperativeClient<'a> {
             link: DarrLink::new(darr),
             name: name.into(),
             claim_duration,
-            obs: None,
+            metrics: None,
             journal: Mutex::new(Vec::new()),
             local_clock: AtomicU64::new(0),
         }
@@ -115,14 +142,8 @@ impl<'a> CooperativeClient<'a> {
     /// count live into its registry under `coda_darr_*` names, and each
     /// attempt at a key is traced as a `darr.process` span.
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = Some(obs);
+        self.metrics = Some(CoopMetrics::new(obs));
         self
-    }
-
-    fn obs_count(&self, name: &str, n: u64) {
-        if let Some(o) = &self.obs {
-            o.count(name, n);
-        }
     }
 
     /// The client's name.
@@ -171,6 +192,7 @@ impl<'a> CooperativeClient<'a> {
     where
         F: FnMut(&ComputationKey) -> Result<(f64, Vec<f64>, String), String>,
     {
+        let metrics = self.metrics.as_ref();
         let mut summary = CoopSummary::default();
         let mut outcomes = Vec::with_capacity(keys.len());
         for key in keys {
@@ -191,7 +213,9 @@ impl<'a> CooperativeClient<'a> {
                 *outcome = self.process(key, &mut compute);
                 if matches!(outcome, CoopOutcome::Computed(_)) {
                     summary.takeovers += 1;
-                    self.obs_count("coda_darr_takeovers", 1);
+                    if let Some(m) = metrics {
+                        m.takeovers.inc();
+                    }
                 }
             }
             let resolved = matches!(
@@ -202,24 +226,18 @@ impl<'a> CooperativeClient<'a> {
         }
         summary.replayed += self.replay();
         for outcome in &outcomes {
-            match outcome {
-                CoopOutcome::Computed(_) => {
-                    summary.computed += 1;
-                    self.obs_count("coda_darr_computed", 1);
-                }
-                CoopOutcome::Reused(_) => {
-                    summary.reused += 1;
-                    self.obs_count("coda_darr_reused", 1);
-                }
+            let (tally, counter) = match outcome {
+                CoopOutcome::Computed(_) => (&mut summary.computed, metrics.map(|m| &m.computed)),
+                CoopOutcome::Reused(_) => (&mut summary.reused, metrics.map(|m| &m.reused)),
                 CoopOutcome::SkippedHeld(_) => {
-                    summary.skipped += 1;
-                    self.obs_count("coda_darr_skipped_held", 1);
+                    (&mut summary.skipped, metrics.map(|m| &m.skipped_held))
                 }
-                CoopOutcome::Failed(_) => {
-                    summary.failed += 1;
-                    self.obs_count("coda_darr_failed", 1);
-                }
-                CoopOutcome::Journaled(_) => summary.journaled += 1,
+                CoopOutcome::Failed(_) => (&mut summary.failed, metrics.map(|m| &m.failed)),
+                CoopOutcome::Journaled(_) => (&mut summary.journaled, None),
+            };
+            *tally += 1;
+            if let Some(c) = counter {
+                c.inc();
             }
         }
         (summary, outcomes)
@@ -231,8 +249,8 @@ impl<'a> CooperativeClient<'a> {
     where
         F: FnMut(&ComputationKey) -> Result<(f64, Vec<f64>, String), String>,
     {
-        let _span = self.obs.as_ref().map(|o| {
-            o.tracer().span("darr.process", &[("client", &self.name), ("key", &key.pipeline)])
+        let _span = self.metrics.as_ref().map(|m| {
+            m.obs.tracer().span("darr.process", &[("client", &self.name), ("key", &key.pipeline)])
         });
         let Some(darr) = self.link.darr() else {
             return match compute(key) {

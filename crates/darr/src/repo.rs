@@ -4,9 +4,9 @@
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use coda_obs::{Obs, SpanGuard};
+use coda_obs::{Counter, Obs, SpanGuard};
 
 use crate::record::{AnalyticsRecord, ComputationKey};
 
@@ -42,6 +42,33 @@ struct Inner {
     dataset_versions: BTreeMap<String, u64>,
 }
 
+/// The attached [`Obs`] and its `coda_darr_*` counter handles, resolved
+/// once at attach, so each count is one atomic add.
+struct DarrMetrics {
+    obs: Obs,
+    lookup_hits: Arc<Counter>,
+    lookup_misses: Arc<Counter>,
+    claims_granted: Arc<Counter>,
+    claims_refused: Arc<Counter>,
+    claims_reaped: Arc<Counter>,
+    records_stored: Arc<Counter>,
+}
+
+impl DarrMetrics {
+    fn new(obs: Obs) -> Self {
+        let r = obs.registry();
+        DarrMetrics {
+            lookup_hits: r.counter("coda_darr_lookup_hits"),
+            lookup_misses: r.counter("coda_darr_lookup_misses"),
+            claims_granted: r.counter("coda_darr_claims_granted"),
+            claims_refused: r.counter("coda_darr_claims_refused"),
+            claims_reaped: r.counter("coda_darr_claims_reaped_total"),
+            records_stored: r.counter("coda_darr_records_stored"),
+            obs,
+        }
+    }
+}
+
 /// The shared Data Analytics Results Repository. Cheap to share across
 /// threads (`&Darr` is all a client needs).
 #[derive(Default)]
@@ -50,7 +77,7 @@ pub struct Darr {
     clock: AtomicU64,
     /// Read without the lock: an operation learns that no span is current
     /// without cloning the handle.
-    obs: OnceLock<Obs>,
+    metrics: OnceLock<DarrMetrics>,
 }
 
 impl std::fmt::Debug for Darr {
@@ -77,21 +104,13 @@ impl Darr {
     /// completions and merges made while a span is current on the calling
     /// thread trace as its children. The first handle attached stays.
     pub fn attach_obs(&self, obs: Obs) {
-        let _ = self.obs.set(obs);
-    }
-
-    /// Counts into the attached registry (no-op without one) — the one
-    /// place the repository's `coda_darr_*` counters are emitted.
-    fn count(&self, name: &str, n: u64) {
-        if let Some(o) = self.obs.get() {
-            o.count(name, n);
-        }
+        self.metrics.get_or_init(|| DarrMetrics::new(obs));
     }
 
     /// A `name` span under this thread's current span, or `None`, opening
     /// nothing, when no [`Obs`] is attached or no span is current.
     fn span(&self, name: &str, fields: &[(&str, &str)]) -> Option<SpanGuard<'_>> {
-        let tracer = self.obs.get()?.tracer();
+        let tracer = self.metrics.get()?.obs.tracer();
         Some(tracer.span_child(tracer.current_context()?, name, fields))
     }
 
@@ -139,9 +158,11 @@ impl Darr {
                 inner.records.get(key).cloned()
             }
         };
-        match found {
-            Some(_) => self.count("coda_darr_lookup_hits", 1),
-            None => self.count("coda_darr_lookup_misses", 1),
+        if let Some(m) = self.metrics.get() {
+            match found {
+                Some(_) => m.lookup_hits.inc(),
+                None => m.lookup_misses.inc(),
+            }
         }
         found
     }
@@ -187,23 +208,26 @@ impl Darr {
     pub fn try_claim(&self, key: &ComputationKey, client: &str, duration: u64) -> ClaimOutcome {
         let span = self.span("darr.claim", &[("client", client), ("key", &key.pipeline)]);
         let outcome = self.claim(key, client, duration);
-        if let (Some(s), Some(o)) = (&span, self.obs.get()) {
+        if let (Some(s), Some(m)) = (&span, self.metrics.get()) {
             let label = match &outcome {
                 ClaimOutcome::Claimed => "claimed",
                 ClaimOutcome::HeldBy(_) => "held",
                 ClaimOutcome::AlreadyComputed(_) => "reused",
             };
-            o.event_in(s.context(), "darr.claim_outcome", &[("outcome", label)]);
+            m.obs.event_in(s.context(), "darr.claim_outcome", &[("outcome", label)]);
         }
         outcome
     }
 
     fn claim(&self, key: &ComputationKey, client: &str, duration: u64) -> ClaimOutcome {
         let now = self.now();
+        let metrics = self.metrics.get();
         let mut inner = self.inner.write();
         if !Self::is_stale(&inner, key) {
             if let Some(r) = inner.records.get(key).cloned() {
-                self.count("coda_darr_lookup_hits", 1);
+                if let Some(m) = metrics {
+                    m.lookup_hits.inc();
+                }
                 return ClaimOutcome::AlreadyComputed(r);
             }
         }
@@ -214,7 +238,9 @@ impl Darr {
             .map(|c| c.owner.clone());
         match holder {
             Some(owner) => {
-                self.count("coda_darr_claims_refused", 1);
+                if let Some(m) = metrics {
+                    m.claims_refused.inc();
+                }
                 ClaimOutcome::HeldBy(owner)
             }
             None => {
@@ -222,7 +248,9 @@ impl Darr {
                     key.clone(),
                     Claim { owner: client.to_string(), expires_at: now + duration },
                 );
-                self.count("coda_darr_claims_granted", 1);
+                if let Some(m) = metrics {
+                    m.claims_granted.inc();
+                }
                 ClaimOutcome::Claimed
             }
         }
@@ -266,8 +294,8 @@ impl Darr {
             inner.claims.remove(k);
         }
         let n = doomed.len();
-        if n > 0 {
-            self.count("coda_darr_claims_reaped_total", n as u64);
+        if let Some(m) = self.metrics.get() {
+            m.claims_reaped.add(n as u64);
         }
         n
     }
@@ -294,7 +322,9 @@ impl Darr {
         let mut inner = self.inner.write();
         inner.claims.remove(key);
         inner.records.insert(key.clone(), record.clone());
-        self.count("coda_darr_records_stored", 1);
+        if let Some(m) = self.metrics.get() {
+            m.records_stored.inc();
+        }
         record
     }
 
@@ -318,13 +348,15 @@ impl Darr {
             if keep_incoming {
                 inner.claims.remove(&record.key);
                 inner.records.insert(record.key.clone(), record);
-                self.count("coda_darr_records_stored", 1);
+                if let Some(m) = self.metrics.get() {
+                    m.records_stored.inc();
+                }
             }
             keep_incoming
         };
-        if let (Some(s), Some(o)) = (&span, self.obs.get()) {
+        if let (Some(s), Some(m)) = (&span, self.metrics.get()) {
             let label = if applied { "applied" } else { "ignored" };
-            o.event_in(s.context(), "darr.merge_outcome", &[("outcome", label)]);
+            m.obs.event_in(s.context(), "darr.merge_outcome", &[("outcome", label)]);
         }
         applied
     }

@@ -35,14 +35,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::items::{self, matching_paren, FnSpan};
+use crate::items::{self, matching_paren, FnSpan, MAX_CALLEE_CANDIDATES};
 use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
 use crate::{Finding, Rule};
-
-/// Callee names matching more than this many workspace functions stay
-/// unresolved (same bound as the lock pass).
-const MAX_CALLEE_CANDIDATES: usize = 3;
 
 /// Iterator-producing methods on hash containers.
 const ITER_METHODS: &[&str] = &[

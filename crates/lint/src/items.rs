@@ -1,11 +1,17 @@
 //! Shared item traversal: enumerates every function body in a file with a
-//! `Type::name`-qualified name, tracking `impl`/`trait`/`mod` nesting the
-//! same way the lock-order pass does. The dataflow and observability
-//! analyses walk functions through this module instead of each growing a
-//! private copy of the brace-matching scan.
+//! `Type::name`-qualified name, tracking `impl`/`trait`/`mod` nesting. The
+//! lock-order, dataflow and observability analyses walk functions through
+//! this module instead of each growing a private copy of the
+//! brace-matching scan.
 
 use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
+
+/// Callee names matching more than this many distinct workspace functions
+/// are left unresolved by the call-graph passes (lock order, dataflow):
+/// ubiquitous names (`new`, `clone`, `len`) would otherwise smear their
+/// summaries across the whole workspace.
+pub const MAX_CALLEE_CANDIDATES: usize = 3;
 
 /// One function found in a file. Token indices are into
 /// `SourceFile::tokens`; the body is `[body_start, body_end)` *excluding*

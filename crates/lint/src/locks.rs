@@ -21,14 +21,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{Tok, TokKind};
+use crate::items::{self, MAX_CALLEE_CANDIDATES};
+use crate::lexer::TokKind;
 use crate::source::SourceFile;
 use crate::{Finding, Rule};
-
-/// Callee names matching more than this many distinct workspace functions
-/// are left unresolved: ubiquitous names (`new`, `clone`, `len`) would
-/// otherwise smear may-acquire sets across the whole workspace.
-const MAX_CALLEE_CANDIDATES: usize = 3;
 
 /// One acquisition-ordering edge: `from` was held at `file:line` while
 /// `to` was acquired (directly, or transitively through `via`).
@@ -75,7 +71,9 @@ pub struct LockReport {
 pub fn check(files: &[SourceFile]) -> LockReport {
     let mut fns: Vec<FnData> = Vec::new();
     for sf in files {
-        scan_items(sf, 0, sf.tokens.len(), None, &mut fns);
+        for f in items::functions(sf).into_iter().filter(|f| !f.in_test) {
+            fns.push(scan_fn_body(sf, &f.qual, f.body_start, f.body_end));
+        }
     }
 
     // name → candidate functions, for bounded call resolution
@@ -305,127 +303,6 @@ fn is_keyword(s: &str) -> bool {
             | "assert"
             | "debug_assert"
     )
-}
-
-/// Recursive item scan: tracks `impl`/`mod` nesting so methods get
-/// `Type::name` qualified names, and hands each `fn` body to the body
-/// scanner. `[start, end)` are token indices.
-fn scan_items(
-    sf: &SourceFile,
-    start: usize,
-    end: usize,
-    impl_ty: Option<&str>,
-    out: &mut Vec<FnData>,
-) {
-    let toks = &sf.tokens;
-    let mut i = start;
-    while i < end {
-        let t = &toks[i];
-        if t.is_ident("impl") || t.is_ident("trait") {
-            // self-type name: last depth-0 path ident before the body,
-            // taking the `for <Type>` side when present
-            let mut angle = 0i32;
-            let mut name: Option<String> = None;
-            let mut j = i + 1;
-            while j < end {
-                let tj = &toks[j];
-                if tj.is_punct('<') {
-                    angle += 1;
-                } else if tj.is_punct('>') {
-                    angle -= 1;
-                } else if angle == 0 {
-                    if tj.is_ident("for") {
-                        name = None;
-                    } else if tj.is_ident("where") || tj.is_punct('{') || tj.is_punct(';') {
-                        break;
-                    } else if tj.is_punct(':') {
-                        if matches!(toks.get(j + 1), Some(c) if c.is_punct(':')) {
-                            j += 1; // path separator `::`, keep collecting
-                        } else {
-                            break; // supertrait / bound list: name is fixed
-                        }
-                    } else if tj.kind == TokKind::Ident && !tj.is_ident("dyn") {
-                        name = Some(tj.text.clone());
-                    }
-                }
-                j += 1;
-            }
-            if j < end && toks[j].is_punct('{') {
-                let body_end = matching_brace(toks, j, end);
-                scan_items(sf, j + 1, body_end, name.as_deref().or(impl_ty), out);
-                i = body_end + 1;
-            } else {
-                i = j + 1;
-            }
-        } else if t.is_ident("mod")
-            && matches!(toks.get(i + 1), Some(n) if n.kind == TokKind::Ident)
-            && matches!(toks.get(i + 2), Some(b) if b.is_punct('{'))
-        {
-            let body_end = matching_brace(toks, i + 2, end);
-            scan_items(sf, i + 3, body_end, None, out);
-            i = body_end + 1;
-        } else if t.is_ident("fn") && matches!(toks.get(i + 1), Some(n) if n.kind == TokKind::Ident)
-        {
-            let name = toks[i + 1].text.clone();
-            // body = first `{` outside parens/brackets; `;` first ⇒ bodiless
-            let mut j = i + 2;
-            let (mut paren, mut bracket) = (0i32, 0i32);
-            let mut body: Option<usize> = None;
-            while j < end {
-                let tj = &toks[j];
-                if tj.is_punct('(') {
-                    paren += 1;
-                } else if tj.is_punct(')') {
-                    paren -= 1;
-                } else if tj.is_punct('[') {
-                    bracket += 1;
-                } else if tj.is_punct(']') {
-                    bracket -= 1;
-                } else if paren == 0 && bracket == 0 {
-                    if tj.is_punct('{') {
-                        body = Some(j);
-                        break;
-                    }
-                    if tj.is_punct(';') {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            match body {
-                Some(b) => {
-                    let body_end = matching_brace(toks, b, end);
-                    if !sf.in_test(i) {
-                        let qual = match impl_ty {
-                            Some(ty) => format!("{ty}::{name}"),
-                            None => name.clone(),
-                        };
-                        out.push(scan_fn_body(sf, &qual, b + 1, body_end));
-                    }
-                    i = body_end + 1;
-                }
-                None => i = j + 1,
-            }
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Index of the `}` matching the `{` at `open` (or `end` when unmatched).
-fn matching_brace(toks: &[Tok], open: usize, end: usize) -> usize {
-    let mut depth = 0i32;
-    for (j, t) in toks.iter().enumerate().take(end).skip(open) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    end
 }
 
 /// One guard currently held during the body scan.

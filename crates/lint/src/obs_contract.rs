@@ -203,7 +203,7 @@ fn extract(sf: &SourceFile, ex: &mut Extraction) {
         let site = |j: usize| Site { file: sf.rel.clone(), line: toks[j].line };
 
         let kind: Option<&'static str> = match t.text.as_str() {
-            "count" | "counter" | "obs_count" => Some("counter"),
+            "count" | "counter" => Some("counter"),
             "gauge" => Some("gauge"),
             "histogram" => Some("histogram"),
             _ => None,

@@ -295,7 +295,7 @@ impl SloEngine {
     }
 
     /// The shared burn state for SLO `name` — hand this to a consumer
-    /// (e.g. `ServeConfig::burn_admission`) to let it react to breaches.
+    /// (e.g. `ServeConfig::burn_state`) to let it react to breaches.
     pub fn burn_state(&self, name: &str) -> Option<Arc<BurnState>> {
         self.specs.iter().position(|s| s.name == name).map(|i| Arc::clone(&self.states[i]))
     }

@@ -45,15 +45,12 @@ pub struct ServeConfig {
     pub trigger: TriggerPolicy,
     /// Crash-stop schedule; points target nodes named `shard-{i}`.
     pub plan: CrashPlan,
-    /// Shared SLO burn state from a [`coda_obs::SloEngine`] the admission
-    /// edge can consult (`None` = no ops plane attached).
+    /// Shared SLO burn state from a [`coda_obs::SloEngine`]. While it
+    /// reports a breach, the admission edge sheds new data-plane requests
+    /// before they are published (counted under
+    /// `coda_serve_burn_shed_total` as well as the shed total). `None`, the
+    /// default, admits by queue capacity alone.
     pub burn_state: Option<Arc<BurnState>>,
-    /// When `true` *and* `burn_state` reports a breach, the admission edge
-    /// sheds new data-plane requests before they are published (counted
-    /// under `coda_serve_burn_shed_total` as well as the shed total).
-    /// `false` — the default — keeps the hook purely observational:
-    /// attaching a burn state changes nothing (equivalence-gated in tests).
-    pub burn_admission: bool,
 }
 
 impl Default for ServeConfig {
@@ -67,7 +64,6 @@ impl Default for ServeConfig {
             trigger: TriggerPolicy::Off,
             plan: CrashPlan::new(),
             burn_state: None,
-            burn_admission: false,
         }
     }
 }
@@ -348,7 +344,6 @@ pub struct ServeTier {
     shed: AtomicU64,
     shed_counter: Option<Arc<Counter>>,
     burn_state: Option<Arc<BurnState>>,
-    burn_admission: bool,
     burn_shed_counter: Option<Arc<Counter>>,
 }
 
@@ -394,7 +389,6 @@ impl ServeTier {
             shed: AtomicU64::new(0),
             shed_counter: obs.map(|o| o.registry().counter("coda_serve_shed_total")),
             burn_state: cfg.burn_state.clone(),
-            burn_admission: cfg.burn_admission,
             burn_shed_counter: obs.map(|o| o.registry().counter("coda_serve_burn_shed_total")),
         }
     }
@@ -425,11 +419,10 @@ impl ServeTier {
     /// full; [`ServeError::ShardUnavailable`] when the shard died.
     pub fn submit_nowait(&self, req: ServeRequest) -> Result<Pending<'_>, ServeError> {
         let index = self.router.route(&req);
-        // SLO-burn back-pressure: when opted in and the attached burn state
-        // reports an active breach, shed before publishing — the tier
-        // trades availability for recovery headroom. Observational mode
-        // (the default) never touches this branch.
-        if self.burn_admission && self.burn_state.as_ref().is_some_and(|s| s.breached()) {
+        // SLO-burn back-pressure: while the attached burn state reports an
+        // active breach, shed before publishing — the tier trades
+        // availability for recovery headroom
+        if self.burn_state.as_ref().is_some_and(|s| s.breached()) {
             self.count_shed();
             if let Some(c) = &self.burn_shed_counter {
                 c.inc();
@@ -590,46 +583,7 @@ mod tests {
         assert_eq!(report.total_ops(), 5);
     }
 
-    /// Tentpole equivalence gate: attaching a burn state WITHOUT opting
-    /// into burn admission must reproduce the exact shed counts of the
-    /// hook-free tier, even while the state screams "breached".
-    #[test]
-    fn an_observational_burn_hook_changes_nothing() {
-        let obs = Obs::deterministic();
-        let burn = Arc::new(BurnState::new());
-        burn.update(9.0, true); // breached the whole time — and ignored
-        let cfg = ServeConfig {
-            n_shards: 1,
-            queue_capacity: 4,
-            burn_state: Some(burn),
-            burn_admission: false,
-            ..ServeConfig::default()
-        };
-        let tier = ServeTier::start_obs(&cfg, Some(&obs));
-        let hold = tier.hold_shard(0);
-        let mut pendings = Vec::new();
-        for i in 0..4 {
-            pendings.push(tier.submit_nowait(put(&format!("o{i}"), 1)).expect("fits the queue"));
-        }
-        for i in 0..3 {
-            let err = tier.submit_nowait(put(&format!("x{i}"), 1));
-            assert_eq!(err.unwrap_err(), ServeError::Overloaded { shard: 0 });
-        }
-        hold.release();
-        for p in pendings {
-            p.wait().expect("queued op completes");
-        }
-        // byte-for-byte the queue-full scenario: 3 sheds, none burn-driven
-        assert_eq!(tier.shed_total(), 3);
-        let snap = obs.registry().snapshot();
-        assert_eq!(snap.counter("coda_serve_shed_total"), 3);
-        assert_eq!(snap.counter("coda_serve_burn_shed_total"), 0, "observational hooks never shed");
-        let report = tier.finish();
-        assert_eq!(report.total_ops(), 4);
-        assert_eq!(report.shed_total, 3);
-    }
-
-    /// With admission opted in, a breached burn state sheds at the edge
+    /// An attached burn state that reports a breach sheds at the edge
     /// (typed error + dedicated counter) and clears the moment the SLO
     /// recovers — no queue interaction required.
     #[test]
@@ -640,7 +594,6 @@ mod tests {
             n_shards: 1,
             queue_capacity: 8,
             burn_state: Some(burn.clone()),
-            burn_admission: true,
             ..ServeConfig::default()
         };
         let tier = ServeTier::start_obs(&cfg, Some(&obs));

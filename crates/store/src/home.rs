@@ -9,8 +9,9 @@
 use bytes::Bytes;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
-use coda_obs::Obs;
+use coda_obs::{Counter, MetricsSnapshot, Obs};
 
 use crate::delta::{content_hash, Delta, DeltaCodec};
 use crate::lease::{Lease, PushMode, UpdateMessage};
@@ -19,7 +20,11 @@ use crate::lease::{Lease, PushMode, UpdateMessage};
 /// ("considerably smaller" in the paper): delta must be < 1/2 of full.
 const DELTA_ADVANTAGE: f64 = 0.5;
 
-/// Cumulative transfer accounting for the experiments.
+/// What home stores sent, read from their `coda_store_*` counters: a view
+/// of a [`MetricsSnapshot`], or of the diff of two snapshots to cover one
+/// phase. Full and delta transfers count their payload bytes, a
+/// notification 32 bytes (version number + change summary) and an
+/// up-to-date reply 16.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransferStats {
     /// Messages sent.
@@ -35,22 +40,23 @@ pub struct TransferStats {
 }
 
 impl TransferStats {
-    fn record_full(&mut self, bytes: usize) {
-        self.messages += 1;
-        self.bytes += bytes as u64;
-        self.full_transfers += 1;
-    }
-
-    fn record_delta(&mut self, bytes: usize) {
-        self.messages += 1;
-        self.bytes += bytes as u64;
-        self.delta_transfers += 1;
-    }
-
-    fn record_notification(&mut self) {
-        self.messages += 1;
-        self.bytes += 32; // version number + change summary
-        self.notifications += 1;
+    /// The transfers `snap` counts, summed over every store that counts
+    /// into its registry.
+    pub fn from_snapshot(snap: &MetricsSnapshot) -> Self {
+        let full_transfers = snap.counter("coda_store_full_transfers");
+        let delta_transfers = snap.counter("coda_store_delta_transfers");
+        let notifications = snap.counter("coda_store_notifications");
+        let up_to_date = snap.counter("coda_store_pull_up_to_date");
+        TransferStats {
+            messages: full_transfers + delta_transfers + notifications + up_to_date,
+            bytes: snap.counter("coda_store_full_bytes")
+                + snap.counter("coda_store_delta_bytes")
+                + 32 * notifications
+                + 16 * up_to_date,
+            full_transfers,
+            delta_transfers,
+            notifications,
+        }
     }
 }
 
@@ -125,16 +131,16 @@ impl StoredObject {
     }
 
     /// d(o, v, current), or `None` when version `v` is not retained. It is
-    /// encoded the first time it is needed, counted under
-    /// `coda_store_delta_encodes`, and memoized until the next advance, so
-    /// a version costs at most one encode per retained base.
-    fn delta_from(&mut self, v: u64, obs: Option<&Obs>) -> Option<&Delta> {
+    /// encoded the first time it is needed, counted on `encodes`, and
+    /// memoized until the next advance, so a version costs at most one
+    /// encode per retained base.
+    fn delta_from(&mut self, v: u64, encodes: Option<&Counter>) -> Option<&Delta> {
         match self.deltas.entry(v) {
             Entry::Occupied(memo) => Some(memo.into_mut()),
             Entry::Vacant(slot) => {
                 let (_, old) = self.history.iter().find(|(hv, _)| *hv == v)?;
-                if let Some(o) = obs {
-                    o.count("coda_store_delta_encodes", 1);
+                if let Some(c) = encodes {
+                    c.inc();
                 }
                 Some(slot.insert(DeltaCodec::encode(old, &self.data, v, self.version)))
             }
@@ -142,16 +148,66 @@ impl StoredObject {
     }
 }
 
-/// An in-process home data store with lease-based push and accounting.
+/// A store's `coda_store_*` counter handles, resolved once when an [`Obs`]
+/// is attached, so each count is one atomic add.
+#[derive(Debug, Clone)]
+struct StoreMetrics {
+    obs: Obs,
+    puts: Arc<Counter>,
+    push_messages: Arc<Counter>,
+    pulls: Arc<Counter>,
+    full_transfers: Arc<Counter>,
+    full_bytes: Arc<Counter>,
+    delta_transfers: Arc<Counter>,
+    delta_bytes: Arc<Counter>,
+    notifications: Arc<Counter>,
+    up_to_date: Arc<Counter>,
+    installed_versions: Arc<Counter>,
+    delta_encodes: Arc<Counter>,
+}
+
+impl StoreMetrics {
+    fn new(obs: Obs) -> Self {
+        let r = obs.registry();
+        StoreMetrics {
+            puts: r.counter("coda_store_puts"),
+            push_messages: r.counter("coda_store_push_messages"),
+            pulls: r.counter("coda_store_pulls"),
+            full_transfers: r.counter("coda_store_full_transfers"),
+            full_bytes: r.counter("coda_store_full_bytes"),
+            delta_transfers: r.counter("coda_store_delta_transfers"),
+            delta_bytes: r.counter("coda_store_delta_bytes"),
+            notifications: r.counter("coda_store_notifications"),
+            up_to_date: r.counter("coda_store_pull_up_to_date"),
+            installed_versions: r.counter("coda_store_installed_versions"),
+            delta_encodes: r.counter("coda_store_delta_encodes"),
+            obs,
+        }
+    }
+
+    /// One full-object transfer of `bytes` payload bytes.
+    fn full(&self, bytes: usize) {
+        self.full_transfers.inc();
+        self.full_bytes.add(bytes as u64);
+    }
+
+    /// One delta transfer of `bytes` wire bytes.
+    fn delta(&self, bytes: usize) {
+        self.delta_transfers.inc();
+        self.delta_bytes.add(bytes as u64);
+    }
+}
+
+/// An in-process home data store with lease-based push. An attached
+/// [`Obs`] counts what it sends; [`TransferStats`] reads those counters.
 #[derive(Debug, Clone)]
 pub struct HomeDataStore {
     name: String,
     history_depth: usize,
     objects: BTreeMap<String, StoredObject>,
     leases: Vec<Lease>,
-    stats: TransferStats,
     clock: u64,
-    obs: Option<Obs>,
+    metrics: Option<StoreMetrics>,
 }
 
 impl HomeDataStore {
@@ -162,38 +218,20 @@ impl HomeDataStore {
             history_depth: history_depth.max(1),
             objects: BTreeMap::new(),
             leases: Vec::new(),
-            stats: TransferStats::default(),
             clock: 0,
-            obs: None,
+            metrics: None,
         }
     }
 
     /// Attaches an observability handle: subsequent `put`/`fetch` calls
     /// count live into its registry under `coda_store_*` names.
     pub fn attach_obs(&mut self, obs: Obs) {
-        self.obs = Some(obs);
-    }
-
-    /// Increments a counter when an [`Obs`] handle is attached.
-    fn obs_count(&self, name: &str, n: u64) {
-        if let Some(o) = &self.obs {
-            o.count(name, n);
-        }
+        self.metrics = Some(StoreMetrics::new(obs));
     }
 
     /// The store's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Cumulative transfer statistics.
-    pub fn stats(&self) -> TransferStats {
-        self.stats
-    }
-
-    /// Resets transfer statistics (between experiment phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = TransferStats::default();
     }
 
     /// Current logical time.
@@ -232,10 +270,9 @@ impl HomeDataStore {
     /// work back to this update.
     pub fn put<S: AsRef<str>>(&mut self, id: S, data: Bytes) -> (u64, Vec<UpdateMessage>) {
         let id = id.as_ref();
-        let span = self
-            .obs
-            .as_ref()
-            .map(|o| o.tracer().span("store.put", &[("object", id), ("store", &self.name)]));
+        let metrics = self.metrics.as_ref();
+        let span = metrics
+            .map(|m| m.obs.tracer().span("store.put", &[("object", id), ("store", &self.name)]));
         let push_ctx = span.as_ref().map(|s| s.context());
         let entry = self.objects.entry(id.to_string()).or_default();
         entry.advance(entry.version + 1, data, self.history_depth);
@@ -249,49 +286,18 @@ impl HomeDataStore {
                 && matches!(l.mode, PushMode::Delta | PushMode::NotifyOnly)
         });
         let prev_delta = if reads_delta {
-            entry.delta_from(cur_version - 1, self.obs.as_ref()).cloned()
+            entry.delta_from(cur_version - 1, metrics.map(|m| m.delta_encodes.as_ref())).cloned()
         } else {
             None
         };
         // push to lease holders
         let mut messages = Vec::new();
         for lease in self.leases.iter().filter(|l| l.object == id && l.expires_at > now) {
-            let msg = match lease.mode {
-                PushMode::Full => {
-                    self.stats.record_full(cur_data.len());
-                    UpdateMessage::Full {
-                        client: lease.client.clone(),
-                        object: id.to_string(),
-                        version: cur_version,
-                        data: cur_data.clone(),
-                        checksum: content_hash(&cur_data),
-                        ctx: push_ctx,
+            let msg = match (lease.mode, &prev_delta) {
+                (PushMode::NotifyOnly, _) => {
+                    if let Some(m) = metrics {
+                        m.notifications.inc();
                     }
-                }
-                PushMode::Delta => match prev_delta.as_ref() {
-                    Some(d) if (d.wire_size() as f64) < DELTA_ADVANTAGE * cur_data.len() as f64 => {
-                        self.stats.record_delta(d.wire_size());
-                        UpdateMessage::Delta {
-                            client: lease.client.clone(),
-                            object: id.to_string(),
-                            delta: d.clone(),
-                            ctx: push_ctx,
-                        }
-                    }
-                    _ => {
-                        self.stats.record_full(cur_data.len());
-                        UpdateMessage::Full {
-                            client: lease.client.clone(),
-                            object: id.to_string(),
-                            version: cur_version,
-                            data: cur_data.clone(),
-                            checksum: content_hash(&cur_data),
-                            ctx: push_ctx,
-                        }
-                    }
-                },
-                PushMode::NotifyOnly => {
-                    self.stats.record_notification();
                     let changed =
                         prev_delta.as_ref().map(|d| d.literal_bytes()).unwrap_or(cur_data.len());
                     UpdateMessage::Notify {
@@ -302,25 +308,39 @@ impl HomeDataStore {
                         ctx: push_ctx,
                     }
                 }
+                (PushMode::Delta, Some(d))
+                    if (d.wire_size() as f64) < DELTA_ADVANTAGE * cur_data.len() as f64 =>
+                {
+                    if let Some(m) = metrics {
+                        m.delta(d.wire_size());
+                    }
+                    UpdateMessage::Delta {
+                        client: lease.client.clone(),
+                        object: id.to_string(),
+                        delta: d.clone(),
+                        ctx: push_ctx,
+                    }
+                }
+                // a full lease, or a delta lease whose delta is not worth it
+                _ => {
+                    if let Some(m) = metrics {
+                        m.full(cur_data.len());
+                    }
+                    UpdateMessage::Full {
+                        client: lease.client.clone(),
+                        object: id.to_string(),
+                        version: cur_version,
+                        data: cur_data.clone(),
+                        checksum: content_hash(&cur_data),
+                        ctx: push_ctx,
+                    }
+                }
             };
             messages.push(msg);
         }
-        self.obs_count("coda_store_puts", 1);
-        self.obs_count("coda_store_push_messages", messages.len() as u64);
-        for msg in &messages {
-            match msg {
-                UpdateMessage::Full { data, .. } => {
-                    self.obs_count("coda_store_full_transfers", 1);
-                    self.obs_count("coda_store_full_bytes", data.len() as u64);
-                }
-                UpdateMessage::Delta { delta, .. } => {
-                    self.obs_count("coda_store_delta_transfers", 1);
-                    self.obs_count("coda_store_delta_bytes", delta.wire_size() as u64);
-                }
-                UpdateMessage::Notify { .. } => {
-                    self.obs_count("coda_store_notifications", 1);
-                }
-            }
+        if let Some(m) = metrics {
+            m.puts.inc();
+            m.push_messages.add(messages.len() as u64);
         }
         (cur_version, messages)
     }
@@ -342,49 +362,44 @@ impl HomeDataStore {
         id: &str,
         client_version: Option<u64>,
     ) -> Result<Option<FetchReply>, std::convert::Infallible> {
-        let _span = self
-            .obs
-            .as_ref()
-            .map(|o| o.tracer().span("store.fetch", &[("object", id), ("store", &self.name)]));
+        let metrics = self.metrics.as_ref();
+        let _span = metrics
+            .map(|m| m.obs.tracer().span("store.fetch", &[("object", id), ("store", &self.name)]));
         let Some(object) = self.objects.get_mut(id) else {
             return Ok(None);
         };
+        if let Some(m) = metrics {
+            m.pulls.inc();
+        }
         let full_len = object.data.len();
         let reply = match client_version {
             Some(v) if v == object.version => {
-                self.stats.messages += 1;
-                self.stats.bytes += 16;
+                if let Some(m) = metrics {
+                    m.up_to_date.inc();
+                }
                 FetchReply::UpToDate { version: v }
             }
-            Some(v) => match object.delta_from(v, self.obs.as_ref()) {
+            Some(v) => match object.delta_from(v, metrics.map(|m| m.delta_encodes.as_ref())) {
                 Some(d) if (d.wire_size() as f64) < DELTA_ADVANTAGE * full_len as f64 => {
-                    self.stats.record_delta(d.wire_size());
+                    if let Some(m) = metrics {
+                        m.delta(d.wire_size());
+                    }
                     FetchReply::Delta(d.clone())
                 }
                 _ => {
-                    self.stats.record_full(object.data.len());
+                    if let Some(m) = metrics {
+                        m.full(full_len);
+                    }
                     FetchReply::Full { version: object.version, data: object.data.clone() }
                 }
             },
             None => {
-                self.stats.record_full(object.data.len());
+                if let Some(m) = metrics {
+                    m.full(full_len);
+                }
                 FetchReply::Full { version: object.version, data: object.data.clone() }
             }
         };
-        self.obs_count("coda_store_pulls", 1);
-        match &reply {
-            FetchReply::Full { data, .. } => {
-                self.obs_count("coda_store_full_transfers", 1);
-                self.obs_count("coda_store_full_bytes", data.len() as u64);
-            }
-            FetchReply::Delta(d) => {
-                self.obs_count("coda_store_delta_transfers", 1);
-                self.obs_count("coda_store_delta_bytes", d.wire_size() as u64);
-            }
-            FetchReply::UpToDate { .. } => {
-                self.obs_count("coda_store_pull_up_to_date", 1);
-            }
-        }
         Ok(Some(reply))
     }
 
@@ -431,7 +446,9 @@ impl HomeDataStore {
             return false;
         }
         entry.advance(version, data, self.history_depth);
-        self.obs_count("coda_store_installed_versions", 1);
+        if let Some(m) = &self.metrics {
+            m.installed_versions.inc();
+        }
         true
     }
 
@@ -536,18 +553,31 @@ mod tests {
         assert_eq!(s.version_of("missing"), None);
     }
 
+    /// A store counting into a fresh registry, and that registry's handle.
+    fn counted(depth: usize) -> (HomeDataStore, Obs) {
+        let obs = Obs::deterministic();
+        let mut s = HomeDataStore::new("h", depth);
+        s.attach_obs(obs.clone());
+        (s, obs)
+    }
+
+    /// Everything the stores counting into `obs` have sent so far.
+    fn sent(obs: &Obs) -> TransferStats {
+        TransferStats::from_snapshot(&obs.registry().snapshot())
+    }
+
     #[test]
     fn fetch_full_when_no_client_version() {
-        let mut s = HomeDataStore::new("h", 3);
+        let (mut s, obs) = counted(3);
         s.put("o", patterned(5000, 1));
         let reply = s.fetch("o", None).unwrap().unwrap();
         assert!(matches!(reply, FetchReply::Full { version: 1, .. }));
-        assert_eq!(s.stats().full_transfers, 1);
+        assert_eq!(sent(&obs).full_transfers, 1);
     }
 
     #[test]
     fn fetch_delta_for_small_change() {
-        let mut s = HomeDataStore::new("h", 3);
+        let (mut s, obs) = counted(3);
         let base = patterned(10_000, 2);
         s.put("o", base.clone());
         let mut v2 = base.to_vec();
@@ -564,7 +594,7 @@ mod tests {
             other => panic!("expected delta, got {other:?}"),
         }
         assert!(reply.wire_size() < 1000);
-        assert_eq!(s.stats().delta_transfers, 1);
+        assert_eq!(sent(&obs).delta_transfers, 1);
     }
 
     #[test]
@@ -756,15 +786,62 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_and_reset() {
-        let mut s = HomeDataStore::new("h", 3);
+    fn stats_accumulate() {
+        let (mut s, obs) = counted(3);
         s.put("o", patterned(5000, 5));
         s.fetch("o", None).unwrap();
         s.fetch("o", None).unwrap();
-        let stats = s.stats();
+        let stats = sent(&obs);
         assert_eq!(stats.messages, 2);
         assert!(stats.bytes >= 10_000);
-        s.reset_stats();
-        assert_eq!(s.stats(), TransferStats::default());
+    }
+
+    #[test]
+    fn the_transfer_view_sums_every_push_and_pull_of_its_registry() {
+        const N: u64 = 10_000;
+        let v1 = patterned(N as usize, 7);
+        let mut v2 = v1.to_vec();
+        v2[10] ^= 0xFF;
+        let mut v3 = v2.clone();
+        v3[20] ^= 0xFF;
+        let (v2, v3) = (Bytes::from(v2), Bytes::from(v3));
+        let w12 = DeltaCodec::encode(&v1, &v2, 1, 2).wire_size() as u64;
+        let w23 = DeltaCodec::encode(&v2, &v3, 2, 3).wire_size() as u64;
+        assert!(w12 < N / 2 && w23 < N / 2, "both steps are worth a delta");
+
+        // one retained version, so v1 is dropped once v3 lands
+        let (mut s, obs) = counted(1);
+        let (mut other, other_obs) = counted(1);
+        s.put("o", v1);
+        assert_eq!(sent(&obs), TransferStats::default(), "no lease, no pull: nothing sent");
+        s.subscribe("f", "o", PushMode::Full, 100);
+        s.subscribe("d", "o", PushMode::Delta, 100);
+        s.subscribe("n", "o", PushMode::NotifyOnly, 100);
+        s.put("o", v2.clone()); // full N, delta w12, one notification
+        other.put("o", v2);
+        other.fetch("o", None).unwrap(); // full N, counted apart
+        s.put("o", v3); // full N, delta w23, one notification
+        assert!(matches!(s.fetch("o", Some(3)).unwrap(), Some(FetchReply::UpToDate { .. })));
+        assert!(matches!(s.fetch("o", Some(2)).unwrap(), Some(FetchReply::Delta(_)))); // w23
+        assert!(matches!(s.fetch("o", Some(1)).unwrap(), Some(FetchReply::Full { .. }))); // N
+        s.fetch("o", None).unwrap(); // N
+
+        let stats = sent(&obs);
+        assert_eq!(stats.full_transfers, 4, "two full pushes, the dropped and the unnamed pull");
+        assert_eq!(stats.delta_transfers, 3, "two delta pushes, the retained pull");
+        assert_eq!(stats.notifications, 2);
+        assert_eq!(stats.messages, 4 + 3 + 2 + 1, "plus one up-to-date reply");
+        assert_eq!(stats.bytes, 4 * N + w12 + 2 * w23 + 2 * 32 + 16);
+        let other_stats = sent(&other_obs);
+        assert_eq!(
+            other_stats,
+            TransferStats {
+                messages: 1,
+                bytes: N,
+                full_transfers: 1,
+                delta_transfers: 0,
+                notifications: 0
+            }
+        );
     }
 }

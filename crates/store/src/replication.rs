@@ -12,7 +12,9 @@
 //! versions.
 
 use bytes::Bytes;
-use coda_obs::Obs;
+use std::sync::Arc;
+
+use coda_obs::{Counter, Obs};
 
 use crate::client::{catch_up, Incoming};
 use crate::home::{FetchReply, HomeDataStore};
@@ -51,6 +53,8 @@ pub struct ReplicatedStore {
     /// Index of the current primary within `sites`.
     primary: usize,
     obs: Option<Obs>,
+    /// `coda_store_failovers`, resolved when an [`Obs`] is attached.
+    failovers: Option<Arc<Counter>>,
 }
 
 impl ReplicatedStore {
@@ -63,7 +67,7 @@ impl ReplicatedStore {
                 up: true,
             })
             .collect();
-        ReplicatedStore { sites, primary: 0, obs: None }
+        ReplicatedStore { sites, primary: 0, obs: None, failovers: None }
     }
 
     /// Attaches an observability handle: failovers count live into its
@@ -74,13 +78,8 @@ impl ReplicatedStore {
         for site in &mut self.sites {
             site.store.attach_obs(obs.clone());
         }
+        self.failovers = Some(obs.registry().counter("coda_store_failovers"));
         self.obs = Some(obs);
-    }
-
-    fn obs_count(&self, name: &str, n: u64) {
-        if let Some(o) = &self.obs {
-            o.count(name, n);
-        }
     }
 
     /// The current primary's name.
@@ -138,7 +137,9 @@ impl ReplicatedStore {
         match self.sites.iter().position(|s| s.up) {
             Some(next) => {
                 self.primary = next;
-                self.obs_count("coda_store_failovers", 1);
+                if let Some(c) = &self.failovers {
+                    c.inc();
+                }
                 Ok(true)
             }
             None => Err(ReplicationError::AllSitesDown),

@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 
-use crate::home::{FetchReply, HomeDataStore, TransferStats};
+use crate::home::{FetchReply, HomeDataStore};
 use crate::lease::{PushMode, UpdateMessage};
 
 /// The stable shard-routing function shared by every partitioned layer
@@ -103,20 +103,6 @@ impl DataTier {
         }
     }
 
-    /// Aggregated transfer statistics across all partitions.
-    pub fn stats(&self) -> TransferStats {
-        let mut total = TransferStats::default();
-        for s in &self.stores {
-            let st = s.stats();
-            total.messages += st.messages;
-            total.bytes += st.bytes;
-            total.full_transfers += st.full_transfers;
-            total.delta_transfers += st.delta_transfers;
-            total.notifications += st.notifications;
-        }
-        total
-    }
-
     /// Objects per partition (load-balance diagnostics): store name → count
     /// over the given ids.
     pub fn distribution<'a, I: IntoIterator<Item = &'a str>>(&self, ids: I) -> Vec<usize> {
@@ -131,6 +117,7 @@ impl DataTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::home::TransferStats;
 
     #[test]
     fn shard_of_is_stable_and_agrees_with_home_index() {
@@ -192,12 +179,17 @@ mod tests {
 
     #[test]
     fn stats_aggregate_across_partitions() {
+        let obs = coda_obs::Obs::deterministic();
         let mut tier = DataTier::new(2, 2);
+        assert_ne!(tier.home_index("a"), tier.home_index("b"));
+        for id in ["a", "b"] {
+            tier.home_mut(id).attach_obs(obs.clone());
+        }
         tier.put("a", Bytes::from(vec![0u8; 100]));
         tier.put("b", Bytes::from(vec![0u8; 100]));
         tier.fetch("a", None);
         tier.fetch("b", None);
-        let stats = tier.stats();
+        let stats = TransferStats::from_snapshot(&obs.registry().snapshot());
         assert_eq!(stats.messages, 2);
         assert!(stats.bytes >= 200);
     }

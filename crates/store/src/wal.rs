@@ -17,7 +17,9 @@
 //! and recovery must converge from all of them.
 
 use bytes::Bytes;
-use coda_obs::Obs;
+use std::sync::Arc;
+
+use coda_obs::{Counter, Obs};
 
 use crate::delta::content_hash;
 use crate::home::{FetchReply, HomeDataStore};
@@ -189,6 +191,23 @@ pub struct DurableImage {
     wal: WriteAheadLog,
 }
 
+/// The log's counter handles, resolved once when an [`Obs`] is attached.
+#[derive(Debug, Clone)]
+struct WalMetrics {
+    appends: Arc<Counter>,
+    snapshots: Arc<Counter>,
+}
+
+impl WalMetrics {
+    fn new(obs: &Obs) -> Self {
+        let r = obs.registry();
+        WalMetrics {
+            appends: r.counter("coda_store_wal_appends"),
+            snapshots: r.counter("coda_store_snapshots"),
+        }
+    }
+}
+
 /// A [`HomeDataStore`] with write-ahead logging, periodic snapshots, and
 /// crash recovery by replay.
 #[derive(Debug, Clone)]
@@ -200,7 +219,7 @@ pub struct DurableStore {
     /// (0 = never snapshot).
     snapshot_every: usize,
     history_depth: usize,
-    obs: Option<Obs>,
+    metrics: Option<WalMetrics>,
 }
 
 impl DurableStore {
@@ -213,7 +232,7 @@ impl DurableStore {
             snapshot: None,
             snapshot_every,
             history_depth,
-            obs: None,
+            metrics: None,
         }
     }
 
@@ -221,14 +240,8 @@ impl DurableStore {
     /// replays count under `coda_store_wal_*` / `coda_store_snapshot*`
     /// names, and the wrapped store's own instrumentation comes along.
     pub fn attach_obs(&mut self, obs: Obs) {
-        self.store.attach_obs(obs.clone());
-        self.obs = Some(obs);
-    }
-
-    fn obs_count(&self, name: &str, n: u64) {
-        if let Some(o) = &self.obs {
-            o.count(name, n);
-        }
+        self.metrics = Some(WalMetrics::new(&obs));
+        self.store.attach_obs(obs);
     }
 
     /// The wrapped store (reads don't need logging, but go through
@@ -261,7 +274,9 @@ impl DurableStore {
     /// Write-ahead: append before applying.
     fn log(&mut self, record: WalRecord) {
         self.wal.append(record);
-        self.obs_count("coda_store_wal_appends", 1);
+        if let Some(m) = &self.metrics {
+            m.appends.inc();
+        }
     }
 
     /// After the logged operation has been applied: fold the log into a
@@ -273,7 +288,9 @@ impl DurableStore {
             self.snapshot =
                 Some(Snapshot { last_seq: self.wal.last_seq(), store: self.store.clone() });
             self.wal.truncate();
-            self.obs_count("coda_store_snapshots", 1);
+            if let Some(m) = &self.metrics {
+                m.snapshots.inc();
+            }
         }
     }
 
@@ -414,7 +431,7 @@ impl DurableStore {
             snapshot: image.snapshot,
             snapshot_every: image.snapshot_every,
             history_depth: image.history_depth,
-            obs: obs.cloned(),
+            metrics: obs.map(WalMetrics::new),
         };
         (recovered, replayed)
     }

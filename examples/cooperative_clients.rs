@@ -16,8 +16,8 @@ use coda::ml::{
     GradientBoostingRegressor, KnnRegressor, LinearRegression, RandomForestRegressor,
     RidgeRegression, StandardScaler,
 };
-use coda::obs::WallClock;
-use coda::store::{CachingClient, HomeDataStore, PushMode};
+use coda::obs::{Obs, WallClock};
+use coda::store::{CachingClient, HomeDataStore, PushMode, TransferStats};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Part 1: cooperative evaluation through the DARR -----------------
@@ -55,7 +55,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Part 2: consistent caches with delta encoding -------------------
     println!("\ndata tier: delta-encoded cache synchronization");
+    let obs = Obs::deterministic();
     let mut home = HomeDataStore::new("home", 8);
+    home.attach_obs(obs.clone());
     // the shared dataset serialized as bytes (one f64 per cell)
     let mut blob: Vec<u8> =
         dataset.features().as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
@@ -88,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(alice.held_version("dataset"), Some(v2));
     assert_eq!(bob.held_version("dataset"), Some(v2));
-    let stats = home.stats();
+    let stats = TransferStats::from_snapshot(&obs.registry().snapshot());
     println!(
         "home store totals: {} messages, {} bytes, {} full, {} delta",
         stats.messages, stats.bytes, stats.full_transfers, stats.delta_transfers

@@ -9,9 +9,9 @@ use coda::darr::{ClaimOutcome, ComputationKey, CoopOutcome, CooperativeClient, D
 use coda::data::{synth, CvStrategy, Metric};
 use coda::graph::TegBuilder;
 use coda::ml::{LinearRegression, RidgeRegression};
-use coda::obs::WallClock;
+use coda::obs::{Obs, WallClock};
 use coda::store::{
-    CachingClient, DeltaCodec, FetchReply, HomeDataStore, PushMode, ReplicatedStore,
+    CachingClient, DeltaCodec, FetchReply, HomeDataStore, PushMode, ReplicatedStore, TransferStats,
 };
 
 #[test]
@@ -41,7 +41,9 @@ fn cooperative_run_survives_failing_paths() {
 
 #[test]
 fn client_desynchronized_from_push_stream_recovers_by_pull() {
+    let obs = Obs::deterministic();
     let mut store = HomeDataStore::new("home", 2); // short history
+    store.attach_obs(obs.clone());
     let mut client = CachingClient::new("c");
     let mut blob: Vec<u8> = (0..40_000u32).map(|i| (i % 241) as u8).collect();
     store.put("o", Bytes::from(blob.clone()));
@@ -67,7 +69,7 @@ fn client_desynchronized_from_push_stream_recovers_by_pull() {
     client.pull(&mut store, "o").unwrap();
     assert_eq!(client.held_version("o"), Some(4));
     assert_eq!(&client.held_data("o").unwrap()[..], &blob[..]);
-    assert!(store.stats().full_transfers >= 2);
+    assert!(TransferStats::from_snapshot(&obs.registry().snapshot()).full_transfers >= 2);
 }
 
 #[test]

@@ -6,7 +6,10 @@
 use bytes::Bytes;
 use coda::chaos::RetryPolicy;
 use coda::darr::{ComputationKey, CooperativeClient, Darr};
-use coda::store::{CachingClient, ChangeMonitor, HomeDataStore, PushMode, RecomputeTrigger};
+use coda::obs::Obs;
+use coda::store::{
+    CachingClient, ChangeMonitor, HomeDataStore, PushMode, RecomputeTrigger, TransferStats,
+};
 
 /// One attempt per key: a held claim is skipped, never revisited.
 fn once() -> RetryPolicy {
@@ -57,7 +60,9 @@ fn update_flow_store_trigger_darr() {
 
 #[test]
 fn multi_client_cache_consistency_under_update_storm() {
+    let obs = Obs::deterministic();
     let mut store = HomeDataStore::new("home", 8);
+    store.attach_obs(obs.clone());
     let mut clients: Vec<CachingClient> =
         (0..3).map(|i| CachingClient::new(format!("c{i}"))).collect();
     let mut blob = dataset_blob(0, 50_000).to_vec();
@@ -93,7 +98,7 @@ fn multi_client_cache_consistency_under_update_storm() {
         assert_eq!(c.held_data("ds").unwrap(), &expected);
     }
     // delta encoding kept traffic far below 11 full copies
-    let stats = store.stats();
+    let stats = TransferStats::from_snapshot(&obs.registry().snapshot());
     assert!(stats.delta_transfers >= 10, "deltas used: {}", stats.delta_transfers);
     assert!(
         stats.bytes < 11 * 50_000,

@@ -111,6 +111,21 @@ fn main() {
             println!("{json}");
             let parsed =
                 coda_obs::MetricsSnapshot::from_json(&json).expect("snapshot JSON must round-trip");
+            if run("d4") {
+                let dropped = parsed.counter("coda_chaos_faults_dropped");
+                assert_eq!(
+                    parsed.counter("coda_chaos_faults_injected"),
+                    dropped
+                        + parsed.counter("coda_chaos_faults_link_down")
+                        + parsed.counter("coda_chaos_faults_node_down"),
+                    "every injected fault is a drop, a link-flap refusal or a crash-window refusal"
+                );
+                assert!(dropped > 0, "the drop scenarios ran, so drops must be counted");
+                assert!(
+                    parsed.counter("coda_chaos_retry_retries") > 0,
+                    "dropped exchanges are retried, so retries must be counted"
+                );
+            }
             if run("d5") {
                 assert!(
                     parsed.counter("coda_core_cache_hits") > 0,

@@ -22,7 +22,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use coda_core::{Evaluator, TegBuilder};
 use coda_data::{synth, ComponentError, CvStrategy, Dataset, Metric, Transformer};
 use coda_ml::RidgeRegression;
@@ -30,21 +29,17 @@ use coda_obs::{
     diagnose, labeled_name, BurnWindows, DiagReport, DiagnoseConfig, FlightConfig, FlightRecorder,
     ManualClock, Obs, SloEngine, SloSignal, SloSpec,
 };
-use coda_serve::{ServeConfig, ServeRequest, ServeTier};
+use coda_serve::{ServeConfig, ServeTier};
 use coda_store::shard_of;
 use serde::impl_serde_struct;
 
-use crate::ops::{run_ops_scenario_full, ScenarioArtifacts};
+// the targeted scenarios run on D8's window grid and fault phase, so the
+// re-run D8 scenarios and the targeted ones diagnose alike
+use crate::ops::{
+    put, run_ops_scenario_full, slo_specs, uniform, ScenarioArtifacts, EXEMPLAR_CAP, FAULT_FROM,
+    FAULT_TO, N_WINDOWS, WINDOW_MS,
+};
 
-/// Level-0 flight window length, milliseconds of manual-clock time.
-const WINDOW_MS: f64 = 100.0;
-/// Windows driven per targeted scenario.
-const N_WINDOWS: u64 = 20;
-/// Fault phase: windows `[FAULT_FROM, FAULT_TO)` inject the fault.
-const FAULT_FROM: u64 = 8;
-const FAULT_TO: u64 = 16;
-/// Exemplars retained per metric.
-const EXEMPLAR_CAP: usize = 8;
 /// Manual-clock milliseconds queued requests wait behind the held shard.
 const HOT_WAIT_MS: f64 = 60.0;
 /// Per-call clock burn of the slow-operator stage, healthy vs faulted.
@@ -177,7 +172,7 @@ impl DiagBundle {
 /// The D9 SLO set: the D8 four plus the two signals the new scenarios
 /// stress — per-request queue wait and per-path evaluation latency.
 fn diag_slo_specs() -> Vec<SloSpec> {
-    let mut specs = crate::ops::slo_specs();
+    let mut specs = slo_specs();
     specs.push(SloSpec {
         name: "serve-queue-wait".to_string(),
         signal: SloSignal::LatencyAbove {
@@ -212,10 +207,6 @@ fn hot_shard_keys(n: usize) -> Vec<String> {
         i += 1;
     }
     keys
-}
-
-fn put(id: &str, fill: u8) -> ServeRequest {
-    ServeRequest::Put { id: id.to_string(), data: Bytes::from(vec![fill; 64]) }
 }
 
 /// Scores `report` against `injected` and assembles the scenario record.
@@ -347,16 +338,6 @@ fn run_targeted(seed: u64, n_shards: usize, hot: bool) -> ScenarioArtifacts {
         exemplars: obs.exemplars().snapshot(),
         forest,
     }
-}
-
-/// splitmix64-backed uniform draw, matching the D8 driver.
-fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    *state = z ^ (z >> 31);
-    lo + (hi - lo) * ((*state >> 11) as f64 / (1u64 << 53) as f64)
 }
 
 /// Runs all four scenarios of the D9 diagnosis drill for one seed and

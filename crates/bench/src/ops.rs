@@ -28,17 +28,17 @@ use coda_serve::{ServeConfig, ServeRequest, ServeTier};
 use serde::impl_serde_struct;
 
 /// Level-0 flight window length, milliseconds of manual-clock time.
-const WINDOW_MS: f64 = 100.0;
+pub(crate) const WINDOW_MS: f64 = 100.0;
 /// Windows driven per scenario.
-const N_WINDOWS: u64 = 20;
-/// Fault phase: windows `[FAULT_FROM, FAULT_TO)` inject sheds, tail
-/// latencies, and eval errors.
-const FAULT_FROM: u64 = 8;
-const FAULT_TO: u64 = 16;
+pub(crate) const N_WINDOWS: u64 = 20;
+/// Fault phase: windows `[FAULT_FROM, FAULT_TO)` inject the fault (here
+/// sheds, tail latencies, and eval errors).
+pub(crate) const FAULT_FROM: u64 = 8;
+pub(crate) const FAULT_TO: u64 = 16;
 /// Window at which the crash-recovery drill runs (both scenarios).
 const DRILL_AT: u64 = 10;
 /// Exemplars retained per metric.
-const EXEMPLAR_CAP: usize = 8;
+pub(crate) const EXEMPLAR_CAP: usize = 8;
 
 /// One exemplar-anchored critical path: the chain of spans from the trace
 /// root down to the span that produced an extreme observation.
@@ -190,16 +190,10 @@ fn splitmix64(state: &mut u64) {
     *state = z ^ (z >> 31);
 }
 
-fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
+/// A splitmix64-backed uniform draw from `[lo, hi)`.
+pub(crate) fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
     splitmix64(state);
     lo + (hi - lo) * ((*state >> 11) as f64 / (1u64 << 53) as f64)
-}
-
-fn span_label(s: &coda_obs::SpanNode) -> String {
-    match s.fields.iter().find(|(k, _)| k == "spec") {
-        Some((_, v)) => format!("{}[{}]", s.name, v),
-        None => s.name.clone(),
-    }
 }
 
 /// Root-to-span chain for one span id, ` > `-joined.
@@ -208,7 +202,7 @@ fn critical_path(forest: &TraceForest, id: SpanId) -> String {
     let mut cur = Some(id);
     while let Some(i) = cur {
         let Some(s) = forest.span(i) else { break };
-        segments.push(span_label(s));
+        segments.push(s.operator_label(Some("spec")));
         cur = s.parent;
     }
     segments.reverse();
@@ -404,6 +398,7 @@ pub fn run_ops_report(seed: u64) -> OpsReport {
     }
 }
 
-fn put(id: &str, fill: u8) -> ServeRequest {
+/// A 64-byte put of `fill` bytes to object `id`.
+pub(crate) fn put(id: &str, fill: u8) -> ServeRequest {
     ServeRequest::Put { id: id.to_string(), data: Bytes::from(vec![fill; 64]) }
 }

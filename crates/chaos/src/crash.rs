@@ -24,11 +24,6 @@ pub struct CrashPoint {
     /// Delay from the crash instant to the scheduled restart, in logical
     /// milliseconds; `None` = never restarts.
     pub restart_after_ms: Option<f64>,
-    /// Optional ground-truth label naming the fault this point injects
-    /// (e.g. `"hot-shard:shard-0"`). Diagnosis experiments join a report's
-    /// top-ranked suspect against this label to score attribution; it has
-    /// no effect on scheduling.
-    pub label: Option<String>,
 }
 
 /// A deterministic crash-stop schedule: at most one pending crash per node
@@ -52,38 +47,12 @@ impl CrashPlan {
     ///
     /// Panics when `at_op` is zero (operation counts are 1-based) or the
     /// restart delay is negative.
-    pub fn with_crash_at(self, node: &str, at_op: u64, restart_after_ms: Option<f64>) -> Self {
-        self.push_point(node, at_op, restart_after_ms, None)
-    }
-
-    /// As [`CrashPlan::with_crash_at`], additionally tagging the point with
-    /// a ground-truth fault `label` for attribution scoring.
-    ///
-    /// # Panics
-    ///
-    /// As for [`CrashPlan::with_crash_at`].
-    pub fn with_labeled_crash_at(
-        self,
-        node: &str,
-        at_op: u64,
-        restart_after_ms: Option<f64>,
-        label: &str,
-    ) -> Self {
-        self.push_point(node, at_op, restart_after_ms, Some(label.to_string()))
-    }
-
-    fn push_point(
-        mut self,
-        node: &str,
-        at_op: u64,
-        restart_after_ms: Option<f64>,
-        label: Option<String>,
-    ) -> Self {
+    pub fn with_crash_at(mut self, node: &str, at_op: u64, restart_after_ms: Option<f64>) -> Self {
         assert!(at_op >= 1, "operation counts are 1-based");
         if let Some(delay) = restart_after_ms {
             assert!(delay >= 0.0, "restart delay must be non-negative");
         }
-        self.points.push(CrashPoint { node: node.to_string(), at_op, restart_after_ms, label });
+        self.points.push(CrashPoint { node: node.to_string(), at_op, restart_after_ms });
         self
     }
 
@@ -248,21 +217,6 @@ mod tests {
         assert!(sched.should_crash("b", 2, 0.0));
         assert_eq!(sched.crashes(), 2);
         assert_eq!(sched.due_restarts(10.0).len(), 2);
-    }
-
-    #[test]
-    fn labeled_crash_points_carry_ground_truth_without_changing_schedule() {
-        let plan = CrashPlan::new().with_crash_at("a", 1, None).with_labeled_crash_at(
-            "b",
-            2,
-            Some(5.0),
-            "hot-shard:shard-0",
-        );
-        assert_eq!(plan.points()[0].label, None);
-        assert_eq!(plan.points()[1].label.as_deref(), Some("hot-shard:shard-0"));
-        let mut sched = CrashSchedule::new(plan);
-        assert!(sched.should_crash("b", 2, 0.0), "labels do not alter firing");
-        assert_eq!(sched.due_restarts(5.0), vec!["b".to_string()]);
     }
 
     #[test]

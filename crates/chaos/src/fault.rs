@@ -1,7 +1,7 @@
 //! Seeded fault plans and the injector that executes them: probabilistic
-//! message drops, scheduled link flaps, slow transfers, node
-//! crash/restart windows and payload corruption — all deterministic
-//! functions of the plan's seed and the injector's logical clock.
+//! message drops, scheduled link flaps and node crash/restart windows —
+//! all deterministic functions of the plan's seed and the injector's
+//! logical clock.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,20 +32,14 @@ pub struct NodeCrash {
     pub up_at: f64,
 }
 
-/// The declarative fault schedule for one chaos run. All probabilities are
-/// per message; all times are logical milliseconds.
+/// The declarative fault schedule for one chaos run. The drop probability
+/// is per message; all times are logical milliseconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// RNG seed; same seed + same call sequence = identical faults.
     pub seed: u64,
     /// Probability a message is dropped in flight.
     pub drop_probability: f64,
-    /// Probability a payload is corrupted in flight (bit flip).
-    pub corrupt_probability: f64,
-    /// Probability a message is slowed down.
-    pub slow_probability: f64,
-    /// Transfer-time multiplier applied to slowed messages (>= 1).
-    pub slowdown_factor: f64,
     /// Scheduled link outages.
     pub link_flaps: Vec<LinkFlap>,
     /// Scheduled node crash/restart windows.
@@ -55,15 +49,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A no-fault plan with the given seed.
     pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            drop_probability: 0.0,
-            corrupt_probability: 0.0,
-            slow_probability: 0.0,
-            slowdown_factor: 1.0,
-            link_flaps: Vec::new(),
-            crashes: Vec::new(),
-        }
+        FaultPlan { seed, drop_probability: 0.0, link_flaps: Vec::new(), crashes: Vec::new() }
     }
 
     /// Sets the per-message drop probability.
@@ -74,30 +60,6 @@ impl FaultPlan {
     pub fn with_drop_probability(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.drop_probability = p;
-        self
-    }
-
-    /// Sets the per-payload corruption probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` is outside `[0, 1]`.
-    pub fn with_corrupt_probability(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.corrupt_probability = p;
-        self
-    }
-
-    /// Slows a fraction `p` of messages by `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` is outside `[0, 1]` or `factor < 1`.
-    pub fn with_slowdown(mut self, p: f64, factor: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        assert!(factor >= 1.0, "slowdown must not speed transfers up");
-        self.slow_probability = p;
-        self.slowdown_factor = factor;
         self
     }
 
@@ -125,10 +87,6 @@ pub struct FaultStats {
     pub link_down: u64,
     /// Messages refused because an endpoint was inside a crash window.
     pub node_down: u64,
-    /// Payloads corrupted.
-    pub corrupted: u64,
-    /// Messages slowed.
-    pub slowed: u64,
     /// Scheduled node-crash windows entered (clock crossed `down_at`).
     pub crashes: u64,
     /// Scheduled node restarts (clock crossed `up_at`).
@@ -136,9 +94,9 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Faults actually injected (dropped, refused, corrupted, or slowed).
+    /// Faults actually injected (dropped or refused).
     pub fn injected(&self) -> u64 {
-        self.dropped + self.link_down + self.node_down + self.corrupted + self.slowed
+        self.dropped + self.link_down + self.node_down
     }
 }
 
@@ -148,17 +106,15 @@ impl coda_obs::Publish for FaultStats {
         registry.count("coda_chaos_faults_dropped", self.dropped);
         registry.count("coda_chaos_faults_link_down", self.link_down);
         registry.count("coda_chaos_faults_node_down", self.node_down);
-        registry.count("coda_chaos_faults_corrupted", self.corrupted);
-        registry.count("coda_chaos_faults_slowed", self.slowed);
         registry.count("coda_chaos_faults_crashes", self.crashes);
         registry.count("coda_chaos_faults_restarts", self.restarts);
         registry.count("coda_chaos_faults_injected", self.injected());
     }
 }
 
-/// Executes a [`FaultPlan`]: the network/store layers consult it per
-/// message. Deterministic: faults depend only on the plan (seed +
-/// schedule), the injector's logical clock, and the call sequence.
+/// Executes a [`FaultPlan`]: a driver consults it per message.
+/// Deterministic: faults depend only on the plan (seed + schedule), the
+/// injector's logical clock, and the call sequence.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -197,11 +153,6 @@ impl FaultInjector {
                 self.stats.restarts += 1;
             }
         }
-    }
-
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Current logical time.
@@ -260,32 +211,6 @@ impl FaultInjector {
         false
     }
 
-    /// The transfer-time multiplier for one (not dropped) message.
-    pub fn delay_factor(&mut self) -> f64 {
-        if self.plan.slow_probability > 0.0 && self.rng.gen_bool(self.plan.slow_probability) {
-            self.stats.slowed += 1;
-            self.plan.slowdown_factor
-        } else {
-            1.0
-        }
-    }
-
-    /// Possibly corrupts `payload` in flight (one deterministic bit flip).
-    /// Returns true when corruption happened.
-    pub fn corrupt(&mut self, payload: &mut [u8]) -> bool {
-        if payload.is_empty()
-            || self.plan.corrupt_probability <= 0.0
-            || !self.rng.gen_bool(self.plan.corrupt_probability)
-        {
-            return false;
-        }
-        let idx = self.rng.gen_range(0..payload.len());
-        let bit = self.rng.gen_range(0..8u32);
-        payload[idx] ^= 1 << bit;
-        self.stats.corrupted += 1;
-        true
-    }
-
     /// The counters so far.
     pub fn stats(&self) -> FaultStats {
         self.stats
@@ -301,11 +226,7 @@ mod tests {
         let mut inj = FaultInjector::new(FaultPlan::new(1));
         for _ in 0..100 {
             assert!(!inj.should_drop("a", "b"));
-            assert_eq!(inj.delay_factor(), 1.0);
         }
-        let mut payload = vec![1, 2, 3];
-        assert!(!inj.corrupt(&mut payload));
-        assert_eq!(payload, vec![1, 2, 3]);
         assert_eq!(inj.stats().messages_seen, 100);
         assert_eq!(inj.stats().dropped, 0);
     }
@@ -379,25 +300,5 @@ mod tests {
         inj.advance_to(100.0);
         inj.advance_to(50.0);
         assert_eq!(inj.now_ms(), 100.0);
-    }
-
-    #[test]
-    fn corruption_flips_exactly_one_bit() {
-        let mut inj = FaultInjector::new(FaultPlan::new(6).with_corrupt_probability(1.0));
-        let original = vec![0u8; 64];
-        let mut payload = original.clone();
-        assert!(inj.corrupt(&mut payload));
-        let diff: u32 = original.iter().zip(&payload).map(|(a, b)| (a ^ b).count_ones()).sum();
-        assert_eq!(diff, 1);
-        assert_eq!(inj.stats().corrupted, 1);
-    }
-
-    #[test]
-    fn slowdown_applies_to_a_fraction() {
-        let mut inj = FaultInjector::new(FaultPlan::new(7).with_slowdown(0.5, 4.0));
-        let factors: Vec<f64> = (0..200).map(|_| inj.delay_factor()).collect();
-        assert!(factors.contains(&4.0));
-        assert!(factors.contains(&1.0));
-        assert_eq!(inj.stats().slowed as usize, factors.iter().filter(|&&f| f == 4.0).count());
     }
 }

@@ -1,9 +1,14 @@
 //! Deterministic fault injection and resilience policies for the simulated
-//! distributed system: a seeded [`FaultInjector`] that the network/store
-//! layers consult to produce message drops, link flaps, slow transfers,
-//! scheduled node crashes and payload corruption, plus a [`RetryPolicy`]
-//! (fixed or exponential backoff with seeded jitter) whose [`RetryStats`]
-//! make every recovery path *measurable*.
+//! distributed system:
+//!
+//! - a seeded [`FaultInjector`] that the chaos driver consults per message
+//!   to produce message drops, scheduled link flaps and node crash/restart
+//!   windows on a logical clock;
+//! - a [`CrashPlan`] that kills a node at a logical operation count, for the
+//!   kill-restart driver and the serving tier;
+//! - a [`RetryPolicy`] (fixed or exponential backoff with seeded jitter and
+//!   an attempt budget) whose [`RetryStats`] make every recovery path
+//!   *measurable*.
 //!
 //! Everything is driven by logical time and seeded RNGs, so a chaos run
 //! with the same [`FaultPlan`] seed replays bit-identically — the property

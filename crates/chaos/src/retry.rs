@@ -25,14 +25,11 @@ pub enum Backoff {
     },
 }
 
-/// A retry policy: backoff schedule, attempt budget, optional deadline and
-/// seeded jitter.
+/// A retry policy: backoff schedule, attempt budget and seeded jitter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     backoff: Backoff,
     max_attempts: u32,
-    /// Total logical-ms budget across all backoffs (None = unbounded).
-    deadline_ms: Option<f64>,
     /// Jitter fraction in [0, 1): each delay is scaled by a seeded draw
     /// from [1 - jitter, 1 + jitter].
     jitter: f64,
@@ -48,13 +45,7 @@ impl RetryPolicy {
     pub fn fixed(delay_ms: f64, max_attempts: u32) -> Self {
         assert!(max_attempts >= 1, "need at least one attempt");
         assert!(delay_ms >= 0.0, "negative delay");
-        RetryPolicy {
-            backoff: Backoff::Fixed { delay_ms },
-            max_attempts,
-            deadline_ms: None,
-            jitter: 0.0,
-            seed: 0,
-        }
+        RetryPolicy { backoff: Backoff::Fixed { delay_ms }, max_attempts, jitter: 0.0, seed: 0 }
     }
 
     /// Exponential policy: delays `base, base*factor, ...` capped at
@@ -69,7 +60,6 @@ impl RetryPolicy {
         RetryPolicy {
             backoff: Backoff::Exponential { base_ms, factor, max_ms },
             max_attempts,
-            deadline_ms: None,
             jitter: 0.0,
             seed: 0,
         }
@@ -85,13 +75,6 @@ impl RetryPolicy {
         assert!((0.0..1.0).contains(&fraction), "jitter fraction must be in [0, 1)");
         self.jitter = fraction;
         self.seed = seed;
-        self
-    }
-
-    /// Bounds the *total* backoff budget; once cumulative delays would
-    /// exceed it, the policy gives up even with attempts remaining.
-    pub fn with_deadline(mut self, deadline_ms: f64) -> Self {
-        self.deadline_ms = Some(deadline_ms);
         self
     }
 
@@ -119,12 +102,11 @@ impl RetryPolicy {
             rng: StdRng::seed_from_u64(self.seed),
             attempts: 0,
             total_backoff_ms: 0.0,
-            deadline_hit: false,
         }
     }
 
     /// Runs `op` under this policy: `op` receives the 1-based attempt
-    /// number; `Err` triggers a retry until attempts or deadline run out.
+    /// number; `Err` triggers a retry until the attempts run out.
     /// Returns the final result plus the attempt/backoff accounting.
     pub fn run<T, E>(&self, mut op: impl FnMut(u32) -> Result<T, E>) -> (Result<T, E>, RetryStats) {
         let mut state = self.state();
@@ -149,7 +131,6 @@ pub struct RetryState {
     rng: StdRng,
     attempts: u32,
     total_backoff_ms: f64,
-    deadline_hit: bool,
 }
 
 impl RetryState {
@@ -164,24 +145,9 @@ impl RetryState {
         self.attempts
     }
 
-    /// Charges non-backoff elapsed time (an attempt's own latency, a
-    /// failover wait) against the deadline budget, so `with_deadline`
-    /// bounds *total* time, not just the sum of backoffs. No-op without a
-    /// deadline.
-    pub fn charge_ms(&mut self, elapsed_ms: f64) {
-        if elapsed_ms > 0.0 {
-            self.total_backoff_ms += elapsed_ms;
-        }
-    }
-
-    /// Remaining deadline budget in logical ms (`None` = unbounded).
-    pub fn remaining_budget_ms(&self) -> Option<f64> {
-        self.policy.deadline_ms.map(|d| (d - self.total_backoff_ms).max(0.0))
-    }
-
     /// After a failed attempt: the (jittered) backoff before the next one,
-    /// or `None` when the attempt budget or deadline is exhausted. The
-    /// caller should advance its logical clock by the returned amount.
+    /// or `None` when the attempt budget is exhausted. The caller should
+    /// advance its logical clock by the returned amount.
     pub fn next_backoff_ms(&mut self) -> Option<f64> {
         if self.attempts >= self.policy.max_attempts {
             return None;
@@ -190,12 +156,6 @@ impl RetryState {
         if self.policy.jitter > 0.0 {
             let scale = 1.0 + self.policy.jitter * self.rng.gen_range(-1.0..=1.0);
             delay *= scale;
-        }
-        if let Some(deadline) = self.policy.deadline_ms {
-            if self.total_backoff_ms + delay > deadline {
-                self.deadline_hit = true;
-                return None;
-            }
         }
         self.total_backoff_ms += delay;
         Some(delay)
@@ -209,7 +169,6 @@ impl RetryState {
             retries: self.attempts.saturating_sub(1),
             successes: u32::from(succeeded),
             exhausted: u32::from(!succeeded),
-            deadline_hits: u32::from(self.deadline_hit),
             total_backoff_ms: self.total_backoff_ms,
         }
     }
@@ -227,10 +186,8 @@ pub struct RetryStats {
     pub retries: u32,
     /// Operations that eventually succeeded.
     pub successes: u32,
-    /// Operations that ran out of attempts or deadline.
+    /// Operations that ran out of attempts.
     pub exhausted: u32,
-    /// Operations stopped by the deadline specifically.
-    pub deadline_hits: u32,
     /// Total logical-ms spent backing off.
     pub total_backoff_ms: f64,
 }
@@ -243,7 +200,6 @@ impl RetryStats {
         self.retries += other.retries;
         self.successes += other.successes;
         self.exhausted += other.exhausted;
-        self.deadline_hits += other.deadline_hits;
         self.total_backoff_ms += other.total_backoff_ms;
     }
 }
@@ -255,7 +211,6 @@ impl coda_obs::Publish for RetryStats {
         registry.count("coda_chaos_retry_retries", u64::from(self.retries));
         registry.count("coda_chaos_retry_successes", u64::from(self.successes));
         registry.count("coda_chaos_retry_exhausted", u64::from(self.exhausted));
-        registry.count("coda_chaos_retry_deadline_hits", u64::from(self.deadline_hits));
         registry.gauge("coda_chaos_retry_backoff_ms").add(self.total_backoff_ms);
     }
 }
@@ -310,52 +265,6 @@ mod tests {
         assert_eq!(policy.base_delay_ms(2), 20.0);
         assert_eq!(policy.base_delay_ms(3), 35.0); // capped from 40
         assert_eq!(policy.base_delay_ms(4), 35.0);
-    }
-
-    #[test]
-    fn deadline_stops_early() {
-        let policy = RetryPolicy::fixed(10.0, 100).with_deadline(25.0);
-        let (result, stats) = policy.run(|_| Err::<(), _>("slow"));
-        assert_eq!(result, Err("slow"));
-        // two 10ms backoffs fit in 25ms; the third would exceed it
-        assert_eq!(stats.attempts, 3);
-        assert_eq!(stats.deadline_hits, 1);
-        assert!((stats.total_backoff_ms - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn charged_time_counts_against_the_deadline() {
-        // each attempt itself costs 8ms; with a 25ms total budget the
-        // 10ms backoffs are squeezed out after the first retry
-        let policy = RetryPolicy::fixed(10.0, 100).with_deadline(25.0);
-        let mut state = policy.state();
-        let mut given_up = false;
-        for _ in 0..100 {
-            state.begin_attempt();
-            state.charge_ms(8.0);
-            if state.next_backoff_ms().is_none() {
-                given_up = true;
-                break;
-            }
-        }
-        assert!(given_up, "the budget must cap total time");
-        let stats = state.finish(false);
-        assert_eq!(stats.attempts, 2, "8 + 10 + 8 = 26 > 25 stops the second retry");
-        assert_eq!(stats.deadline_hits, 1);
-    }
-
-    #[test]
-    fn remaining_budget_reports_the_cap() {
-        let policy = RetryPolicy::fixed(10.0, 5).with_deadline(30.0);
-        let mut state = policy.state();
-        assert_eq!(state.remaining_budget_ms(), Some(30.0));
-        state.begin_attempt();
-        state.next_backoff_ms();
-        assert_eq!(state.remaining_budget_ms(), Some(20.0));
-        state.charge_ms(25.0);
-        assert_eq!(state.remaining_budget_ms(), Some(0.0), "clamped at zero");
-        // a policy without a deadline has no budget to report
-        assert_eq!(RetryPolicy::fixed(1.0, 2).state().remaining_budget_ms(), None);
     }
 
     #[test]

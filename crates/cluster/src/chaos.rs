@@ -113,13 +113,9 @@ impl coda_obs::Publish for ChaosCoopReport {
         registry.count("coda_cluster_chaos_takeovers", self.takeovers as u64);
         registry.count("coda_cluster_chaos_lost_to_crash", self.lost_to_crash as u64);
         registry.count("coda_cluster_chaos_rounds", self.rounds as u64);
-        // faults the injector *injected* vs retries the clients *observed*:
-        // comparing the two tells whether chaos actually bit the protocol
-        registry.count("coda_cluster_faults_injected", self.faults.injected());
-        registry.count("coda_cluster_faults_observed", u64::from(self.retry.retries));
-        // same injected-vs-observed pairing for crash-stop events: the
-        // injector counts scheduled crash/restart edges, the driver counts
-        // the edges its clients actually lived through
+        // injected-vs-observed crash-stop events: the injector counts the
+        // scheduled crash/restart edges (`coda_chaos_faults_{crashes,
+        // restarts}`), the driver the edges its clients lived through
         registry.count("coda_cluster_crashes_observed", self.crashes_seen);
         registry.count("coda_cluster_restarts_observed", self.restarts_seen);
         self.retry.publish(registry);

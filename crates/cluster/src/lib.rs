@@ -4,6 +4,15 @@
 //! connectivity, a work-placement scheduler, and cooperative multi-client
 //! evaluation runs over a shared DARR.
 //!
+//! Two seeded drivers exercise resilience: the chaos driver
+//! ([`run_chaos_coop`]) injects a [`coda_chaos::FaultPlan`]'s message drops,
+//! link flaps and crash windows into its clients' DARR exchanges and retries
+//! them with backoff, and the kill-restart driver ([`run_crash_recovery`])
+//! fires a [`coda_chaos::CrashPlan`]'s crash points. The network model and
+//! the scheduler inject nothing: a link is down only when
+//! [`SimNetwork::disconnect`] says so, and a cloud placement whose link is
+//! down at execution runs locally.
+//!
 //! The network and compute models are deterministic and analytic (times are
 //! `f64` milliseconds), so the placement trade-offs of §III — "performing
 //! analytics computations on a node without a high degree of processing
@@ -44,7 +53,7 @@ pub use failure::{DetectorConfig, FailureDetector, Liveness};
 pub use lifecycle::{BatchRecord, ModelLifecycle, RetrainPolicy};
 pub use network::SimNetwork;
 pub use node::{AnalyticsTask, ComputeNode};
-pub use placement::{ExecutionOutcome, Placement, PlacementDecision, Scheduler};
+pub use placement::{Placement, PlacementDecision, Scheduler};
 pub use recovery::{run_crash_recovery, CrashRecoveryConfig, CrashRecoveryReport};
 pub use registry::{run_job, ComponentRegistry, JobError, JobSpec, SpecValue};
 pub use webservice::SimWebService;

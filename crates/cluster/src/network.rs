@@ -1,9 +1,9 @@
 //! Deterministic network model: per-pair latency/bandwidth with optional
-//! link failure, plus transfer accounting. An optional [`FaultInjector`]
-//! adds seeded chaos on top: probabilistic drops, scheduled flaps, node
-//! crash windows and slowdowns, all replayable from the plan's seed.
+//! link failure, plus transfer accounting. A link is up or down only as
+//! [`SimNetwork::disconnect`] and [`SimNetwork::reconnect`] set it; the
+//! chaos driver injects its seeded faults itself
+//! ([`crate::chaos::run_chaos_coop`]), not through this model.
 
-use coda_chaos::{FaultInjector, FaultStats};
 use std::collections::BTreeMap;
 
 /// Link parameters.
@@ -21,7 +21,6 @@ pub struct SimNetwork {
     default_latency_ms: f64,
     default_bytes_per_ms: f64,
     overrides: BTreeMap<(String, String), Link>,
-    chaos: Option<FaultInjector>,
     /// Total messages sent.
     pub messages: u64,
     /// Total bytes transferred.
@@ -48,34 +47,8 @@ impl SimNetwork {
             default_latency_ms,
             default_bytes_per_ms,
             overrides: BTreeMap::new(),
-            chaos: None,
             messages: 0,
             bytes: 0,
-        }
-    }
-
-    /// Attaches a fault injector: every subsequent transfer consults it for
-    /// drops and slowdowns, and successful transfers advance its logical
-    /// clock so scheduled flaps/crashes track simulated time.
-    pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.chaos = Some(injector);
-    }
-
-    /// The attached injector, for clock advances or schedule queries.
-    pub fn fault_injector_mut(&mut self) -> Option<&mut FaultInjector> {
-        self.chaos.as_mut()
-    }
-
-    /// Counters from the attached injector, if any.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.chaos.as_ref().map(|c| c.stats())
-    }
-
-    /// Advances the injector's logical clock (e.g. by a retry backoff) so
-    /// scheduled outages can heal between attempts. No-op without chaos.
-    pub fn advance_chaos_clock(&mut self, delta_ms: f64) {
-        if let Some(chaos) = &mut self.chaos {
-            chaos.advance_to(chaos.now_ms() + delta_ms);
         }
     }
 
@@ -102,15 +75,8 @@ impl SimNetwork {
         }
     }
 
-    /// True when the two nodes can communicate (including any scheduled
-    /// chaos outage active right now — probabilistic drops are not
-    /// predictable and do not count).
+    /// True when the two nodes can communicate.
     pub fn is_connected(&self, a: &str, b: &str) -> bool {
-        if let Some(chaos) = &self.chaos {
-            if !chaos.link_up(a, b) {
-                return false;
-            }
-        }
         self.overrides.get(&pair(a, b)).map(|l| l.up).unwrap_or(true)
     }
 
@@ -125,35 +91,9 @@ impl SimNetwork {
         if !link.up {
             return None;
         }
-        let mut factor = 1.0;
-        if let Some(chaos) = &mut self.chaos {
-            if chaos.should_drop(a, b) {
-                return None;
-            }
-            factor = chaos.delay_factor();
-        }
         self.messages += 1;
         self.bytes += bytes;
-        let elapsed = (link.latency_ms + bytes as f64 / link.bytes_per_ms) * factor;
-        if let Some(chaos) = &mut self.chaos {
-            // traffic moves simulated time forward, so scheduled windows
-            // open and close as the run progresses
-            chaos.advance_to(chaos.now_ms() + elapsed);
-        }
-        Some(elapsed)
-    }
-
-    /// Round-trip cost of a request/response with the given payload sizes.
-    pub fn round_trip(
-        &mut self,
-        a: &str,
-        b: &str,
-        request_bytes: u64,
-        response_bytes: u64,
-    ) -> Option<f64> {
-        let there = self.transfer(a, b, request_bytes)?;
-        let back = self.transfer(b, a, response_bytes)?;
-        Some(there + back)
+        Some(link.latency_ms + bytes as f64 / link.bytes_per_ms)
     }
 }
 
@@ -187,7 +127,6 @@ mod tests {
         net.disconnect("a", "b");
         assert!(!net.is_connected("a", "b"));
         assert!(net.transfer("a", "b", 10).is_none());
-        assert!(net.round_trip("a", "b", 1, 1).is_none());
         // other links unaffected
         assert!(net.transfer("a", "c", 10).is_some());
         net.reconnect("a", "b");
@@ -195,59 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_sums_both_directions() {
-        let mut net = SimNetwork::new(10.0, 100.0);
-        let t = net.round_trip("a", "b", 100, 400).unwrap();
-        assert!((t - (10.0 + 1.0 + 10.0 + 4.0)).abs() < 1e-12);
-        assert_eq!(net.messages, 2);
-    }
-
-    #[test]
     fn invalid_defaults_panic() {
         assert!(std::panic::catch_unwind(|| SimNetwork::new(1.0, 0.0)).is_err());
-    }
-
-    #[test]
-    fn injected_drops_are_seeded_and_replayable() {
-        use coda_chaos::{FaultInjector, FaultPlan};
-        let run = || {
-            let mut net = SimNetwork::new(1.0, 100.0);
-            net.set_fault_injector(FaultInjector::new(
-                FaultPlan::new(42).with_drop_probability(0.2),
-            ));
-            (0..500).filter(|_| net.transfer("a", "b", 100).is_none()).count()
-        };
-        let drops = run();
-        assert_eq!(drops, run(), "same seed must replay identically");
-        assert!((50..150).contains(&drops), "~20% of 500, got {drops}");
-    }
-
-    #[test]
-    fn chaos_crash_window_heals_with_traffic() {
-        use coda_chaos::{FaultInjector, FaultPlan};
-        let mut net = SimNetwork::new(10.0, 100.0);
-        // the cloud node crashes between t=15 and t=45 of chaos time
-        net.set_fault_injector(FaultInjector::new(
-            FaultPlan::new(1).with_crash("cloud", 15.0, 45.0),
-        ));
-        // first transfer (t:0→20) succeeds and advances the clock into the window
-        assert!(net.transfer("edge", "cloud", 1000).is_some());
-        assert!(!net.is_connected("edge", "cloud"));
-        assert!(net.transfer("edge", "cloud", 100).is_none());
-        assert_eq!(net.fault_stats().unwrap().node_down, 1);
-        // backing off past the restart heals the link
-        net.advance_chaos_clock(60.0);
-        assert!(net.is_connected("edge", "cloud"));
-        assert!(net.transfer("edge", "cloud", 100).is_some());
-    }
-
-    #[test]
-    fn chaos_slowdown_stretches_transfer_time() {
-        use coda_chaos::{FaultInjector, FaultPlan};
-        let mut net = SimNetwork::new(10.0, 100.0);
-        net.set_fault_injector(FaultInjector::new(FaultPlan::new(9).with_slowdown(1.0, 3.0)));
-        let t = net.transfer("a", "b", 1000).unwrap();
-        assert!((t - 60.0).abs() < 1e-9, "3x the clean 20ms, got {t}");
-        assert_eq!(net.fault_stats().unwrap().slowed, 1);
     }
 }

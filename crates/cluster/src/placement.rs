@@ -3,8 +3,6 @@
 //! network latency and works offline; cloud execution parallelizes the grid
 //! across VMs.
 
-use coda_chaos::{RetryPolicy, RetryStats};
-
 use crate::network::SimNetwork;
 use crate::node::{AnalyticsTask, ComputeNode};
 
@@ -28,19 +26,6 @@ pub struct PlacementDecision {
     pub cloud_ms: Option<f64>,
 }
 
-/// What actually happened when a placement decision was executed under
-/// possible network faults.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecutionOutcome {
-    /// Where the work actually ran (a cloud decision degrades to local when
-    /// the link keeps failing).
-    pub realized: Placement,
-    /// Realized completion time (ms).
-    pub elapsed_ms: f64,
-    /// Retry accounting for the cloud round-trip attempts.
-    pub retry: RetryStats,
-}
-
 /// The placement scheduler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Scheduler;
@@ -61,18 +46,8 @@ impl Scheduler {
         if !net.is_connected(client.name(), cloud.name()) {
             return PlacementDecision { placement: Placement::Local, local_ms, cloud_ms: None };
         }
-        // predict without mutating accounting
-        let mut probe = net.clone();
-        let upload = probe.transfer(client.name(), cloud.name(), task.input_bytes);
-        let download = probe.transfer(
-            cloud.name(),
-            client.name(),
-            task.n_subtasks as u64 * RESULT_BYTES_PER_SUBTASK,
-        );
-        let cloud_ms = match (upload, download) {
-            (Some(u), Some(d)) => Some(u + cloud.execution_time(task) + d),
-            _ => None,
-        };
+        // predict on a copy, so the accounting moves only on execution
+        let cloud_ms = Self::cloud_round_trip(task, client, cloud, &mut net.clone());
         let placement = match cloud_ms {
             Some(c) if c < local_ms => Placement::Cloud,
             _ => Placement::Local,
@@ -81,7 +56,7 @@ impl Scheduler {
     }
 
     /// One attempted cloud round trip: upload, remote execution, download.
-    /// `None` when either network leg fails (disconnect or injected fault).
+    /// `None` when either network leg fails (the link is down).
     fn cloud_round_trip(
         task: &AnalyticsTask,
         client: &ComputeNode,
@@ -99,8 +74,8 @@ impl Scheduler {
 
     /// Executes the decision against the real (accounted) network, returning
     /// the realized completion time. A cloud decision whose transfer fails
-    /// mid-execution (the link dropped after placement, or a fault was
-    /// injected) degrades gracefully to local execution instead of failing.
+    /// mid-execution (the link dropped after placement) degrades gracefully
+    /// to local execution instead of failing; it is not retried.
     pub fn execute(
         decision: &PlacementDecision,
         task: &AnalyticsTask,
@@ -112,50 +87,6 @@ impl Scheduler {
             Placement::Local => client.execution_time(task),
             Placement::Cloud => Self::cloud_round_trip(task, client, cloud, net)
                 .unwrap_or_else(|| client.execution_time(task)),
-        }
-    }
-
-    /// Executes a cloud decision under a retry policy: failed round trips
-    /// are retried with backoff (advancing any attached chaos clock so
-    /// scheduled outages can heal); when the policy exhausts, the work runs
-    /// locally — the offload degrades, the task still completes.
-    pub fn execute_with_retry(
-        decision: &PlacementDecision,
-        task: &AnalyticsTask,
-        client: &ComputeNode,
-        cloud: &ComputeNode,
-        net: &mut SimNetwork,
-        policy: &RetryPolicy,
-    ) -> ExecutionOutcome {
-        let mut state = policy.state();
-        if decision.placement == Placement::Local {
-            state.begin_attempt();
-            return ExecutionOutcome {
-                realized: Placement::Local,
-                elapsed_ms: client.execution_time(task),
-                retry: state.finish(true),
-            };
-        }
-        loop {
-            state.begin_attempt();
-            if let Some(elapsed) = Self::cloud_round_trip(task, client, cloud, net) {
-                return ExecutionOutcome {
-                    realized: Placement::Cloud,
-                    elapsed_ms: elapsed,
-                    retry: state.finish(true),
-                };
-            }
-            match state.next_backoff_ms() {
-                Some(backoff) => net.advance_chaos_clock(backoff),
-                None => {
-                    let stats = state.finish(false);
-                    return ExecutionOutcome {
-                        realized: Placement::Local,
-                        elapsed_ms: stats.total_backoff_ms + client.execution_time(task),
-                        retry: stats,
-                    };
-                }
-            }
         }
     }
 }
@@ -222,36 +153,6 @@ mod tests {
         net.disconnect("edge", "dc");
         let realized = Scheduler::execute(&d, &task, &client, &cloud, &mut net);
         assert!((realized - d.local_ms).abs() < 1e-9, "fell back to local time");
-    }
-
-    #[test]
-    fn execute_with_retry_rides_out_transient_drops() {
-        use coda_chaos::{FaultInjector, FaultPlan, RetryPolicy};
-        let (client, cloud, task) = setup();
-        let mut net = SimNetwork::new(5.0, 10_000.0);
-        let d = Scheduler::place(&task, &client, &cloud, &net);
-        assert_eq!(d.placement, Placement::Cloud);
-        net.set_fault_injector(FaultInjector::new(FaultPlan::new(3).with_drop_probability(0.5)));
-        let policy = RetryPolicy::exponential(5.0, 2.0, 50.0, 10);
-        let out = Scheduler::execute_with_retry(&d, &task, &client, &cloud, &mut net, &policy);
-        assert_eq!(out.realized, Placement::Cloud);
-        assert_eq!(out.retry.successes, 1);
-    }
-
-    #[test]
-    fn execute_with_retry_exhausts_to_local_fallback() {
-        use coda_chaos::{FaultInjector, FaultPlan, RetryPolicy};
-        let (client, cloud, task) = setup();
-        let mut net = SimNetwork::new(5.0, 10_000.0);
-        let d = Scheduler::place(&task, &client, &cloud, &net);
-        net.set_fault_injector(FaultInjector::new(FaultPlan::new(3).with_drop_probability(1.0)));
-        let policy = RetryPolicy::fixed(10.0, 4);
-        let out = Scheduler::execute_with_retry(&d, &task, &client, &cloud, &mut net, &policy);
-        assert_eq!(out.realized, Placement::Local);
-        assert_eq!(out.retry.exhausted, 1);
-        assert_eq!(out.retry.attempts, 4);
-        // the fallback still completes the work, paying backoff + local time
-        assert!(out.elapsed_ms >= d.local_ms);
     }
 
     #[test]

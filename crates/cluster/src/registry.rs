@@ -499,23 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_deadline_caps_a_never_released_claim() {
-        let registry = ComponentRegistry::standard();
-        let darr = Darr::new();
-        let ds = synth::linear_regression(60, 4, 0.2, 405);
-        let s = spec();
-        // the holder never finishes and its claim far outlives any backoff:
-        // without a total-budget cap this retries until the attempt limit
-        darr.try_claim(&s.computation_key(), "immortal", u64::MAX / 2);
-        let policy = RetryPolicy::fixed(30.0, 1_000).with_deadline(100.0);
-        let (result, stats) = run_job(&registry, &s, &ds, &darr, "client-a", &policy, None);
-        assert!(matches!(result, Err(JobError::ClaimHeld { .. })));
-        assert_eq!(stats.deadline_hits, 1, "the budget cap must end the retrying");
-        assert!(stats.total_backoff_ms <= 100.0, "backoff never exceeds the budget");
-        assert!(stats.attempts < 1_000, "far fewer attempts than the raw limit");
-    }
-
-    #[test]
     fn custom_registration() {
         let mut registry = ComponentRegistry::new();
         registry.register_transformer("noop", || Box::new(NoOp::new()));

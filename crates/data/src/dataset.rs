@@ -277,28 +277,38 @@ impl Dataset {
     /// when the blob is truncated or malformed.
     pub fn from_bytes(bytes: &[u8]) -> Result<Dataset, DatasetError> {
         let fail = || DatasetError::IndexOutOfBounds(bytes.len());
+        // the little-endian word at `off`, or the error when the blob ends first
+        let word = |off: usize| -> Result<[u8; 8], DatasetError> {
+            bytes.get(off..off + 8).and_then(|w| w.try_into().ok()).ok_or_else(fail)
+        };
         if bytes.len() < 17 {
             return Err(fail());
         }
-        let n = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")) as usize;
-        let d = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
+        let n = u64::from_le_bytes(word(0)?) as usize;
+        let d = u64::from_le_bytes(word(8)?) as usize;
         let has_target = bytes[16] == 1;
+        // the header's counts are untrusted: size the blob they describe
+        // without overflow before allocating for them
         let n_cells = n.checked_mul(d).ok_or_else(fail)?;
-        let expected = 17 + 8 * (n_cells + if has_target { n } else { 0 });
+        let expected = n_cells
+            .checked_add(if has_target { n } else { 0 })
+            .and_then(|values| values.checked_mul(8))
+            .and_then(|len| len.checked_add(17))
+            .ok_or_else(fail)?;
         if bytes.len() != expected {
             return Err(fail());
         }
         let mut cells = Vec::with_capacity(n_cells);
         let mut off = 17;
         for _ in 0..n_cells {
-            cells.push(f64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes")));
+            cells.push(f64::from_le_bytes(word(off)?));
             off += 8;
         }
         let ds = Dataset::new(Matrix::from_vec(n, d, cells));
         if has_target {
             let mut target = Vec::with_capacity(n);
             for _ in 0..n {
-                target.push(f64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes")));
+                target.push(f64::from_le_bytes(word(off)?));
                 off += 8;
             }
             ds.with_target(target)
@@ -428,6 +438,11 @@ mod tests {
         assert!(Dataset::from_bytes(&blob).is_err());
         blob.extend_from_slice(&[0, 0]);
         assert!(Dataset::from_bytes(&blob).is_err());
+        // a header whose 2^61 target rows make 8·rows wrap to zero
+        let mut wraps = (1u64 << 61).to_le_bytes().to_vec();
+        wraps.extend_from_slice(&0u64.to_le_bytes());
+        wraps.push(1);
+        assert!(Dataset::from_bytes(&wraps).is_err());
     }
 
     #[test]

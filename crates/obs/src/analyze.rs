@@ -48,6 +48,17 @@ impl SpanNode {
     pub fn field(&self, key: &str) -> Option<&str> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
+
+    /// The operator label: `name[value]` when the span carries the
+    /// `refine_field` annotation, else the bare name. Cost profiles,
+    /// critical paths and diagnosis all key operators this way, so their
+    /// outputs join directly.
+    pub fn operator_label(&self, refine_field: Option<&str>) -> String {
+        match refine_field.and_then(|f| self.field(f)) {
+            Some(v) => format!("{}[{}]", self.name, v),
+            None => self.name.clone(),
+        }
+    }
 }
 
 /// A point event attributed to its owning span (if it had one).
@@ -231,19 +242,13 @@ impl TraceForest {
         path
     }
 
-    /// The critical path rendered as operator labels, root to leaf: each
-    /// span's name, refined to `name[value]` when it carries the
-    /// `refine_field` annotation — the same keying
-    /// [`CostProfile::from_forest_refined`](crate::profile::CostProfile)
-    /// uses, so diagnosis output joins against cost profiles directly.
+    /// The critical path rendered as operator labels
+    /// ([`SpanNode::operator_label`]), root to leaf.
     pub fn critical_path_labels(&self, trace: TraceId, refine_field: Option<&str>) -> Vec<String> {
         self.critical_path(trace)
             .into_iter()
             .filter_map(|id| self.span(id))
-            .map(|s| match refine_field.and_then(|f| s.field(f)) {
-                Some(v) => format!("{}[{}]", s.name, v),
-                None => s.name.clone(),
-            })
+            .map(|s| s.operator_label(refine_field))
             .collect()
     }
 

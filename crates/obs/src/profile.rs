@@ -166,16 +166,13 @@ impl CostProfile {
         Self::from_forest_refined(forest, None)
     }
 
-    /// Like [`CostProfile::from_forest`], but spans carrying the
-    /// `refine_field` annotation key under `name[value]` — so e.g.
-    /// `eval.path` costs split per pipeline spec.
+    /// Like [`CostProfile::from_forest`], but keyed by each span's
+    /// [`SpanNode::operator_label`](crate::SpanNode::operator_label) — so
+    /// e.g. `eval.path` costs split per pipeline spec.
     pub fn from_forest_refined(forest: &TraceForest, refine_field: Option<&str>) -> Self {
         let mut entries: BTreeMap<String, CostEntry> = BTreeMap::new();
         for span in forest.spans() {
-            let key = match refine_field.and_then(|f| span.field(f)) {
-                Some(v) => format!("{}[{}]", span.name, v),
-                None => span.name.clone(),
-            };
+            let key = span.operator_label(refine_field);
             let self_ms = forest.self_time_ms(span.ctx.span_id);
             let entry = entries.entry(key).or_insert(CostEntry {
                 spans: 0,

@@ -71,7 +71,7 @@ fn obs_smoke_all_four_crates_populate_one_registry() {
         "coda_darr_records_stored",
         "coda_darr_claims_granted",
         "coda_cluster_chaos_completed",
-        "coda_cluster_faults_injected",
+        "coda_chaos_faults_injected",
     ] {
         assert!(snap.counter(name) > 0, "{name} must be nonzero, got snapshot: {snap:?}");
     }

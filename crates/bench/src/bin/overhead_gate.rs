@@ -11,10 +11,7 @@
 use coda_bench::fan_out_graph;
 use coda_core::{Evaluator, GraphReport};
 use coda_data::{synth, CvStrategy, Metric};
-use coda_obs::{
-    diagnose, BurnWindows, DiagnoseConfig, FlightConfig, FlightRecorder, Obs, SloEngine, SloSignal,
-    SloSpec, TailPolicy,
-};
+use coda_obs::{diagnose, FlightRecorder, Obs, SloEngine, SloSignal, SloSpec, TailPolicy};
 
 const TRIALS: usize = 5;
 const DEFAULT_MAX_RATIO: f64 = 1.30;
@@ -100,16 +97,15 @@ fn main() {
         let (t, traced_report) = run(Some(&Obs::wall()));
         traced_ms = traced_ms.min(t);
         let obs = Obs::wall();
-        obs.exemplars().enable(0.0, 8);
-        let mut recorder = FlightRecorder::new(FlightConfig::default());
+        obs.exemplars().enable(8);
+        let mut recorder = FlightRecorder::new();
         let start = std::time::Instant::now();
         recorder.tick(obs.now_ms(), &obs.registry().snapshot());
         let mut eval = Evaluator::new(cv.clone(), Metric::Rmse).with_prefix_cache(true);
         eval = eval.with_obs(obs.clone());
         let ops_report = eval.evaluate_graph(&graph, &ds).expect("gate graph evaluates");
         recorder.tick(obs.now_ms() + (trial as f64 + 1.0) * 100.0, &obs.registry().snapshot());
-        let policy = TailPolicy::new().with_min_dur_ms(1_000_000.0);
-        let _ = obs.tracer().sample_tail(&policy);
+        let _ = obs.tracer().sample_tail(&TailPolicy::new());
         ops_ms = ops_ms.min(start.elapsed().as_secs_f64() * 1000.0);
         windows = recorder.timeline().len();
 
@@ -163,9 +159,9 @@ fn main() {
     let mut first_json: Option<String> = None;
     for trial in 0..TRIALS {
         let obs = Obs::wall();
-        obs.exemplars().enable(0.0, 8);
-        let mut recorder = FlightRecorder::new(FlightConfig::default());
-        let mut engine = SloEngine::new(specs.clone(), BurnWindows::default());
+        obs.exemplars().enable(8);
+        let mut recorder = FlightRecorder::new();
+        let mut engine = SloEngine::new(specs.clone());
         let start = std::time::Instant::now();
         recorder.tick(obs.now_ms(), &obs.registry().snapshot());
         engine.step(&recorder, Some(obs.tracer().as_ref()));
@@ -175,13 +171,7 @@ fn main() {
         recorder.tick(obs.now_ms() + (trial as f64 + 1.0) * 100.0, &obs.registry().snapshot());
         engine.step(&recorder, Some(obs.tracer().as_ref()));
         let slo = engine.report();
-        let diag = diagnose(
-            &DiagnoseConfig::default(),
-            &recorder,
-            &slo,
-            &obs.exemplars().snapshot(),
-            &obs.forest(),
-        );
+        let diag = diagnose(&recorder, &slo, &obs.exemplars().snapshot(), &obs.forest());
         diag_ms = diag_ms.min(start.elapsed().as_secs_f64() * 1000.0);
 
         assert!(diag.incidents.is_empty(), "an unbreached run must diagnose to zero incidents");

@@ -3,7 +3,7 @@
 //! one seed:
 //!
 //! - `clean` / `fault` — the D8 ops pair, replayed through
-//!   [`coda_obs::diagnose`]: clean must yield an empty incident list,
+//!   [`coda_obs::diagnose()`]: clean must yield an empty incident list,
 //!   fault's incidents must name the injected fault families among their
 //!   suspects.
 //! - `hot-shard` — every fault-window burst routes to shard 0 (keys picked
@@ -25,9 +25,10 @@ use std::sync::Arc;
 use coda_core::{Evaluator, TegBuilder};
 use coda_data::{synth, ComponentError, CvStrategy, Dataset, Metric, Transformer};
 use coda_ml::RidgeRegression;
+use coda_obs::flight::WINDOW_MS;
 use coda_obs::{
-    diagnose, labeled_name, BurnWindows, DiagReport, DiagnoseConfig, FlightConfig, FlightRecorder,
-    ManualClock, Obs, SloEngine, SloSignal, SloSpec,
+    diagnose, labeled_name, DiagReport, FlightRecorder, ManualClock, Obs, SloEngine, SloSignal,
+    SloSpec,
 };
 use coda_serve::{ServeConfig, ServeTier};
 use coda_store::shard_of;
@@ -37,7 +38,7 @@ use serde::impl_serde_struct;
 // re-run D8 scenarios and the targeted ones diagnose alike
 use crate::ops::{
     put, run_ops_scenario_full, slo_specs, uniform, ScenarioArtifacts, EXEMPLAR_CAP, FAULT_FROM,
-    FAULT_TO, N_WINDOWS, WINDOW_MS,
+    FAULT_TO, N_WINDOWS,
 };
 
 /// Manual-clock milliseconds queued requests wait behind the held shard.
@@ -245,13 +246,7 @@ fn score_scenario(
 
 /// Runs [`diagnose`] over a scenario's raw artifacts.
 fn diagnose_artifacts(artifacts: &ScenarioArtifacts) -> DiagReport {
-    diagnose(
-        &DiagnoseConfig::default(),
-        &artifacts.recorder,
-        &artifacts.slo,
-        &artifacts.exemplars,
-        &artifacts.forest,
-    )
+    diagnose(&artifacts.recorder, &artifacts.slo, &artifacts.exemplars, &artifacts.forest)
 }
 
 /// The shared window loop of the two targeted scenarios. `hot` injects
@@ -260,10 +255,9 @@ fn diagnose_artifacts(artifacts: &ScenarioArtifacts) -> DiagReport {
 fn run_targeted(seed: u64, n_shards: usize, hot: bool) -> ScenarioArtifacts {
     let clock = Arc::new(ManualClock::new());
     let obs = Obs::with_clock(clock.clone());
-    obs.exemplars().enable(0.0, EXEMPLAR_CAP);
-    let mut recorder =
-        FlightRecorder::new(FlightConfig { window_ms: WINDOW_MS, ..FlightConfig::default() });
-    let mut engine = SloEngine::new(diag_slo_specs(), BurnWindows::default());
+    obs.exemplars().enable(EXEMPLAR_CAP);
+    let mut recorder = FlightRecorder::new();
+    let mut engine = SloEngine::new(diag_slo_specs());
 
     let serve_cfg = ServeConfig { n_shards, queue_capacity: 4, ..ServeConfig::default() };
     let tier = ServeTier::start_obs(&serve_cfg, Some(&obs));

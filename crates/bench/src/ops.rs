@@ -1,11 +1,12 @@
 //! The D8 ops-plane driver: one deterministic "day in the life" of the
 //! serving tier, observed end to end through the `coda-obs` telemetry
-//! plane. A [`ManualClock`]-driven window loop pushes real `ServeTier`
-//! traffic, real TEG evaluations, and a real crash-recovery run through
-//! the [`FlightRecorder`], evaluates declared SLOs as multi-window burn
-//! rates at every boundary, attaches exemplars to hot `eval.path`
-//! observations, tail-samples the trace log down to the interesting
-//! traces, and rolls span self-times into a per-operator [`CostProfile`].
+//! plane. A [`ManualClock`](coda_obs::ManualClock)-driven window loop
+//! pushes real `ServeTier` traffic, real TEG evaluations, and a real
+//! crash-recovery run through the [`FlightRecorder`], evaluates declared
+//! SLOs as multi-window burn rates at every boundary, attaches exemplars
+//! to hot `eval.path` observations, tail-samples the trace log down to
+//! the interesting traces, and rolls span self-times into a per-operator
+//! [`CostProfile`].
 //!
 //! Two scenarios share one seed: `clean` (closed-loop traffic, healthy
 //! latencies, an uneventful recovery drill) must fire **zero** `slo.burn`
@@ -20,15 +21,14 @@ use coda_cluster::{run_crash_recovery, CrashRecoveryConfig};
 use coda_core::{Evaluator, TegBuilder};
 use coda_data::{synth, CvStrategy, Metric};
 use coda_ml::{LinearRegression, RidgeRegression, StandardScaler};
+use coda_obs::flight::WINDOW_MS;
 use coda_obs::{
-    BurnWindows, CostProfile, FlightConfig, FlightRecorder, FlightWindow, Obs, SloEngine,
-    SloReport, SloSignal, SloSpec, SpanId, TailPolicy, TraceForest,
+    CostProfile, FlightRecorder, FlightWindow, Obs, SloEngine, SloReport, SloSignal, SloSpec,
+    SpanId, TailPolicy, TraceForest,
 };
 use coda_serve::{ServeConfig, ServeRequest, ServeTier};
 use serde::impl_serde_struct;
 
-/// Level-0 flight window length, milliseconds of manual-clock time.
-pub(crate) const WINDOW_MS: f64 = 100.0;
 /// Windows driven per scenario.
 pub(crate) const N_WINDOWS: u64 = 20;
 /// Fault phase: windows `[FAULT_FROM, FAULT_TO)` inject the fault (here
@@ -234,10 +234,9 @@ pub fn run_ops_scenario(seed: u64, fault: bool) -> OpsScenario {
 /// diagnosis pass can attribute whatever breached.
 pub fn run_ops_scenario_full(seed: u64, fault: bool) -> (OpsScenario, ScenarioArtifacts) {
     let obs = Obs::deterministic();
-    obs.exemplars().enable(0.0, EXEMPLAR_CAP);
-    let mut recorder =
-        FlightRecorder::new(FlightConfig { window_ms: WINDOW_MS, ..FlightConfig::default() });
-    let mut engine = SloEngine::new(slo_specs(), BurnWindows::default());
+    obs.exemplars().enable(EXEMPLAR_CAP);
+    let mut recorder = FlightRecorder::new();
+    let mut engine = SloEngine::new(slo_specs());
 
     let serve_cfg = ServeConfig { n_shards: 2, queue_capacity: 4, ..ServeConfig::default() };
     let tier = ServeTier::start_obs(&serve_cfg, Some(&obs));

@@ -113,9 +113,6 @@ pub fn serving_bench_config(seed: u64) -> (ServeConfig, LoadGenConfig) {
         ops_per_thread: 50_000,
         n_threads: 4,
         key_space: 512,
-        zipf_s: 1.1,
-        payload_len: 256,
-        ..LoadGenConfig::default()
     };
     (serve, load)
 }

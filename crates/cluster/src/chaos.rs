@@ -274,7 +274,8 @@ pub fn run_chaos_coop(
     // span context of the key it belongs to (or of the attempt cycle)
     let trace = |ctx: Option<SpanContext>, name: &str, client: &str, key: &str| {
         if let (Some(o), Some(c)) = (obs, ctx) {
-            o.tracer().event_in(c, name, &[("client", client), ("key", key)]);
+            let _in_key = o.tracer().enter(Some(c));
+            o.tracer().event(name, &[("client", client), ("key", key)]);
         }
     };
     // the carried context as the current span around one DARR call; with

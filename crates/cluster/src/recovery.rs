@@ -276,7 +276,8 @@ fn run_lane(cfg: &CrashRecoveryConfig, obs: Option<&Obs>, lane: &LaneSpec) -> Cr
     });
     let event = |name: &str, attrs: &[(&str, &str)]| {
         if let (Some(o), Some(r)) = (obs, root) {
-            o.tracer().event_in(r, name, attrs);
+            let _in_run = o.tracer().enter(Some(r));
+            o.tracer().event(name, attrs);
         }
     };
 

@@ -359,8 +359,8 @@ impl Evaluator {
     }
 
     /// Runs one job through `run`. When the evaluator is observed, the run
-    /// sits under an `eval.path` span keyed by the resolved spec and linked
-    /// explicitly to the enclosing `eval.graph` context, so paths running on
+    /// sits under an `eval.path` span keyed by the resolved spec, opened
+    /// with the enclosing `eval.graph` context entered, so paths running on
     /// worker threads still land in the graph's trace tree. Its tail records
     /// outcome counters for the SLO plane (`coda_core_eval_paths_ok` /
     /// `coda_core_eval_path_errors`), the latency observation — into the
@@ -380,7 +380,8 @@ impl Evaluator {
             return run();
         };
         let key = pipeline.spec().with_params(params).key();
-        let span = obs.tracer().span_with_parent(parent, "eval.path", &[("spec", &key as &str)]);
+        let _graph = parent.map(|ctx| obs.tracer().enter(Some(ctx)));
+        let span = obs.tracer().span("eval.path", &[("spec", &key as &str)]);
         let start = obs.now_ms();
         let result = run();
         let ok = result.is_ok();
@@ -1067,7 +1068,7 @@ mod tests {
             .create_graph()
             .unwrap();
         let obs = coda_obs::Obs::deterministic();
-        obs.exemplars().enable(0.0, 4); // arm: every observation qualifies
+        obs.exemplars().enable(4); // arm: every observation qualifies
         let report = Evaluator::new(CvStrategy::kfold(2), Metric::Rmse)
             .with_obs(obs.clone())
             .evaluate_graph(&graph, &ds)

@@ -111,7 +111,8 @@ impl Darr {
     /// nothing, when no [`Obs`] is attached or no span is current.
     fn span(&self, name: &str, fields: &[(&str, &str)]) -> Option<SpanGuard<'_>> {
         let tracer = self.metrics.get()?.obs.tracer();
-        Some(tracer.span_child(tracer.current_context()?, name, fields))
+        tracer.current_context()?;
+        Some(tracer.span(name, fields))
     }
 
     /// Current logical time.
@@ -208,13 +209,13 @@ impl Darr {
     pub fn try_claim(&self, key: &ComputationKey, client: &str, duration: u64) -> ClaimOutcome {
         let span = self.span("darr.claim", &[("client", client), ("key", &key.pipeline)]);
         let outcome = self.claim(key, client, duration);
-        if let (Some(s), Some(m)) = (&span, self.metrics.get()) {
+        if let (Some(_), Some(m)) = (&span, self.metrics.get()) {
             let label = match &outcome {
                 ClaimOutcome::Claimed => "claimed",
                 ClaimOutcome::HeldBy(_) => "held",
                 ClaimOutcome::AlreadyComputed(_) => "reused",
             };
-            m.obs.event_in(s.context(), "darr.claim_outcome", &[("outcome", label)]);
+            m.obs.event("darr.claim_outcome", &[("outcome", label)]);
         }
         outcome
     }
@@ -354,9 +355,9 @@ impl Darr {
             }
             keep_incoming
         };
-        if let (Some(s), Some(m)) = (&span, self.metrics.get()) {
+        if let (Some(_), Some(m)) = (&span, self.metrics.get()) {
             let label = if applied { "applied" } else { "ignored" };
-            m.obs.event_in(s.context(), "darr.merge_outcome", &[("outcome", label)]);
+            m.obs.event("darr.merge_outcome", &[("outcome", label)]);
         }
         applied
     }

@@ -15,8 +15,9 @@ fn ridge_solve(x: &Matrix, y: &[f64], lambda: f64) -> Result<Vec<f64>, Component
     for i in 0..gram.rows() {
         gram[(i, i)] += lambda * scale.max(1e-12);
     }
-    let xty = x.transpose().matvec(y).expect("shapes match by construction");
-    coda_linalg::decomp::cholesky_solve(&gram, &xty)
+    x.transpose()
+        .matvec(y)
+        .and_then(|xty| coda_linalg::decomp::cholesky_solve(&gram, &xty))
         .map_err(|e| ComponentError::Numerical(format!("chained ridge failed: {e}")))
 }
 

@@ -1,14 +1,12 @@
 //! Observability contract: statically extracts every metric
-//! registration/observation name, label key, help text and span/event
-//! name in the workspace into a canonical [`ObsSchema`] (committed as
+//! registration/observation name, label key and span/event name in the
+//! workspace into a canonical [`ObsSchema`] (committed as
 //! `OBS_SCHEMA.json`), and checks the surface for the interface-drift
 //! failure modes that unchecked stringly-typed metrics invite:
 //!
 //! - **consumed-but-never-produced** — a `coda_*` name read from a
 //!   snapshot, asserted by a smoke test, or referenced by an SLO spec that
 //!   no code path ever registers/observes;
-//! - **help-but-never-observed** — `set_help` on a name nothing increments
-//!   (the lazy-registration analog of registered-but-never-observed);
 //! - **kind conflicts** — one name used as both a counter and a histogram;
 //! - **label-set mismatches** — one base name split by two different label
 //!   keys (`{shard=…}` in one crate, `{spec=…}` in another);
@@ -38,13 +36,11 @@ pub struct MetricSchema {
     /// `counter` | `gauge` | `histogram` (first by sort order on conflict —
     /// conflicts are also findings).
     pub kind: String,
-    /// Help text from `set_help`, empty when never set.
-    pub help: String,
     /// Label keys the family is split by (`labeled_name` second argument).
     pub labels: Vec<String>,
 }
 
-impl_serde_struct!(MetricSchema { kind, help, labels });
+impl_serde_struct!(MetricSchema { kind, labels });
 
 /// The whole extracted observability surface, canonically ordered.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -53,10 +49,9 @@ pub struct ObsSchema {
     pub version: u64,
     /// Metric name → family schema.
     pub metrics: BTreeMap<String, MetricSchema>,
-    /// Every span name passed to `span`/`span_child`/`span_with_parent`/
-    /// `begin_span`.
+    /// Every span name passed to `span`/`begin_span`.
     pub spans: Vec<String>,
-    /// Every event name passed to `event`/`event_in`/`event_at`.
+    /// Every event name passed to `event`/`event_at`.
     pub events: Vec<String>,
 }
 
@@ -136,8 +131,6 @@ struct Site {
 struct Extraction {
     /// name → kind → first site.
     kinds: BTreeMap<String, BTreeMap<&'static str, Site>>,
-    /// name → help text (first wins) + site.
-    helps: BTreeMap<String, (String, Site)>,
     /// name → label key → first site.
     labels: BTreeMap<String, BTreeMap<String, Site>>,
     /// Loose references (snapshot reads, SLO specs, asserts): name → sites.
@@ -229,17 +222,6 @@ fn extract(sf: &SourceFile, ex: &mut Extraction) {
             continue;
         }
         match t.text.as_str() {
-            "set_help" => {
-                if let [name_j, help_j, ..] = strs[..] {
-                    if let Some(name) = metric_name(&toks[name_j].text) {
-                        claimed[name_j] = true;
-                        claimed[help_j] = true;
-                        ex.helps
-                            .entry(name)
-                            .or_insert_with(|| (toks[help_j].text.clone(), site(name_j)));
-                    }
-                }
-            }
             "labeled_name" => {
                 if let [name_j, label_j, ..] = strs[..] {
                     if let Some(name) = metric_name(&toks[name_j].text) {
@@ -253,7 +235,7 @@ fn extract(sf: &SourceFile, ex: &mut Extraction) {
                     }
                 }
             }
-            "span" | "span_child" | "span_with_parent" | "begin_span" => {
+            "span" | "begin_span" => {
                 if let Some(&name_j) = top_strs.first() {
                     if let Some(name) = obs_name(&toks[name_j].text) {
                         claimed[name_j] = true;
@@ -261,7 +243,7 @@ fn extract(sf: &SourceFile, ex: &mut Extraction) {
                     }
                 }
             }
-            "event" | "event_in" | "event_at" => {
+            "event" | "event_at" => {
                 if let Some(&name_j) = top_strs.first() {
                     if let Some(name) = obs_name(&toks[name_j].text) {
                         claimed[name_j] = true;
@@ -341,7 +323,6 @@ fn is_snapshot_receiver(toks: &[crate::lexer::Tok], i: usize) -> bool {
 fn assemble(ex: &Extraction) -> ObsSchema {
     let mut metrics: BTreeMap<String, MetricSchema> = BTreeMap::new();
     let mut names: Vec<&String> = ex.kinds.keys().collect();
-    names.extend(ex.helps.keys());
     names.extend(ex.labels.keys());
     names.sort();
     names.dedup();
@@ -350,12 +331,11 @@ fn assemble(ex: &Extraction) -> ObsSchema {
             .kinds
             .get(name)
             .and_then(|ks| ks.keys().next().copied())
-            .unwrap_or("help-only")
+            .unwrap_or("labels-only")
             .to_string();
-        let help = ex.helps.get(name).map(|(h, _)| h.clone()).unwrap_or_default();
         let labels: Vec<String> =
             ex.labels.get(name).map(|ls| ls.keys().cloned().collect()).unwrap_or_default();
-        metrics.insert(name.clone(), MetricSchema { kind, help, labels });
+        metrics.insert(name.clone(), MetricSchema { kind, labels });
     }
     ObsSchema {
         version: 1,
@@ -389,19 +369,6 @@ fn contract_findings(ex: &Extraction) -> Vec<Finding> {
                     ),
                 );
             }
-        }
-    }
-    // help-but-never-observed
-    for (name, (_, site)) in &ex.helps {
-        if !ex.kinds.contains_key(name) {
-            push(
-                &mut out,
-                site,
-                format!(
-                    "metric `{name}` has help text but is never observed — registered-but-\
-                     never-observed names rot into dashboard ghosts"
-                ),
-            );
         }
     }
     // kind conflicts
@@ -586,14 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn help_without_observation_is_flagged() {
-        let (_, findings) =
-            run("fn f(r: &Reg) { r.set_help(\"coda_x_ghost\", \"a ghost metric\"); }");
-        assert_eq!(findings.len(), 1, "{findings:#?}");
-        assert!(findings[0].message.contains("never observed"), "{findings:#?}");
-    }
-
-    #[test]
     fn unproduced_keep_event_is_flagged() {
         let (_, findings) = run("fn f(t: &Tracer, p: TailPolicy) { t.event(\"x.done\", &[]);\n\
              let p = p.keep_event(\"x.done\").keep_event(\"x.ghost\"); }");
@@ -613,7 +572,6 @@ mod tests {
     #[test]
     fn schema_json_round_trips_and_is_stable() {
         let (schema, _) = run("fn f(o: &Obs) {\n o.registry().count(\"coda_x_ops\", 1);\n\
-             o.registry().set_help(\"coda_x_ops\", \"ops served\");\n\
              o.registry().histogram(&labeled_name(\"coda_x_ms\", \"shard\", s));\n\
              o.tracer().span(\"x.request\", &[]);\n}");
         let text = schema.to_pretty_json();
@@ -621,7 +579,6 @@ mod tests {
         assert_eq!(back, schema);
         assert_eq!(text, back.to_pretty_json(), "render is canonical");
         assert_eq!(schema.metrics["coda_x_ms"].labels, vec!["shard"]);
-        assert_eq!(schema.metrics["coda_x_ops"].help, "ops served");
     }
 
     #[test]

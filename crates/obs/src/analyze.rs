@@ -211,11 +211,6 @@ impl TraceForest {
         &self.points
     }
 
-    /// Point events attributed to span `id`, in record order.
-    pub fn points_in(&self, id: SpanId) -> Vec<&PointEvent> {
-        self.points.iter().filter(|p| p.ctx.map(|c| c.span_id) == Some(id)).collect()
-    }
-
     /// The latency-bounding chain of `trace`: starting from the trace's
     /// longest root, repeatedly descend into the child that finishes last
     /// (ties broken by lower span id). Empty when the trace is unknown.
@@ -460,7 +455,10 @@ mod tests {
         let root = tracer.begin_span("root", None, &[("req", "r1")]);
         clock.set_ms(5.0);
         let a = tracer.begin_span("work.a", Some(root), &[]);
-        tracer.event_in(a, "a.tick", &[]);
+        {
+            let _a = tracer.enter(Some(a));
+            tracer.event("a.tick", &[]);
+        }
         clock.set_ms(10.0);
         let b = tracer.begin_span("work.b", Some(root), &[]);
         clock.set_ms(12.0);
@@ -491,7 +489,8 @@ mod tests {
         assert_eq!(root.children, vec![SpanId(2), SpanId(3)]);
         assert_eq!((root.start_ms, root.end_ms), (0.0, 40.0));
         assert_eq!(root.field("req"), Some("r1"));
-        assert_eq!(forest.points_in(SpanId(2)).len(), 1, "a.tick lands in work.a");
+        let in_a = forest.points().iter().filter(|p| p.ctx.map(|c| c.span_id) == Some(SpanId(2)));
+        assert_eq!(in_a.count(), 1, "a.tick lands in work.a");
     }
 
     #[test]
@@ -525,7 +524,8 @@ mod tests {
         let (_clock, tracer) = manual_tracer();
         let ghost = SpanContext { trace_id: TraceId(9), span_id: SpanId(99) };
         let _real = tracer.begin_span("child", Some(ghost), &[]);
-        tracer.event_in(ghost, "lost", &[]);
+        let _ghost = tracer.enter(Some(ghost));
+        tracer.event("lost", &[]);
         let forest = TraceForest::from_events(&tracer.events());
         assert_eq!(forest.orphans(), &[SpanId(1)]);
         assert_eq!(forest.unresolved_points(), 1);

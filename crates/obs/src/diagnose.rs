@@ -19,61 +19,46 @@
 //!
 //! The ranking model in brief:
 //!
-//! - **Baseline**: the last `baseline_windows` flight windows that end at
-//!   least `guard_windows` before the first breach — the guard keeps the
-//!   fault's onset (which predates the alert by up to the short burn
-//!   window) from contaminating "normal".
+//! - **Baseline**: the last 8 flight windows that end at least 3 windows
+//!   before the first breach — the guard keeps the fault's onset (which
+//!   predates the alert by up to the short burn window) from contaminating
+//!   "normal".
 //! - **Per-window scalar**: counters and gauges contribute their delta
 //!   per level-0 window; histograms contribute their delta *sum* per
 //!   window (sums are invariant under shard count where counts are not).
-//! - **Score**: `z = (observed − mean) / max(std, floor·|mean|, floor)`,
-//!   where `observed` is the anomaly slice's extremum (max or min,
-//!   whichever deviates more — a mean would dilute single-window spikes).
+//! - **Score**: `z = (observed − mean) / max(std, floor·|mean|, floor)`
+//!   with floor 0.25, where `observed` is the anomaly slice's extremum
+//!   (max or min, whichever deviates more — a mean would dilute
+//!   single-window spikes); a series ranks as a suspect at `|z| ≥ 3`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::impl_serde_struct;
 
 use crate::analyze::TraceForest;
-use crate::flight::{FlightRecorder, FlightWindow};
+use crate::flight::{FlightRecorder, FlightWindow, WINDOW_MS};
 use crate::metrics::{label_value, name_parts};
 use crate::profile::{CostProfile, Exemplar};
 use crate::slo::SloReport;
 
-/// Knobs for the attribution engine.
-#[derive(Debug, Clone)]
-pub struct DiagnoseConfig {
-    /// Flight windows of pre-breach history forming the baseline.
-    pub baseline_windows: usize,
-    /// Windows immediately before the first breach excluded from the
-    /// baseline *and* included in the anomaly slice — the detection lag
-    /// guard (a burn alert trails the fault's onset).
-    pub guard_windows: usize,
-    /// Minimum |z| for a series to rank as a suspect.
-    pub z_threshold: f64,
-    /// Robustness floor for the z denominator, both as a fraction of the
-    /// baseline mean and as an absolute: a flat-zero baseline must not
-    /// make every nonzero observation infinitely anomalous.
-    pub floor_frac: f64,
-    /// Ranked series suspects retained per incident. Sized generously: a
-    /// zero-baseline bulk counter (e.g. recovery bytes transferred) scores
-    /// a huge z in its own units, and a tight cap would let one such
-    /// burst crowd out the persistent low-rate anomalies that usually
-    /// name the actual cause.
-    pub max_suspects: usize,
-}
-
-impl Default for DiagnoseConfig {
-    fn default() -> Self {
-        DiagnoseConfig {
-            baseline_windows: 8,
-            guard_windows: 3,
-            z_threshold: 3.0,
-            floor_frac: 0.25,
-            max_suspects: 32,
-        }
-    }
-}
+/// Flight windows of pre-breach history forming the baseline.
+const BASELINE_WINDOWS: usize = 8;
+/// Windows immediately before the first breach excluded from the baseline
+/// *and* included in the anomaly slice — the detection lag guard (a burn
+/// alert trails the fault's onset).
+const GUARD_WINDOWS: usize = 3;
+/// Minimum |z| for a series to rank as a suspect.
+const Z_THRESHOLD: f64 = 3.0;
+/// Robustness floor for the z denominator, both as a fraction of the
+/// baseline mean and as an absolute: a flat-zero baseline must not make
+/// every nonzero observation infinitely anomalous.
+const FLOOR_FRAC: f64 = 0.25;
+/// Ranked series suspects retained per incident. Sized generously: a
+/// zero-baseline bulk counter (e.g. recovery bytes transferred) scores a
+/// huge z in its own units, and a tight cap would let one such burst
+/// crowd out the persistent low-rate anomalies that usually name the
+/// actual cause.
+const MAX_SUSPECTS: usize = 32;
 
 /// One anomalous metric series, ranked by |z|.
 #[derive(Debug, Clone, PartialEq)]
@@ -267,11 +252,7 @@ fn mean_std(values: &[f64]) -> (f64, f64) {
 }
 
 /// Ranks anomalous series for one incident's baseline/anomaly slices.
-fn rank_series(
-    cfg: &DiagnoseConfig,
-    baseline: &[&&FlightWindow],
-    anomaly: &[&&FlightWindow],
-) -> Vec<SeriesSuspect> {
+fn rank_series(baseline: &[&&FlightWindow], anomaly: &[&&FlightWindow]) -> Vec<SeriesSuspect> {
     let base_rows: Vec<_> = baseline.iter().map(|w| window_scalars(w)).collect();
     let anom_rows: Vec<_> = anomaly.iter().map(|w| window_scalars(w)).collect();
     let mut names: BTreeMap<String, &'static str> = BTreeMap::new();
@@ -297,9 +278,9 @@ fn rank_series(
         }
         let (observed, direction) =
             if max - mean >= mean - min { (max, "up") } else { (min, "down") };
-        let denom = std.max(cfg.floor_frac * mean.abs()).max(cfg.floor_frac);
+        let denom = std.max(FLOOR_FRAC * mean.abs()).max(FLOOR_FRAC);
         let z = (observed - mean) / denom;
-        if z.abs() >= cfg.z_threshold {
+        if z.abs() >= Z_THRESHOLD {
             suspects.push(SeriesSuspect {
                 series,
                 kind: kind.to_string(),
@@ -317,14 +298,13 @@ fn rank_series(
             .then_with(|| label_rank(&a.series).cmp(&label_rank(&b.series)))
             .then_with(|| a.series.cmp(&b.series))
     });
-    suspects.truncate(cfg.max_suspects);
+    suspects.truncate(MAX_SUSPECTS);
     suspects
 }
 
 /// Aggregates the breach window's exemplar spans into operator suspects,
 /// joined against the whole-run cost profile for a slowdown ratio.
 fn rank_operators(
-    cfg: &DiagnoseConfig,
     exemplars: &BTreeMap<String, Vec<Exemplar>>,
     forest: &TraceForest,
     from_ms: f64,
@@ -379,7 +359,7 @@ fn rank_operators(
                 total_self_ms: agg.total_self_ms,
                 mean_self_ms,
                 profile_mean_self_ms,
-                slowdown: mean_self_ms / profile_mean_self_ms.max(cfg.floor_frac),
+                slowdown: mean_self_ms / profile_mean_self_ms.max(FLOOR_FRAC),
                 exemplars: agg.exemplars.into_iter().map(|(_, ctx)| ctx).collect(),
             }
         })
@@ -463,27 +443,25 @@ fn pick_top_suspect(
 /// suspects at series, operator, and shard granularity. A report with no
 /// breaches yields a valid empty report.
 pub fn diagnose(
-    cfg: &DiagnoseConfig,
     recorder: &FlightRecorder,
     slo_report: &SloReport,
     exemplars: &BTreeMap<String, Vec<Exemplar>>,
     forest: &TraceForest,
 ) -> DiagReport {
-    let window_ms = recorder.config().window_ms;
     let timeline = recorder.timeline();
     let mut incidents = Vec::new();
     for run in slo_report.breach_runs() {
-        let cut = run.first_ms - cfg.guard_windows as f64 * window_ms;
+        let cut = run.first_ms - GUARD_WINDOWS as f64 * WINDOW_MS;
         let anomaly: Vec<&&FlightWindow> =
             timeline.iter().filter(|w| w.end_ms > cut && w.start_ms < run.last_ms).collect();
         let baseline_all: Vec<&&FlightWindow> =
             timeline.iter().filter(|w| w.end_ms <= cut).collect();
-        let skip = baseline_all.len().saturating_sub(cfg.baseline_windows);
+        let skip = baseline_all.len().saturating_sub(BASELINE_WINDOWS);
         let baseline = &baseline_all[skip..];
 
-        let series_suspects = rank_series(cfg, baseline, &anomaly);
+        let series_suspects = rank_series(baseline, &anomaly);
         let (operator_suspects, critical_path) =
-            rank_operators(cfg, exemplars, forest, cut, run.last_ms);
+            rank_operators(exemplars, forest, cut, run.last_ms);
         let shard_suspects = rank_shards(&series_suspects);
         let top_suspect = pick_top_suspect(&series_suspects, &operator_suspects);
         incidents.push(Incident {
@@ -511,9 +489,8 @@ mod tests {
 
     use super::*;
     use crate::clock::{Clock, ManualClock};
-    use crate::flight::FlightConfig;
     use crate::metrics::{labeled_name, MetricsRegistry};
-    use crate::slo::{BurnWindows, SloEngine, SloSignal, SloSpec};
+    use crate::slo::{SloEngine, SloSignal, SloSpec};
     use crate::trace::Tracer;
 
     fn shed_slo() -> SloSpec {
@@ -528,13 +505,7 @@ mod tests {
     }
 
     fn rig(specs: Vec<SloSpec>) -> (SloEngine, FlightRecorder, MetricsRegistry) {
-        let windows = BurnWindows { long_windows: 4, short_windows: 2, factor: 2.0 };
-        let cfg = FlightConfig { window_ms: 10.0, level_capacity: 32, merge: 4, levels: 2 };
-        (SloEngine::new(specs, windows), FlightRecorder::new(cfg), MetricsRegistry::new())
-    }
-
-    fn small_cfg() -> DiagnoseConfig {
-        DiagnoseConfig { baseline_windows: 4, guard_windows: 2, ..DiagnoseConfig::default() }
+        (SloEngine::new(specs), FlightRecorder::new(), MetricsRegistry::new())
     }
 
     #[test]
@@ -543,16 +514,11 @@ mod tests {
         rec.tick(0.0, &reg.snapshot());
         for i in 1..=8 {
             reg.count("coda_serve_ops_total", 100);
-            rec.tick(i as f64 * 10.0, &reg.snapshot());
+            rec.tick(i as f64 * WINDOW_MS, &reg.snapshot());
             engine.step(&rec, None);
         }
-        let report = diagnose(
-            &DiagnoseConfig::default(),
-            &rec,
-            &engine.report(),
-            &BTreeMap::new(),
-            &TraceForest::from_events(&[]),
-        );
+        let report =
+            diagnose(&rec, &engine.report(), &BTreeMap::new(), &TraceForest::from_events(&[]));
         assert!(report.incidents.is_empty(), "no breach, no incident");
         assert_eq!(report.schema, "coda-diag-report-v1");
         let back = DiagReport::from_json(&report.to_json()).expect("empty report parses");
@@ -568,18 +534,12 @@ mod tests {
             if i > 6 {
                 reg.count("coda_serve_shed_total", 40);
             }
-            rec.tick(i as f64 * 10.0, &reg.snapshot());
+            rec.tick(i as f64 * WINDOW_MS, &reg.snapshot());
             engine.step(&rec, None);
         }
         let slo_report = engine.report();
         assert!(slo_report.total_breaches() > 0, "the burst must burn");
-        let report = diagnose(
-            &small_cfg(),
-            &rec,
-            &slo_report,
-            &BTreeMap::new(),
-            &TraceForest::from_events(&[]),
-        );
+        let report = diagnose(&rec, &slo_report, &BTreeMap::new(), &TraceForest::from_events(&[]));
         assert_eq!(report.incidents.len(), 1, "one contiguous run, one incident");
         let inc = &report.incidents[0];
         assert_eq!(inc.slo, "serve-shed-rate");
@@ -606,16 +566,11 @@ mod tests {
                 reg.histogram("coda_serve_queue_wait_ms").observe(50.0);
                 reg.histogram(&per_shard).observe(50.0);
             }
-            rec.tick(i as f64 * 10.0, &reg.snapshot());
+            rec.tick(i as f64 * WINDOW_MS, &reg.snapshot());
             engine.step(&rec, None);
         }
-        let report = diagnose(
-            &small_cfg(),
-            &rec,
-            &engine.report(),
-            &BTreeMap::new(),
-            &TraceForest::from_events(&[]),
-        );
+        let report =
+            diagnose(&rec, &engine.report(), &BTreeMap::new(), &TraceForest::from_events(&[]));
         let inc = &report.incidents[0];
         let wait_rank =
             |name: &str| inc.series_suspects.iter().position(|s| s.series == name).expect("ranked");
@@ -644,16 +599,11 @@ mod tests {
                         reg.count(name, 40);
                     }
                 }
-                rec.tick(i as f64 * 10.0, &reg.snapshot());
+                rec.tick(i as f64 * WINDOW_MS, &reg.snapshot());
                 engine.step(&rec, None);
             }
-            let report = diagnose(
-                &small_cfg(),
-                &rec,
-                &engine.report(),
-                &BTreeMap::new(),
-                &TraceForest::from_events(&[]),
-            );
+            let report =
+                diagnose(&rec, &engine.report(), &BTreeMap::new(), &TraceForest::from_events(&[]));
             report.incidents[0].series_suspects.iter().map(|s| s.series.clone()).collect::<Vec<_>>()
         };
         let a = run(&["coda_x_alpha", "coda_x_beta", "coda_x_gamma"]);
@@ -683,7 +633,7 @@ mod tests {
         let mut exemplars = BTreeMap::new();
         exemplars.insert(
             "coda_core_eval_path_ms".to_string(),
-            vec![Exemplar { value: 80.0, ctx: Some(slow_ctx), at_ms: 75.0 }],
+            vec![Exemplar { value: 80.0, ctx: Some(slow_ctx), at_ms: 750.0 }],
         );
 
         let (mut engine, mut rec, reg) = rig(vec![SloSpec {
@@ -704,10 +654,10 @@ mod tests {
                 reg.histogram("coda_core_eval_path_ms").observe(1.0);
                 reg.histogram(&spec_series).observe(1.0);
             }
-            rec.tick(i as f64 * 10.0, &reg.snapshot());
+            rec.tick(i as f64 * WINDOW_MS, &reg.snapshot());
             engine.step(&rec, None);
         }
-        let report = diagnose(&small_cfg(), &rec, &engine.report(), &exemplars, &forest);
+        let report = diagnose(&rec, &engine.report(), &exemplars, &forest);
         let inc = &report.incidents[0];
         assert_eq!(inc.operator_suspects.len(), 1);
         let op = &inc.operator_suspects[0];
@@ -731,25 +681,21 @@ mod tests {
     fn separate_breach_runs_become_separate_incidents() {
         let (mut engine, mut rec, reg) = rig(vec![shed_slo()]);
         rec.tick(0.0, &reg.snapshot());
-        for i in 1..=20 {
+        for i in 1..=30 {
             reg.count("coda_serve_ops_total", 100);
-            // two bursts separated by a long clean stretch
-            if (7..=8).contains(&i) || (16..=17).contains(&i) {
+            // two bursts separated by a long clean stretch; the second runs
+            // four windows, since the 12-window long burn window dilutes a
+            // two-window burst without the first one's history below 2x
+            if (7..=8).contains(&i) || (24..=27).contains(&i) {
                 reg.count("coda_serve_shed_total", 60);
             }
-            rec.tick(i as f64 * 10.0, &reg.snapshot());
+            rec.tick(i as f64 * WINDOW_MS, &reg.snapshot());
             engine.step(&rec, None);
         }
         let slo_report = engine.report();
         let runs = slo_report.breach_runs();
         assert!(runs.len() >= 2, "two bursts, two runs: {runs:?}");
-        let report = diagnose(
-            &small_cfg(),
-            &rec,
-            &slo_report,
-            &BTreeMap::new(),
-            &TraceForest::from_events(&[]),
-        );
+        let report = diagnose(&rec, &slo_report, &BTreeMap::new(), &TraceForest::from_events(&[]));
         assert_eq!(report.incidents.len(), runs.len());
         assert!(report.incidents[0].last_breach_ms < report.incidents[1].first_breach_ms);
         for inc in &report.incidents {

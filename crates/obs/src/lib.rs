@@ -6,6 +6,13 @@
 //! metric naming scheme (`coda_<crate>_<name>`), the span taxonomy, and
 //! the determinism contract with the chaos clock.
 //!
+//! Spans and events parent under the calling thread's current span; a
+//! caller holding a carried [`SpanContext`] makes it current with
+//! [`Tracer::enter`] instead of passing it down. On top sits the ops
+//! plane — [`FlightRecorder`], [`SloEngine`], [`ExemplarStore`] and
+//! [`diagnose()`] — whose window ladder, burn windows and diagnosis
+//! thresholds are constants (DESIGN.md §13–14).
+//!
 //! # Examples
 //!
 //! ```
@@ -38,10 +45,8 @@ use std::sync::Arc;
 
 pub use analyze::{SpanNode, TraceForest};
 pub use clock::{Clock, ManualClock, WallClock};
-pub use diagnose::{
-    diagnose, DiagReport, DiagnoseConfig, Incident, OperatorSuspect, SeriesSuspect, ShardSuspect,
-};
-pub use flight::{FlightConfig, FlightRecorder, FlightWindow};
+pub use diagnose::{diagnose, DiagReport, Incident, OperatorSuspect, SeriesSuspect, ShardSuspect};
+pub use flight::{FlightRecorder, FlightWindow};
 pub use metrics::{
     label_value, labeled_name, name_parts, Counter, Gauge, Histogram, HistogramSnapshot,
     MetricsRegistry, MetricsSnapshot,
@@ -49,8 +54,7 @@ pub use metrics::{
 pub use profile::{CostEntry, CostProfile, Exemplar, ExemplarStore};
 pub use publish::Publish;
 pub use slo::{
-    BreachRun, BurnState, BurnWindows, SloEngine, SloEvaluation, SloReport, SloSignal, SloSpec,
-    SloStatus,
+    BreachRun, BurnState, SloEngine, SloEvaluation, SloReport, SloSignal, SloSpec, SloStatus,
 };
 pub use trace::{
     EnterGuard, EventKind, SpanContext, SpanGuard, SpanId, TailPolicy, TailSampleReport,
@@ -120,25 +124,9 @@ impl Obs {
         self.tracer.span(name, fields)
     }
 
-    /// Shorthand: open a span as a child of a carried [`SpanContext`].
-    #[must_use = "the span closes when the guard drops"]
-    pub fn span_child(
-        &self,
-        parent: SpanContext,
-        name: &str,
-        fields: &[(&str, &str)],
-    ) -> SpanGuard<'_> {
-        self.tracer.span_child(parent, name, fields)
-    }
-
     /// Shorthand: record a point event on the tracer.
     pub fn event(&self, name: &str, fields: &[(&str, &str)]) {
         self.tracer.event(name, fields);
-    }
-
-    /// Shorthand: record a point event inside a carried [`SpanContext`].
-    pub fn event_in(&self, ctx: SpanContext, name: &str, fields: &[(&str, &str)]) {
-        self.tracer.event_in(ctx, name, fields);
     }
 
     /// Syncs the tracer clock to `ms` when it is a [`ManualClock`] — lets a

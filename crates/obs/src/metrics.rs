@@ -397,7 +397,6 @@ pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    help: RwLock<BTreeMap<String, String>>,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -433,12 +432,6 @@ impl MetricsRegistry {
         instrument(&self.histograms, name)
     }
 
-    /// Attaches `# HELP` text to metric `name` for the Prometheus
-    /// exposition (escaped per the text-format rules on render).
-    pub fn set_help(&self, name: &str, text: &str) {
-        self.help.write().insert(name.to_string(), text.to_string());
-    }
-
     /// Shorthand: add `n` to the counter named `name`.
     pub fn count(&self, name: &str, n: u64) {
         self.counter(name).add(n);
@@ -459,27 +452,21 @@ impl MetricsRegistry {
     }
 
     /// Renders every instrument in Prometheus text exposition format,
-    /// names sorted, deterministically: a `# HELP` line (when set, escaped
-    /// per the text format: `\` → `\\`, newline → `\n`), a `# TYPE` line
-    /// per metric *family*, and label values escaped (`\`, `"`, newline).
+    /// names sorted, deterministically: a `# TYPE` line per metric
+    /// *family*, and label values escaped (`\`, `"`, newline).
     ///
-    /// [`labeled_name`]-style series share their base family's HELP/TYPE
-    /// head (emitted once per family), and histogram suffixes splice the
-    /// labels into the sample lines (`base_bucket{labels,le="..."}`,
+    /// [`labeled_name`]-style series share their base family's TYPE head
+    /// (emitted once per family), and histogram suffixes splice the labels
+    /// into the sample lines (`base_bucket{labels,le="..."}`,
     /// `base_sum{labels}`, `base_count{labels}`).
     pub fn render_prometheus(&self) -> String {
         let snap = self.snapshot();
-        let help = self.help.read().clone();
         let mut out = String::new();
         let mut seen = std::collections::BTreeSet::new();
         let mut head = |out: &mut String, base: &str, kind: &str| {
-            if !seen.insert(base.to_string()) {
-                return;
+            if seen.insert(base.to_string()) {
+                let _ = writeln!(out, "# TYPE {base} {kind}");
             }
-            if let Some(text) = help.get(base) {
-                let _ = writeln!(out, "# HELP {base} {}", escape_help(text));
-            }
-            let _ = writeln!(out, "# TYPE {base} {kind}");
         };
         for (name, v) in &snap.counters {
             head(&mut out, name_parts(name).0, "counter");
@@ -528,12 +515,6 @@ fn instrument<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) ->
         }
     }
     Arc::clone(map.write().entry(name.to_string()).or_default())
-}
-
-/// Escapes `# HELP` text per the Prometheus text format: backslash and
-/// newline.
-fn escape_help(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
 /// Escapes a label value per the Prometheus text format: backslash,
@@ -828,25 +809,15 @@ mod tests {
         assert_eq!(delta.counter("coda_test_ops"), 0, "9 → 2 saturates at zero");
     }
 
-    /// Satellite: `# HELP` lines render with text-format escaping, label
-    /// values escape, and the exposition parses back (round-trip).
+    /// Satellite: the exposition types every family and parses back
+    /// (round-trip).
     #[test]
     fn prometheus_exposition_conforms_and_roundtrips() {
         let reg = MetricsRegistry::new();
         reg.count("coda_test_ops", 4);
         reg.gauge("coda_test_depth").set(1.5);
         reg.histogram("coda_test_ms").observe(3.0);
-        reg.set_help("coda_test_ops", "requests served\nsecond line with \\ backslash");
-        reg.set_help("coda_test_ms", "latency");
         let text = reg.render_prometheus();
-
-        // escaping: the newline and backslash are literal escapes, and the
-        // HELP line directly precedes its TYPE line
-        assert!(
-            text.contains("# HELP coda_test_ops requests served\\nsecond line with \\\\ backslash")
-        );
-        assert!(text.contains("# HELP coda_test_ms latency\n# TYPE coda_test_ms histogram"));
-        assert!(!text.contains("# HELP coda_test_depth"), "no help set, no HELP line");
 
         // every sample line's metric family has a TYPE line
         let mut typed = std::collections::BTreeSet::new();
@@ -910,7 +881,6 @@ mod tests {
     #[test]
     fn prometheus_renders_labeled_series_under_one_family() {
         let reg = MetricsRegistry::new();
-        reg.set_help("coda_test_wait_ms", "queue wait");
         reg.histogram("coda_test_wait_ms").observe(5.0);
         let labeled = labeled_name("coda_test_wait_ms", "shard", "shard-0");
         reg.histogram(&labeled).observe(5.0);
@@ -918,7 +888,6 @@ mod tests {
         let text = reg.render_prometheus();
 
         assert_eq!(text.matches("# TYPE coda_test_wait_ms histogram").count(), 1);
-        assert_eq!(text.matches("# HELP coda_test_wait_ms queue wait").count(), 1);
         // 5 ms closes its bucket; the empty buckets are not rendered
         assert!(text.contains("coda_test_wait_ms_bucket{le=\"5\"} 1\ncoda_test_wait_ms_bucket"));
         assert!(text.contains("coda_test_wait_ms_bucket{shard=\"shard-0\",le=\"5\"} 1"));

@@ -42,7 +42,7 @@ struct ExemplarInner {
 ///
 /// Starts disabled (threshold `+inf`): every [`ExemplarStore::offer`]
 /// returns after one atomic comparison. [`ExemplarStore::enable`] arms it
-/// with a threshold and a per-metric capacity.
+/// with a per-metric capacity.
 #[derive(Debug)]
 pub struct ExemplarStore {
     /// Observation threshold as `f64` bits — read lock-free on offer.
@@ -65,12 +65,12 @@ impl ExemplarStore {
         }
     }
 
-    /// Arms the store: observations `>= threshold` are retained, top-k
-    /// (`per_metric`) by value per metric.
-    pub fn enable(&self, threshold: f64, per_metric: usize) {
+    /// Arms the store: every observation `>= 0` is offered, and the top-k
+    /// (`per_metric`) by value per metric are retained.
+    pub fn enable(&self, per_metric: usize) {
         let mut inner = self.inner.lock();
         inner.per_metric = per_metric.max(1);
-        self.threshold_bits.store(threshold.to_bits(), std::sync::atomic::Ordering::Relaxed);
+        self.threshold_bits.store(0.0f64.to_bits(), std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Whether the store is armed.
@@ -80,11 +80,11 @@ impl ExemplarStore {
     }
 
     /// Offers one observation. Below the threshold (or while disabled)
-    /// this is one atomic load and a comparison.
+    /// this is one atomic load and a comparison; NaN is never retained.
     pub fn offer(&self, metric: &str, value: f64, ctx: Option<SpanContext>, at_ms: f64) {
         let threshold =
             f64::from_bits(self.threshold_bits.load(std::sync::atomic::Ordering::Relaxed));
-        if value < threshold {
+        if value.is_nan() || value < threshold {
             return;
         }
         let mut inner = self.inner.lock();
@@ -161,14 +161,10 @@ pub struct CostProfile {
 impl_serde_struct!(CostProfile { schema, entries });
 
 impl CostProfile {
-    /// Rolls a forest's self-times up by span name.
-    pub fn from_forest(forest: &TraceForest) -> Self {
-        Self::from_forest_refined(forest, None)
-    }
-
-    /// Like [`CostProfile::from_forest`], but keyed by each span's
-    /// [`SpanNode::operator_label`](crate::SpanNode::operator_label) — so
-    /// e.g. `eval.path` costs split per pipeline spec.
+    /// Rolls a forest's self-times up by each span's
+    /// [`SpanNode::operator_label`](crate::SpanNode::operator_label): by
+    /// span name, or with `refine_field` split further (e.g. `eval.path`
+    /// costs per pipeline spec).
     pub fn from_forest_refined(forest: &TraceForest, refine_field: Option<&str>) -> Self {
         let mut entries: BTreeMap<String, CostEntry> = BTreeMap::new();
         for span in forest.spans() {
@@ -231,14 +227,15 @@ mod tests {
         let store = ExemplarStore::disabled();
         assert!(!store.is_enabled());
         store.offer("coda_test_ms", 1e9, Some(ctx(1, 1)), 0.0);
+        store.offer("coda_test_ms", f64::NAN, Some(ctx(1, 2)), 0.0);
         assert!(store.exemplars("coda_test_ms").is_empty());
         assert!(store.snapshot().is_empty());
     }
 
     #[test]
-    fn armed_store_keeps_top_k_over_threshold() {
+    fn armed_store_keeps_top_k() {
         let store = ExemplarStore::disabled();
-        store.enable(10.0, 2);
+        store.enable(2);
         assert!(store.is_enabled());
         store.offer("coda_test_ms", 5.0, Some(ctx(1, 1)), 0.0);
         store.offer("coda_test_ms", 12.0, Some(ctx(1, 2)), 1.0);
@@ -247,15 +244,21 @@ mod tests {
         let kept = store.exemplars("coda_test_ms");
         assert_eq!(kept.len(), 2, "capacity 2");
         assert_eq!(kept[0].value, 50.0, "best first");
-        assert_eq!(kept[1].value, 20.0, "the 12.0 was evicted, the 5.0 never retained");
+        assert_eq!(kept[1].value, 20.0, "the 12.0 and the 5.0 were evicted");
         assert_eq!(kept[0].ctx, Some(ctx(2, 3)), "span attribution survives");
+        store.offer("coda_test_ms", -1.0, None, 4.0);
+        store.offer("coda_test_ms", f64::NAN, None, 5.0);
+        store.offer("coda_test_other_ms", -1.0, None, 6.0);
+        store.offer("coda_test_other_ms", f64::NAN, None, 7.0);
+        assert_eq!(store.exemplars("coda_test_ms"), kept, "negative and NaN never displace");
+        assert!(store.exemplars("coda_test_other_ms").is_empty(), "nor are they retained");
     }
 
     #[test]
     fn exemplar_ties_resolve_deterministically() {
         let run = || {
             let store = ExemplarStore::disabled();
-            store.enable(0.0, 3);
+            store.enable(3);
             store.offer("m", 7.0, Some(ctx(1, 9)), 0.0);
             store.offer("m", 7.0, Some(ctx(1, 2)), 1.0);
             store.offer("m", 7.0, None, 2.0);
@@ -287,7 +290,7 @@ mod tests {
             clock.advance_ms(3.0);
         }
         let forest = TraceForest::from_events(&tracer.events());
-        let profile = CostProfile::from_forest(&forest);
+        let profile = CostProfile::from_forest_refined(&forest, None);
         let paths = &profile.entries["eval.path"];
         assert_eq!(paths.spans, 2);
         assert!((paths.total_self_ms - 40.0).abs() < 1e-9);
@@ -310,7 +313,8 @@ mod tests {
             let _s = tracer.span("op.x", &[]);
             clock.advance_ms(4.0);
         }
-        let profile = CostProfile::from_forest(&TraceForest::from_events(&tracer.events()));
+        let profile =
+            CostProfile::from_forest_refined(&TraceForest::from_events(&tracer.events()), None);
         let json = profile.to_json();
         assert!(json.contains("coda-cost-profile-v1"));
         let back = CostProfile::from_json(&json).expect("profile JSON parses");

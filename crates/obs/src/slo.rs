@@ -69,22 +69,13 @@ pub struct SloSpec {
     pub objective: f64,
 }
 
-/// The evaluation windows, counted in flight-timeline windows.
-#[derive(Debug, Clone)]
-pub struct BurnWindows {
-    /// Long window length (smooths noise).
-    pub long_windows: usize,
-    /// Short window length (proves the burn is current).
-    pub short_windows: usize,
-    /// Burn-rate threshold both windows must exceed to alert.
-    pub factor: f64,
-}
-
-impl Default for BurnWindows {
-    fn default() -> Self {
-        BurnWindows { long_windows: 12, short_windows: 3, factor: 2.0 }
-    }
-}
+/// Long burn window, in flight-timeline windows (smooths noise).
+const LONG_WINDOWS: usize = 12;
+/// Short burn window, in flight-timeline windows (proves the burn is
+/// current).
+const SHORT_WINDOWS: usize = 3;
+/// Burn-rate threshold both windows must exceed to alert.
+const BURN_FACTOR: f64 = 2.0;
 
 /// Lock-free burn state shared with consumers (e.g. a serving tier's
 /// admission edge): the latest long-window burn rate and whether the SLO
@@ -281,17 +272,16 @@ fn burn_over(signal: &SloSignal, objective: f64, windows: &[&FlightWindow]) -> f
 #[derive(Debug)]
 pub struct SloEngine {
     specs: Vec<SloSpec>,
-    windows: BurnWindows,
     states: Vec<Arc<BurnState>>,
     evaluations: Vec<SloEvaluation>,
     last_eval_ms: Option<f64>,
 }
 
 impl SloEngine {
-    /// Creates an engine over `specs` with the given burn windows.
-    pub fn new(specs: Vec<SloSpec>, windows: BurnWindows) -> Self {
+    /// Creates an engine over `specs`.
+    pub fn new(specs: Vec<SloSpec>) -> Self {
         let states = specs.iter().map(|_| Arc::new(BurnState::new())).collect();
-        SloEngine { specs, windows, states, evaluations: Vec::new(), last_eval_ms: None }
+        SloEngine { specs, states, evaluations: Vec::new(), last_eval_ms: None }
     }
 
     /// The shared burn state for SLO `name` — hand this to a consumer
@@ -313,13 +303,13 @@ impl SloEngine {
             return 0;
         }
         self.last_eval_ms = Some(at_ms);
-        let long_slice = tail(&timeline, self.windows.long_windows);
-        let short_slice = tail(&timeline, self.windows.short_windows);
+        let long_slice = tail(&timeline, LONG_WINDOWS);
+        let short_slice = tail(&timeline, SHORT_WINDOWS);
         let mut fired = 0;
         for (spec, state) in self.specs.iter().zip(&self.states) {
             let long_burn = burn_over(&spec.signal, spec.objective, long_slice);
             let short_burn = burn_over(&spec.signal, spec.objective, short_slice);
-            let breached = long_burn >= self.windows.factor && short_burn >= self.windows.factor;
+            let breached = long_burn >= BURN_FACTOR && short_burn >= BURN_FACTOR;
             state.update(long_burn, breached);
             if breached {
                 fired += 1;
@@ -384,7 +374,7 @@ fn tail<'a, 'w>(timeline: &'a [&'w FlightWindow], n: usize) -> &'a [&'w FlightWi
 mod tests {
     use super::*;
     use crate::clock::{Clock, ManualClock};
-    use crate::flight::FlightConfig;
+    use crate::flight::WINDOW_MS;
     use crate::metrics::MetricsRegistry;
 
     fn shed_slo() -> SloSpec {
@@ -399,9 +389,7 @@ mod tests {
     }
 
     fn engine_and_recorder(specs: Vec<SloSpec>) -> (SloEngine, FlightRecorder, MetricsRegistry) {
-        let windows = BurnWindows { long_windows: 4, short_windows: 2, factor: 2.0 };
-        let cfg = FlightConfig { window_ms: 10.0, level_capacity: 16, merge: 4, levels: 2 };
-        (SloEngine::new(specs, windows), FlightRecorder::new(cfg), MetricsRegistry::new())
+        (SloEngine::new(specs), FlightRecorder::new(), MetricsRegistry::new())
     }
 
     #[test]
@@ -410,7 +398,7 @@ mod tests {
         rec.tick(0.0, &reg.snapshot());
         for i in 1..=6 {
             reg.count("coda_serve_ops_total", 100);
-            rec.tick(i as f64 * 10.0, &reg.snapshot());
+            rec.tick(i as f64 * WINDOW_MS, &reg.snapshot());
             assert_eq!(engine.step(&rec, None), 0);
         }
         let report = engine.report();
@@ -430,7 +418,7 @@ mod tests {
             // 30% shed rate against a 5% objective: burn 6 > factor 2
             reg.count("coda_serve_ops_total", 70);
             reg.count("coda_serve_shed_total", 30);
-            rec.tick(i as f64 * 10.0, &reg.snapshot());
+            rec.tick(i as f64 * WINDOW_MS, &reg.snapshot());
             fired += engine.step(&rec, Some(&tracer));
         }
         assert!(fired >= 1, "sustained overload must alert");
@@ -450,27 +438,27 @@ mod tests {
         // accumulates the spike, the short window is clean again
         reg.count("coda_serve_ops_total", 50);
         reg.count("coda_serve_shed_total", 50);
-        rec.tick(10.0, &reg.snapshot());
+        rec.tick(WINDOW_MS, &reg.snapshot());
         let mut fired = engine.step(&rec, None);
         for i in 2..=5 {
             reg.count("coda_serve_ops_total", 100);
-            rec.tick(i as f64 * 10.0, &reg.snapshot());
+            rec.tick(i as f64 * WINDOW_MS, &reg.snapshot());
             let step = engine.step(&rec, None);
-            if i >= 3 {
+            if i >= 4 {
                 assert_eq!(step, 0, "window {i}: spike aged out of the short window");
             }
             fired += step;
         }
-        // while the spike sits inside the 2-deep short window it may alert,
+        // while the spike sits inside the 3-deep short window it may alert,
         // but once it ages out the long window's stale history alone never
         // re-alerts — that is the point of the second window
         let report = engine.report();
         assert_eq!(report.total_breaches(), fired);
-        // at t=40 the 4-deep long window still covers the spike but the
-        // 2-deep short window is clean: burning memory without an alert
-        let at_40 = report.evaluations.iter().find(|e| e.at_ms == 40.0).expect("evaluated");
-        assert!(at_40.long_burn > 0.0, "the long window still remembers the spike");
-        assert!(!at_40.breached, "yet no alert fires without short-window corroboration");
+        // at t=400 the 12-deep long window still covers the spike but the
+        // 3-deep short window is clean: burning memory without an alert
+        let at_400 = report.evaluations.iter().find(|e| e.at_ms == 400.0).expect("evaluated");
+        assert!(at_400.long_burn > 0.0, "the long window still remembers the spike");
+        assert!(!at_400.breached, "yet no alert fires without short-window corroboration");
     }
 
     #[test]
@@ -497,7 +485,7 @@ mod tests {
             // every observation lands past 10ms, and a failover per window
             reg.histogram("coda_serve_latency_ms").observe(50.0);
             reg.count("coda_cluster_failovers_total", 1);
-            rec.tick(i as f64 * 10.0, &reg.snapshot());
+            rec.tick(i as f64 * WINDOW_MS, &reg.snapshot());
             engine.step(&rec, None);
         }
         let report = engine.report();
@@ -515,7 +503,7 @@ mod tests {
         rec.tick(0.0, &reg.snapshot());
         for i in 1..=3 {
             reg.count("coda_serve_shed_total", 100);
-            rec.tick(i as f64 * 10.0, &reg.snapshot());
+            rec.tick(i as f64 * WINDOW_MS, &reg.snapshot());
             engine.step(&rec, None);
         }
         assert!(state.breached(), "the shared hook must flip on breach");

@@ -8,20 +8,19 @@
 //! simulated distributed boundaries (`store::lease::UpdateMessage`, DARR
 //! claim/complete calls, cluster job dispatch).
 //!
-//! Parenting is implicit, entered or explicit:
-//! - implicit: [`Tracer::span`] parents under the tracer's innermost open
-//!   span on the *current thread*, kept on a thread-local stack (no lock,
-//!   no thread id), so lexical nesting just works;
+//! Parenting is implicit, entered or non-lexical:
+//! - implicit: [`Tracer::span`] and [`Tracer::event`] parent under the
+//!   tracer's innermost open span on the *current thread*, kept on a
+//!   thread-local stack (no lock, no thread id), so lexical nesting just
+//!   works;
 //! - entered: [`Tracer::enter`] makes a carried [`SpanContext`] the
 //!   thread's current span for the guard's lifetime, so a caller holding a
 //!   context from a message, another thread or a driver's rounds calls the
 //!   plain, implicitly parented API under it; `enter(None)` hides the open
 //!   spans instead;
-//! - explicit: [`Tracer::span_child`] links one span to a carried context
-//!   (a worker thread parenting under its submitter's span);
 //! - non-lexical: [`Tracer::begin_span`]/[`Tracer::end_span`] for drivers
 //!   whose spans outlive any stack frame (e.g. a chaos claim held across
-//!   rounds).
+//!   rounds). These sit on no stack, so `begin_span` names its parent.
 //!
 //! Ids are allocated from sequence counters (never time or randomness), so
 //! a single-threaded driver over a [`ManualClock`] produces byte-identical
@@ -75,16 +74,6 @@ impl SpanContext {
     /// Serializes to the compact wire form `t<trace>.s<span>`.
     pub fn encode(&self) -> String {
         format!("t{}.s{}", self.trace_id.0, self.span_id.0)
-    }
-
-    /// Parses the wire form produced by [`SpanContext::encode`].
-    pub fn decode(s: &str) -> Option<Self> {
-        let rest = s.strip_prefix('t')?;
-        let (trace, span) = rest.split_once(".s")?;
-        Some(SpanContext {
-            trace_id: TraceId(trace.parse().ok()?),
-            span_id: SpanId(span.parse().ok()?),
-        })
     }
 }
 
@@ -257,36 +246,12 @@ impl Tracer {
         ctx
     }
 
-    /// Opens a span parented under the innermost open span on this thread
-    /// (a new root trace when there is none): records the start now, and
-    /// the end (with `dur_ms`) when the returned guard drops.
+    /// Opens a span parented under this thread's current span (a new root
+    /// trace when there is none): records the start now, and the end (with
+    /// `dur_ms`) when the returned guard drops.
     #[must_use = "the span closes when the guard drops"]
     pub fn span(&self, name: &str, fields: &[(&str, &str)]) -> SpanGuard<'_> {
-        self.span_with_parent(self.current_context(), name, fields)
-    }
-
-    /// Opens a span as an explicit child of `parent` — the propagation
-    /// primitive for contexts carried across threads or messages.
-    #[must_use = "the span closes when the guard drops"]
-    pub fn span_child(
-        &self,
-        parent: SpanContext,
-        name: &str,
-        fields: &[(&str, &str)],
-    ) -> SpanGuard<'_> {
-        self.span_with_parent(Some(parent), name, fields)
-    }
-
-    /// Opens a span under an optional explicit parent; `None` falls back to
-    /// the current thread's innermost span, then to a fresh root trace.
-    #[must_use = "the span closes when the guard drops"]
-    pub fn span_with_parent(
-        &self,
-        parent: Option<SpanContext>,
-        name: &str,
-        fields: &[(&str, &str)],
-    ) -> SpanGuard<'_> {
-        let parent = parent.or_else(|| self.current_context());
+        let parent = self.current_context();
         let start = self.now_ms();
         let ctx = self.start_span(start, name, parent, fields);
         self.push_current(Some(ctx));
@@ -337,22 +302,9 @@ impl Tracer {
     }
 
     /// Records a point event stamped with the clock's current reading,
-    /// attached to the innermost open span on this thread (if any).
+    /// attached to this thread's current span (if any).
     pub fn event(&self, name: &str, fields: &[(&str, &str)]) {
         self.event_at(self.now_ms(), name, fields);
-    }
-
-    /// Records a point event attached to the span identified by `ctx` —
-    /// used when the owning context was carried in-band with a message.
-    pub fn event_in(&self, ctx: SpanContext, name: &str, fields: &[(&str, &str)]) {
-        self.record(TraceEvent {
-            name: name.to_string(),
-            kind: EventKind::Event,
-            at_ms: self.now_ms(),
-            ctx: Some(ctx),
-            parent: None,
-            fields: own_fields(fields),
-        });
     }
 
     /// Records a point event at an explicit timestamp — used by drivers
@@ -400,19 +352,16 @@ impl Tracer {
     }
 
     /// Tail-based trace sampling: with the *whole* trace in hand, keep the
-    /// interesting ones (matched an event name, carried a flagged field
-    /// key, contained a span at least `keep_min_dur_ms` long, or was
-    /// explicitly pinned) and drop everything else — bounding trace memory
-    /// under sustained load without losing the traces worth debugging.
-    /// Traces with spans still open are always kept (their verdict is not
-    /// in yet), as are events recorded outside any span. The decision is a
-    /// pure function of the recorded events, so same-seed runs sample
-    /// identically.
+    /// interesting ones (matched an event name, or was explicitly pinned)
+    /// and drop everything else — bounding trace memory under sustained
+    /// load without losing the traces worth debugging. Traces with spans
+    /// still open are always kept (their verdict is not in yet), as are
+    /// events recorded outside any span. The decision is a pure function
+    /// of the recorded events, so same-seed runs sample identically.
     pub fn sample_tail(&self, policy: &TailPolicy) -> TailSampleReport {
         let mut events = self.events.lock();
         // BTree containers: the open-span sweep below iterates these, and
         // the kept-trace set must not depend on hash iteration order
-        let mut starts: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
         let mut open: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
         let mut seen: Vec<u64> = Vec::new();
         let mut keep: std::collections::BTreeSet<u64> =
@@ -424,26 +373,15 @@ impl Tracer {
                 seen.push(trace);
             }
             match e.kind {
-                EventKind::SpanStart => {
-                    starts.insert(ctx.span_id.0, e.at_ms);
-                    *open.entry(trace).or_insert(0) += 1;
-                }
+                EventKind::SpanStart => *open.entry(trace).or_insert(0) += 1,
                 EventKind::SpanEnd => {
                     if let Some(n) = open.get_mut(&trace) {
                         *n = n.saturating_sub(1);
-                    }
-                    if let Some(start) = starts.get(&ctx.span_id.0) {
-                        if e.at_ms - start >= policy.keep_min_dur_ms {
-                            keep.insert(trace);
-                        }
                     }
                 }
                 EventKind::Event => {}
             }
             if policy.keep_event_names.contains(&e.name) {
-                keep.insert(trace);
-            }
-            if e.fields.iter().any(|(k, _)| policy.keep_field_keys.iter().any(|f| f == k)) {
                 keep.insert(trace);
             }
         }
@@ -468,30 +406,15 @@ impl Tracer {
 }
 
 /// What [`Tracer::sample_tail`] keeps. The default keeps nothing but open
-/// traces — arm it with the builder methods.
-#[derive(Debug, Clone)]
+/// traces — arm it with the builder methods. A caller that wants slow
+/// traces pins them: exemplars are already the slowest observations, each
+/// with its trace.
+#[derive(Debug, Clone, Default)]
 pub struct TailPolicy {
-    /// Keep traces containing a span at least this long (ms); `+inf`
-    /// disables duration-based keeping.
-    pub keep_min_dur_ms: f64,
     /// Keep traces containing an event or span with one of these names.
     pub keep_event_names: Vec<String>,
-    /// Keep traces containing an event or span carrying one of these
-    /// field keys (e.g. `error`).
-    pub keep_field_keys: Vec<String>,
     /// Always-keep trace ids (e.g. traces referenced by an exemplar).
     pub keep_trace_ids: Vec<TraceId>,
-}
-
-impl Default for TailPolicy {
-    fn default() -> Self {
-        TailPolicy {
-            keep_min_dur_ms: f64::INFINITY,
-            keep_event_names: Vec::new(),
-            keep_field_keys: Vec::new(),
-            keep_trace_ids: Vec::new(),
-        }
-    }
 }
 
 impl TailPolicy {
@@ -500,24 +423,10 @@ impl TailPolicy {
         Self::default()
     }
 
-    /// Keep traces containing a span at least `ms` long.
-    #[must_use]
-    pub fn with_min_dur_ms(mut self, ms: f64) -> Self {
-        self.keep_min_dur_ms = ms;
-        self
-    }
-
     /// Keep traces containing an event or span named `name`.
     #[must_use]
     pub fn keep_event(mut self, name: &str) -> Self {
         self.keep_event_names.push(name.to_string());
-        self
-    }
-
-    /// Keep traces carrying field key `key` anywhere.
-    #[must_use]
-    pub fn keep_field(mut self, key: &str) -> Self {
-        self.keep_field_keys.push(key.to_string());
         self
     }
 
@@ -647,7 +556,8 @@ mod tests {
             root.context()
         };
         {
-            let child = tracer.span_child(carried, "remote.child", &[]);
+            let _carried = tracer.enter(Some(carried));
+            let child = tracer.span("remote.child", &[]);
             assert_eq!(child.context().trace_id, carried.trace_id);
         }
         let events = tracer.events();
@@ -661,7 +571,10 @@ mod tests {
         let root = tracer.begin_span("driver.key", None, &[("key", "p0")]);
         clock.advance_ms(20.0);
         let attempt = tracer.begin_span("driver.attempt", Some(root), &[]);
-        tracer.event_in(attempt, "driver.tick", &[]);
+        {
+            let _attempt = tracer.enter(Some(attempt));
+            tracer.event("driver.tick", &[]);
+        }
         clock.advance_ms(20.0);
         tracer.end_span(attempt, &[]);
         tracer.end_span(root, &[]);
@@ -674,12 +587,9 @@ mod tests {
     }
 
     #[test]
-    fn span_context_encodes_and_decodes() {
+    fn span_context_encodes() {
         let ctx = SpanContext { trace_id: TraceId(12), span_id: SpanId(34) };
         assert_eq!(ctx.encode(), "t12.s34");
-        assert_eq!(SpanContext::decode("t12.s34"), Some(ctx));
-        assert_eq!(SpanContext::decode("nonsense"), None);
-        assert_eq!(SpanContext::decode("t1.sx"), None);
     }
 
     #[test]
@@ -734,35 +644,20 @@ mod tests {
             let _s = tracer.span("serve.request", &[]);
             clock.advance_ms(0.1);
         }
-        // trace 2: slow — kept by duration
-        let slow = {
-            let s = tracer.span("serve.request", &[]);
-            clock.advance_ms(25.0);
-            s.context().trace_id
-        };
-        // trace 3: shed — kept by event name
+        // trace 2: shed — kept by event name
         {
-            let s = tracer.span("serve.request", &[]);
-            tracer.event_in(s.context(), "serve.shed", &[("shard", "0")]);
-            clock.advance_ms(0.1);
-        }
-        // trace 4: errored — kept by field key
-        {
-            let _s = tracer.span("serve.request", &[("error", "timeout")]);
+            let _s = tracer.span("serve.request", &[]);
+            tracer.event("serve.shed", &[("shard", "0")]);
             clock.advance_ms(0.1);
         }
         // ctx-less driver event: always survives
         tracer.event_at(99.0, "driver.tick", &[]);
-        let report = tracer.sample_tail(
-            &TailPolicy::new().with_min_dur_ms(10.0).keep_event("serve.shed").keep_field("error"),
-        );
-        assert_eq!(report.traces_seen, 4);
-        assert_eq!(report.traces_kept, 3, "only the fast boring trace drops");
+        let report = tracer.sample_tail(&TailPolicy::new().keep_event("serve.shed"));
+        assert_eq!(report.traces_seen, 2);
+        assert_eq!(report.traces_kept, 1, "only the fast boring trace drops");
         assert!(report.events_after < report.events_before);
         let log = tracer.render_log();
-        assert!(log.contains(&format!("trace={slow}")), "slow trace survives: {log}");
         assert!(log.contains("serve.shed"));
-        assert!(log.contains("error=timeout"));
         assert!(log.contains("driver.tick"), "ctx-less events survive");
         assert_eq!(tracer.len(), report.events_after);
     }
@@ -797,13 +692,13 @@ mod tests {
         let run = || {
             let (clock, tracer) = manual_tracer();
             for i in 0..8 {
-                let s = tracer.span("op", &[("i", &i.to_string())]);
+                let _s = tracer.span("op", &[("i", &i.to_string())]);
                 if i % 3 == 0 {
-                    tracer.event_in(s.context(), "op.flag", &[]);
+                    tracer.event("op.flag", &[]);
                 }
                 clock.advance_ms(if i % 2 == 0 { 1.0 } else { 20.0 });
             }
-            tracer.sample_tail(&TailPolicy::new().with_min_dur_ms(10.0).keep_event("op.flag"));
+            tracer.sample_tail(&TailPolicy::new().keep_event("op.flag"));
             tracer.render_log()
         };
         assert_eq!(run(), run(), "sampling must replay byte-identically");
@@ -831,12 +726,14 @@ mod tests {
         {
             let _entered = tracer.enter(Some(carried));
             assert_eq!(tracer.current_context(), Some(carried));
+            tracer.event("driver.tick", &[]);
             let _inner = tracer.span("inner", &[]);
         }
         assert_eq!(tracer.current_context(), Some(outer.context()));
         let events = tracer.events();
-        assert_eq!(events.len(), 4, "entering records nothing: {events:?}");
-        let inner = &events[2];
+        assert_eq!(events.len(), 5, "entering records nothing: {events:?}");
+        assert_eq!(events[2].ctx, Some(carried), "the entered context owns the event, not outer");
+        let inner = &events[3];
         assert_eq!(inner.parent, Some(carried.span_id));
         assert_eq!(inner.ctx.map(|c| c.trace_id), Some(carried.trace_id));
     }

@@ -1,7 +1,7 @@
 //! Concurrency property: spans emitted from many threads at once — nested
-//! implicit spans, explicit child spans, point events — always reconstruct
-//! into a coherent forest with no orphaned parents, because parenting
-//! state is kept per thread and ids are allocated atomically.
+//! implicit spans, spans under an entered context, point events — always
+//! reconstruct into a coherent forest with no orphaned parents, because
+//! parenting state is kept per thread and ids are allocated atomically.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -9,8 +9,8 @@ use coda_obs::{Obs, SpanId};
 use proptest::prelude::*;
 
 /// Each thread emits `depth` lexically nested spans with a point event at
-/// the bottom, repeated `rounds` times; one shared root is handed to every
-/// thread so cross-thread explicit parenting is exercised too.
+/// the bottom, repeated `rounds` times; one shared root is entered on every
+/// thread so cross-thread parenting is exercised too.
 fn hammer(n_threads: usize, depth: usize, rounds: usize) -> Obs {
     let obs = Obs::wall();
     let root = obs.tracer().begin_span("root", None, &[]);
@@ -20,7 +20,10 @@ fn hammer(n_threads: usize, depth: usize, rounds: usize) -> Obs {
             scope.spawn(move || {
                 let label = format!("worker-{t}");
                 for _ in 0..rounds {
-                    let outer = obs.span_child(root, "outer", &[("worker", &label)]);
+                    let outer = {
+                        let _root = obs.tracer().enter(Some(root));
+                        obs.span("outer", &[("worker", &label)])
+                    };
                     let mut guards = Vec::new();
                     for level in 0..depth {
                         let name = format!("nest-{level}");

@@ -5,7 +5,7 @@
 //! thread runs its own splitmix64 stream seeded from `seed + thread`, so
 //! the op sequence each thread issues is a pure function of the config —
 //! replaying a seed replays the workload. Object keys are zipf-skewed
-//! (precomputed CDF, exponent `zipf_s`): a handful of hot objects absorb
+//! (precomputed CDF, exponent 1.1): a handful of hot objects absorb
 //! most of the traffic, which is what makes batching and admission
 //! control earn their keep.
 //!
@@ -21,8 +21,19 @@ use coda_obs::Obs;
 use crate::request::{ServeError, ServeRequest, ServeResponse};
 use crate::tier::ServeTier;
 
-/// Load-generator configuration. Weights are relative integer parts of a
-/// put/pull/claim mix; claims that win are followed by a completion, so
+/// Zipf exponent for key popularity.
+const ZIPF_S: f64 = 1.1;
+/// Payload bytes per put.
+const PAYLOAD_LEN: usize = 256;
+/// Relative weight of puts in the mix.
+const PUT_WEIGHT: u32 = 4;
+/// Relative weight of pulls in the mix.
+const PULL_WEIGHT: u32 = 4;
+/// Relative weight of claims in the mix.
+const CLAIM_WEIGHT: u32 = 2;
+
+/// Load-generator configuration. Requests mix puts, pulls and claims
+/// 4 : 4 : 2; claims that win are followed by a completion, so
 /// cooperative dedup shows up in the workload for free.
 #[derive(Debug, Clone)]
 pub struct LoadGenConfig {
@@ -36,16 +47,6 @@ pub struct LoadGenConfig {
     pub n_threads: usize,
     /// Distinct object ids.
     pub key_space: usize,
-    /// Zipf exponent for key popularity (0 = uniform).
-    pub zipf_s: f64,
-    /// Payload bytes per put.
-    pub payload_len: usize,
-    /// Relative weight of puts in the mix.
-    pub put_weight: u32,
-    /// Relative weight of pulls in the mix.
-    pub pull_weight: u32,
-    /// Relative weight of claims in the mix.
-    pub claim_weight: u32,
 }
 
 impl Default for LoadGenConfig {
@@ -56,11 +57,6 @@ impl Default for LoadGenConfig {
             ops_per_thread: 25_000,
             n_threads: 4,
             key_space: 512,
-            zipf_s: 1.1,
-            payload_len: 256,
-            put_weight: 4,
-            pull_weight: 4,
-            claim_weight: 2,
         }
     }
 }
@@ -155,8 +151,7 @@ pub fn closed_loop(
     mut send: impl FnMut(ServeRequest) -> Result<ServeResponse, ServeError>,
 ) -> LoadReport {
     let mut rng = cfg.seed.wrapping_add(thread as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let zipf = ZipfCdf::new(cfg.key_space.max(1), cfg.zipf_s);
-    let total_weight = (cfg.put_weight + cfg.pull_weight + cfg.claim_weight).max(1);
+    let zipf = ZipfCdf::new(cfg.key_space.max(1), ZIPF_S);
     let clients_per_thread = (cfg.n_clients / cfg.n_threads.max(1)).max(1);
     let mut tally = LoadReport::default();
     let latency = obs.map(|o| o.registry().histogram("coda_serve_latency_ms"));
@@ -166,14 +161,15 @@ pub fn closed_loop(
         let client_idx =
             thread * clients_per_thread + (splitmix64(&mut rng) as usize) % clients_per_thread;
         let client = format!("client-{client_idx}");
-        let roll = (splitmix64(&mut rng) % u64::from(total_weight)) as u32;
-        let req = if roll < cfg.put_weight {
+        let roll =
+            (splitmix64(&mut rng) % u64::from(PUT_WEIGHT + PULL_WEIGHT + CLAIM_WEIGHT)) as u32;
+        let req = if roll < PUT_WEIGHT {
             let fill = (splitmix64(&mut rng) & 0xff) as u8;
             ServeRequest::Put {
                 id: format!("obj-{rank}"),
-                data: Bytes::from(vec![fill; cfg.payload_len]),
+                data: Bytes::from(vec![fill; PAYLOAD_LEN]),
             }
-        } else if roll < cfg.put_weight + cfg.pull_weight {
+        } else if roll < PUT_WEIGHT + PULL_WEIGHT {
             ServeRequest::Pull { id: format!("obj-{rank}"), client_version: None }
         } else {
             ServeRequest::Claim {

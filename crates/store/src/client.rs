@@ -178,11 +178,9 @@ impl CachingClient {
     pub fn apply_push(&mut self, message: &UpdateMessage) -> Result<(), ClientError> {
         let obs = self.obs.clone();
         let _span = obs.as_ref().zip(message.context()).map(|(o, ctx)| {
-            o.tracer().span_child(
-                ctx,
-                "store.apply_update",
-                &[("client", &self.name), ("object", message.object())],
-            )
+            let _sender = o.tracer().enter(Some(ctx));
+            o.tracer()
+                .span("store.apply_update", &[("client", &self.name), ("object", message.object())])
         });
         self.bytes_received += message.wire_size() as u64;
         self.apply(message.object(), Incoming::Push(message))

@@ -10,7 +10,7 @@
 //!    wrongly declared dead cannot be usurped while it could still
 //!    believe itself the home.
 //!
-//! [`FailoverController::evaluate`] is a pure state machine over explicit
+//! [`HomeLeaseFailover::evaluate`] is a pure state machine over explicit
 //! logical time; every decision is returned as a [`FailoverDecision`] so
 //! drivers can trace and count each transition.
 

@@ -100,7 +100,7 @@ impl AnomalyAnalysis {
             .with_seed(17)
             .fit(data)
             .map_err(|e| TemplateError::Evaluation(e.to_string()))?;
-        let dists = Self::center_distances(&kmeans, data);
+        let dists = Self::center_distances(&kmeans, data)?;
         let dist_median = stats::median(&dists);
         let devs: Vec<f64> = dists.iter().map(|d| (d - dist_median).abs()).collect();
         let dist_mad = (stats::median(&devs) * 1.4826).max(1e-9);
@@ -108,9 +108,12 @@ impl AnomalyAnalysis {
         Ok(self)
     }
 
-    fn center_distances(kmeans: &KMeans, data: &Dataset) -> Vec<f64> {
-        let centers = kmeans.centers().expect("fitted");
-        data.features()
+    fn center_distances(kmeans: &KMeans, data: &Dataset) -> Result<Vec<f64>, TemplateError> {
+        let centers = kmeans
+            .centers()
+            .ok_or_else(|| TemplateError::Evaluation("k-means has no centers".to_string()))?;
+        Ok(data
+            .features()
             .iter_rows()
             .map(|row| {
                 (0..centers.rows())
@@ -123,7 +126,7 @@ impl AnomalyAnalysis {
                     })
                     .fold(f64::INFINITY, f64::min)
             })
-            .collect()
+            .collect())
     }
 
     /// Scores and flags new data against the fitted envelope.
@@ -144,7 +147,7 @@ impl AnomalyAnalysis {
             )));
         }
         let x = data.features();
-        let dists = Self::center_distances(&env.kmeans, data);
+        let dists = Self::center_distances(&env.kmeans, data)?;
         let mut scores = Vec::with_capacity(x.rows());
         for (r, row) in x.iter_rows().enumerate() {
             // robust per-feature z-score (max across features)

@@ -107,14 +107,17 @@ impl RootCauseAnalysis {
             scaler.fit_transform(data).map_err(|e| TemplateError::Evaluation(e.to_string()))?;
         let mut linear = LinearRegression::new();
         let coefs: Vec<f64> = match linear.fit(&standardized) {
-            Ok(()) => linear.coefficients().expect("fitted")[1..].to_vec(),
+            Ok(()) => linear.coefficients().map(|c| c[1..].to_vec()),
             // collinear designs: fall back to ridge
             Err(_) => {
                 let mut ridge = coda_ml::RidgeRegression::new(1.0);
                 ridge.fit(&standardized).map_err(|e| TemplateError::Evaluation(e.to_string()))?;
-                ridge.coefficients().expect("fitted")[1..].to_vec()
+                ridge.coefficients().map(|c| c[1..].to_vec())
             }
-        };
+        }
+        .ok_or_else(|| {
+            TemplateError::Evaluation("linear surrogate has no coefficients".to_string())
+        })?;
         // simple-rules surrogate: a depth-3 tree over the same factors
         let mut rule_tree = DecisionTreeRegressor::new().with_max_depth(3);
         rule_tree.fit(data).map_err(|e| TemplateError::Evaluation(e.to_string()))?;

@@ -61,7 +61,11 @@ pub fn recursive_forecast(
         // in — covering exactly the last `p` real observations — whose
         // label slot is the unknown next value we want.
         let mut extended = history.clone();
-        extended.push(*history.last().expect("series is non-empty"));
+        extended.push(*history.last().ok_or_else(|| {
+            ComponentError::InvalidInput(
+                "recursive forecasting needs a non-empty series".to_string(),
+            )
+        })?);
         let current = SeriesData::new(Matrix::from_vec(extended.len(), 1, extended), 0);
         let preds = pipeline.predict(&current.to_dataset())?;
         let next = *preds.last().ok_or_else(|| {

@@ -179,8 +179,10 @@ impl Estimator for ArForecaster {
             for i in 0..gram.rows() {
                 gram[(i, i)] += 1e-8 * scale;
             }
-            let xty = design.transpose().matvec(&target).expect("shapes match by construction");
-            coda_linalg::decomp::cholesky_solve(&gram, &xty)
+            design
+                .transpose()
+                .matvec(&target)
+                .and_then(|xty| coda_linalg::decomp::cholesky_solve(&gram, &xty))
         });
         let coef = coef.map_err(|e| ComponentError::Numerical(format!("AR fit failed: {e}")))?;
         self.coef = Some(coef);

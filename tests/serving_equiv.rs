@@ -430,7 +430,6 @@ fn same_seed_load_runs_are_byte_identical() {
             ops_per_thread: 800,
             n_threads: 1,
             key_space: 32,
-            ..LoadGenConfig::default()
         };
         let report = coda_serve::run_load(&tier, &load, None);
         let tier_report = match Arc::try_unwrap(tier) {

@@ -55,7 +55,8 @@ fn run_multi_tier(obs: &Obs) -> TraceForest {
     monitor.attach_obs(obs.clone());
     assert!(monitor.record_update(blob_len, 0.0), "4 KiB must fire the byte trigger");
     {
-        let _recompute = obs.span_child(root, "trigger.recompute", &[("object", "ds")]);
+        let _root = obs.tracer().enter(Some(root));
+        let _recompute = obs.span("trigger.recompute", &[("object", "ds")]);
 
         // eval tier: implicit parenting hangs eval.graph off the guard
         let ds = dataset(7);

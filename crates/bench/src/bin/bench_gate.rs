@@ -18,6 +18,7 @@
 //!              runners, tight enough to catch a serialization collapse)
 //!   SERVE_SEED overrides the workload seed recorded in the baseline
 
+use coda_bench::median;
 use serde_json::Value;
 
 const DEFAULT_BASELINE: &str = "BENCH_serving.json";
@@ -62,16 +63,6 @@ fn parse_baseline(text: &str) -> Baseline {
 /// or above the band passes.
 fn regressed(base: f64, fresh: f64, tol: f64) -> bool {
     fresh < base * (1.0 - tol)
-}
-
-fn median(xs: &[f64]) -> f64 {
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    match sorted.len() {
-        0 => f64::NAN,
-        n if n % 2 == 1 => sorted[n / 2],
-        n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
-    }
 }
 
 /// The tier-overhead decision: the median round may not exceed the limit

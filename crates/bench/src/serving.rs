@@ -5,7 +5,11 @@
 //! Produces the `BENCH_serving.json` artifact the CI benchmark ratchet
 //! (`bench_gate`) compares against its committed baseline, and the tier's
 //! own cost as a ratio measured in one process
-//! ([`tier_overhead_ratios`]), which `bench_gate` gates on any machine.
+//! ([`tier_overhead_ratios`]), which `bench_gate` gates on any machine, and
+//! its telemetry's cost the same way ([`serving_obs_ratios`]), which
+//! `overhead_gate` gates.
+
+use std::time::Instant;
 
 use coda_obs::Obs;
 use coda_serve::{
@@ -166,16 +170,55 @@ pub fn run_serving_bench(seed: u64, obs: Option<&Obs>) -> ServingBenchResult {
 }
 
 /// One wall-clock timed closed loop: D7's submitter thread 0 sends its
-/// request stream through `send`. Returns the seconds it took and what it
-/// did.
+/// request stream through `send`, recording its latencies into `obs` when
+/// given. Returns the seconds it took and what it did.
 fn timed_stream(
     load: &LoadGenConfig,
-    obs: &Obs,
+    obs: Option<&Obs>,
     send: impl FnMut(ServeRequest) -> Result<ServeResponse, ServeError>,
 ) -> (f64, LoadReport) {
-    let t0 = obs.now_ms();
-    let report = closed_loop(load, 0, Some(obs), send);
-    ((obs.now_ms() - t0) / 1000.0, report)
+    let t0 = Instant::now();
+    let report = closed_loop(load, 0, obs, send);
+    (t0.elapsed().as_secs_f64(), report)
+}
+
+/// The median of `xs` (NaN when empty).
+pub fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    match sorted.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => sorted[n / 2],
+        n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
+    }
+}
+
+/// Runs `a` and `b` once per round, alternating which goes first, and
+/// returns each round's a/b time ratio. Each returns its seconds and what
+/// it did.
+///
+/// # Panics
+///
+/// Panics if a round's `a` and `b` did different things: the ratio would
+/// compare different work.
+fn alternating_ratios<T: PartialEq + std::fmt::Debug>(
+    rounds: usize,
+    a: impl Fn() -> (f64, T),
+    b: impl Fn() -> (f64, T),
+) -> Vec<f64> {
+    (0..rounds)
+        .map(|round| {
+            let ((a_s, a_did), (b_s, b_did)) = if round % 2 == 0 {
+                let first = a();
+                (first, b())
+            } else {
+                let first = b();
+                (a(), first)
+            };
+            assert_eq!(a_did, b_did, "both sides must do the same work");
+            a_s / b_s.max(f64::MIN_POSITIVE)
+        })
+        .collect()
 }
 
 /// The tier's own cost, measured in one process so no machine constant
@@ -195,7 +238,7 @@ pub fn tier_overhead_ratios(seed: u64, rounds: usize) -> Vec<f64> {
     let through_tier = || {
         let obs = Obs::wall();
         let tier = ServeTier::start_obs(&serve, Some(&obs));
-        let run = timed_stream(&load, &obs, |req| tier.submit(req));
+        let run = timed_stream(&load, Some(&obs), |req| tier.submit(req));
         tier.finish();
         run
     };
@@ -214,19 +257,28 @@ pub fn tier_overhead_ratios(seed: u64, rounds: usize) -> Vec<f64> {
                 core
             })
             .collect();
-        timed_stream(&load, &obs, |req| Ok(cores[router.route(&req)].apply(req)))
+        timed_stream(&load, Some(&obs), |req| Ok(cores[router.route(&req)].apply(req)))
     };
-    (0..rounds)
-        .map(|round| {
-            let ((tier_s, tier_load), (bare_s, bare_load)) = if round % 2 == 0 {
-                let t = through_tier();
-                (t, bare())
-            } else {
-                let b = bare();
-                (through_tier(), b)
-            };
-            assert_eq!(tier_load, bare_load, "the tier and the bare loop must do the same work");
-            tier_s / bare_s.max(f64::MIN_POSITIVE)
-        })
-        .collect()
+    alternating_ratios(rounds, through_tier, bare)
+}
+
+/// The serving path's telemetry cost, measured in one process: one
+/// submitter thread sends D7's thread-0 request stream through a fresh
+/// [`ServeTier`] with a wall-clock `Obs` (recording the stream's latencies
+/// too, as D7 does) and through a fresh one with none. The two alternate
+/// which goes first over `rounds` rounds. Returns each round's
+/// instrumented/plain time ratio.
+///
+/// # Panics
+///
+/// Panics if the two runs' load reports or final canonical states differ:
+/// telemetry must only observe.
+pub fn serving_obs_ratios(seed: u64, rounds: usize) -> Vec<f64> {
+    let (serve, load) = serving_bench_config(seed);
+    let run = |obs: Option<&Obs>| {
+        let tier = ServeTier::start_obs(&serve, obs);
+        let (secs, report) = timed_stream(&load, obs, |req| tier.submit(req));
+        (secs, (report, tier.finish().canonical_state()))
+    };
+    alternating_ratios(rounds, || run(Some(&Obs::wall())), || run(None))
 }

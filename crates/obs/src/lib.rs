@@ -73,21 +73,23 @@ pub struct Obs {
 impl Obs {
     /// An `Obs` over an explicit clock.
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
+        let registry = Arc::new(MetricsRegistry::new());
         Obs {
-            registry: Arc::new(MetricsRegistry::new()),
-            tracer: Arc::new(Tracer::new(clock)),
+            tracer: Arc::new(Tracer::counting_into(clock, Arc::clone(&registry))),
+            registry,
             exemplars: Arc::new(ExemplarStore::disabled()),
         }
     }
 
-    /// An `Obs` timed by real elapsed time — the production default.
+    /// An `Obs` timed by real elapsed time — the production default. Its
+    /// tracer head-samples root spans, at most one per millisecond.
     pub fn wall() -> Self {
         Self::with_clock(Arc::new(WallClock::new()))
     }
 
     /// An `Obs` over a [`ManualClock`] pinned at zero: every timestamp is
-    /// explicit, so traces replay byte-identically — use under test and in
-    /// deterministic chaos runs.
+    /// explicit and every root span is traced, so traces replay
+    /// byte-identically — use under test and in deterministic chaos runs.
     pub fn deterministic() -> Self {
         Self::with_clock(Arc::new(ManualClock::new()))
     }

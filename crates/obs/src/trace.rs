@@ -22,6 +22,23 @@
 //!   whose spans outlive any stack frame (e.g. a chaos claim held across
 //!   rounds). These sit on no stack, so `begin_span` names its parent.
 //!
+//! Head sampling decides at each *root* — a [`Tracer::span`] opened with
+//! no current span, as each request's first span is — whether its trace is
+//! recorded at all, as Dapper does. A tracer over a [`ManualClock`] keeps
+//! every root. Any other keeps a root only when at least 1 ms of its clock
+//! has passed since the last root it kept, so a request stream records at
+//! most about 1,000 traces a second at any rate, while work whose roots
+//! lie further apart (a TEG evaluation) is traced in full. A parentless
+//! [`Tracer::begin_span`] is a driver's work item (a chaos key, a recovery
+//! run) and is always kept. An unsampled root makes
+//! [`SpanContext::UNSAMPLED`] current: it costs one clock read, and nothing
+//! under it records, on this thread or on any thread that enters a context
+//! carried from it.
+//!
+//! The log is a ring of a fixed number of events that evicts the oldest
+//! and counts each eviction in `coda_obs_trace_dropped_total` (registered
+//! at the first one), so [`Tracer::len`] never exceeds that capacity.
+//!
 //! Ids are allocated from sequence counters (never time or randomness), so
 //! a single-threaded driver over a [`ManualClock`] produces byte-identical
 //! logs across same-seed runs — the determinism contract the chaos
@@ -30,6 +47,7 @@
 //! [`ManualClock`]: crate::clock::ManualClock
 
 use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,6 +56,17 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::clock::Clock;
+use crate::metrics::{Counter, MetricsRegistry};
+
+/// Least clock time between two kept roots of a tracer that is not over a
+/// `ManualClock`, in milliseconds. A gap rather than a 1-in-N ratio: it
+/// caps the traces a request stream records per second whatever its rate,
+/// and never drops a root that follows the last kept one by more.
+const ROOT_GAP_MS: f64 = 1.0;
+
+/// Events the log holds before each new one evicts the oldest. Every
+/// deterministic run in the workspace fits with nothing evicted.
+const TRACE_CAPACITY: usize = 1 << 14;
 
 /// Identity of one trace (a tree of spans rooted at one request).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,6 +100,11 @@ pub struct SpanContext {
 }
 
 impl SpanContext {
+    /// The context an unsampled root makes current: spans, events and
+    /// carried contexts under it record nothing. Ids are allocated from 1,
+    /// so no recorded span has it.
+    pub const UNSAMPLED: SpanContext = SpanContext { trace_id: TraceId(0), span_id: SpanId(0) };
+
     /// Serializes to the compact wire form `t<trace>.s<span>`.
     pub fn encode(&self) -> String {
         format!("t{}.s{}", self.trace_id.0, self.span_id.0)
@@ -149,10 +183,25 @@ thread_local! {
     static STACK: RefCell<Vec<(u64, Option<SpanContext>)>> = const { RefCell::new(Vec::new()) };
 }
 
+/// The bounded event log: the newest [`TRACE_CAPACITY`] events, oldest
+/// first.
+#[derive(Default)]
+struct Log {
+    events: VecDeque<TraceEvent>,
+    /// Counts evictions; created at the first one.
+    dropped: Option<Arc<Counter>>,
+}
+
 /// Records causally-linked spans and events against a pluggable [`Clock`].
 pub struct Tracer {
     clock: Arc<dyn Clock>,
-    events: Mutex<Vec<TraceEvent>>,
+    /// Where `coda_obs_trace_dropped_total` is registered at the first
+    /// eviction; a standalone tracer counts evictions on its own.
+    registry: Option<Arc<MetricsRegistry>>,
+    log: Mutex<Log>,
+    /// The clock reading, as `f64` bits, of the last root kept by head
+    /// sampling. It publishes no other data, so relaxed ordering suffices.
+    last_root: AtomicU64,
     next_trace: AtomicU64,
     next_span: AtomicU64,
     /// Tags this tracer's entries on the thread-local span stacks.
@@ -161,7 +210,7 @@ pub struct Tracer {
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tracer({} events, clock {:?})", self.events.lock().len(), self.clock)
+        write!(f, "Tracer({} events, clock {:?})", self.len(), self.clock)
     }
 }
 
@@ -174,11 +223,19 @@ impl Tracer {
     pub fn new(clock: Arc<dyn Clock>) -> Self {
         Tracer {
             clock,
-            events: Mutex::new(Vec::new()),
+            registry: None,
+            log: Mutex::new(Log::default()),
+            last_root: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
             id: NEXT_TRACER.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// A tracer that registers `coda_obs_trace_dropped_total` in
+    /// `registry` at its first eviction.
+    pub(crate) fn counting_into(clock: Arc<dyn Clock>, registry: Arc<MetricsRegistry>) -> Self {
+        Tracer { registry: Some(registry), ..Tracer::new(clock) }
     }
 
     /// The tracer's clock reading, in milliseconds.
@@ -200,7 +257,8 @@ impl Tracer {
     }
 
     /// This tracer's current span on the *current thread*: the innermost
-    /// open span or entered context, if any.
+    /// open span or entered context, if any ([`SpanContext::UNSAMPLED`]
+    /// under an unsampled root).
     pub fn current_context(&self) -> Option<SpanContext> {
         STACK.with_borrow(|stack| stack.iter().rev().find(|(t, _)| *t == self.id)?.1)
     }
@@ -220,6 +278,23 @@ impl Tracer {
                 stack.remove(pos);
             }
         });
+    }
+
+    /// Head sampling: whether a root [`Tracer::span`] opened at `now` is
+    /// recorded. A tracer over a [`crate::ManualClock`] keeps every root;
+    /// any other keeps one when [`ROOT_GAP_MS`] has passed since the last
+    /// root it kept (the first root always), and one compare-and-swap on
+    /// that stamp picks a single winner across threads.
+    fn keep_root(&self, now: f64) -> bool {
+        if self.clock.as_manual().is_some() {
+            return true;
+        }
+        let last = self.last_root.load(Ordering::Relaxed);
+        now - f64::from_bits(last) >= ROOT_GAP_MS
+            && self
+                .last_root
+                .compare_exchange(last, now.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
     }
 
     fn start_span(
@@ -246,14 +321,27 @@ impl Tracer {
         ctx
     }
 
-    /// Opens a span parented under this thread's current span (a new root
-    /// trace when there is none): records the start now, and the end (with
-    /// `dur_ms`) when the returned guard drops.
+    /// Opens a span parented under this thread's current span: records the
+    /// start now, and the end (with `dur_ms`) when the returned guard
+    /// drops. With no current span the span is a root, and head sampling
+    /// decides whether its trace is recorded; an unsampled root, and any
+    /// span under one, records nothing and makes
+    /// [`SpanContext::UNSAMPLED`] current, costing no id, no `String`, no
+    /// lock and at most the one clock read the sampling rule needs.
     #[must_use = "the span closes when the guard drops"]
     pub fn span(&self, name: &str, fields: &[(&str, &str)]) -> SpanGuard<'_> {
         let parent = self.current_context();
-        let start = self.now_ms();
-        let ctx = self.start_span(start, name, parent, fields);
+        let (ctx, start) = if parent == Some(SpanContext::UNSAMPLED) {
+            (SpanContext::UNSAMPLED, 0.0)
+        } else {
+            let start = self.now_ms();
+            let ctx = if parent.is_some() || self.keep_root(start) {
+                self.start_span(start, name, parent, fields)
+            } else {
+                SpanContext::UNSAMPLED
+            };
+            (ctx, start)
+        };
         self.push_current(Some(ctx));
         SpanGuard { tracer: self, ctx, start, _thread: PhantomData }
     }
@@ -279,18 +367,27 @@ impl Tracer {
     /// returns its context; close it with [`Tracer::end_span`]. Does not
     /// touch the implicit per-thread stack — drivers whose spans outlive
     /// any stack frame (claims held across rounds) keep the context and
-    /// [`Tracer::enter`] it around the calls that belong to it.
+    /// [`Tracer::enter`] it around the calls that belong to it. Head
+    /// sampling leaves these alone: a parentless one is a driver's work
+    /// item (a chaos key, a recovery run) and is always recorded, while
+    /// one under [`SpanContext::UNSAMPLED`] records nothing and returns it.
     pub fn begin_span(
         &self,
         name: &str,
         parent: Option<SpanContext>,
         fields: &[(&str, &str)],
     ) -> SpanContext {
+        if parent == Some(SpanContext::UNSAMPLED) {
+            return SpanContext::UNSAMPLED;
+        }
         self.start_span(self.now_ms(), name, parent, fields)
     }
 
     /// Closes a span opened with [`Tracer::begin_span`].
     pub fn end_span(&self, ctx: SpanContext, fields: &[(&str, &str)]) {
+        if ctx == SpanContext::UNSAMPLED {
+            return;
+        }
         self.record(TraceEvent {
             name: String::new(),
             kind: EventKind::SpanEnd,
@@ -310,28 +407,47 @@ impl Tracer {
     /// Records a point event at an explicit timestamp — used by drivers
     /// that carry their own logical clock (e.g. the chaos driver).
     pub fn event_at(&self, at_ms: f64, name: &str, fields: &[(&str, &str)]) {
+        let ctx = self.current_context();
+        if ctx == Some(SpanContext::UNSAMPLED) {
+            return;
+        }
         self.record(TraceEvent {
             name: name.to_string(),
             kind: EventKind::Event,
             at_ms,
-            ctx: self.current_context(),
+            ctx,
             parent: None,
             fields: own_fields(fields),
         });
     }
 
+    /// Appends to the log, evicting the oldest event when it is full.
     fn record(&self, event: TraceEvent) {
-        self.events.lock().push(event);
+        let mut log = self.log.lock();
+        if log.events.len() == TRACE_CAPACITY {
+            log.events.pop_front();
+            let dropped = log.dropped.get_or_insert_with(|| match &self.registry {
+                Some(registry) => registry.counter("coda_obs_trace_dropped_total"),
+                None => Arc::default(),
+            });
+            dropped.inc();
+        }
+        log.events.push_back(event);
     }
 
-    /// A copy of every recorded event, in record order.
+    /// A copy of every event the log holds, in record order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
+        self.log.lock().events.iter().cloned().collect()
     }
 
-    /// Number of recorded events.
+    /// Number of events the log holds; never more than its capacity.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.log.lock().events.len()
+    }
+
+    /// Events evicted from the full log so far.
+    pub fn dropped(&self) -> u64 {
+        self.log.lock().dropped.as_ref().map_or(0, |c| c.get())
     }
 
     /// True when nothing has been recorded.
@@ -342,9 +458,9 @@ impl Tracer {
     /// Renders the full event log as text, one event per line — the byte
     /// surface the deterministic-trace regression test compares.
     pub fn render_log(&self) -> String {
-        let events = self.events.lock();
-        let mut out = String::with_capacity(events.len() * 64);
-        for e in events.iter() {
+        let log = self.log.lock();
+        let mut out = String::with_capacity(log.events.len() * 64);
+        for e in &log.events {
             out.push_str(&e.render());
             out.push('\n');
         }
@@ -359,19 +475,16 @@ impl Tracer {
     /// events recorded outside any span. The decision is a pure function
     /// of the recorded events, so same-seed runs sample identically.
     pub fn sample_tail(&self, policy: &TailPolicy) -> TailSampleReport {
-        let mut events = self.events.lock();
+        let events = &mut self.log.lock().events;
         // BTree containers: the open-span sweep below iterates these, and
         // the kept-trace set must not depend on hash iteration order
-        let mut open: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
-        let mut seen: Vec<u64> = Vec::new();
-        let mut keep: std::collections::BTreeSet<u64> =
-            policy.keep_trace_ids.iter().map(|t| t.0).collect();
+        let mut open: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut seen: BTreeSet<u64> = BTreeSet::new();
+        let mut keep: BTreeSet<u64> = policy.keep_trace_ids.iter().map(|t| t.0).collect();
         for e in events.iter() {
             let Some(ctx) = e.ctx else { continue };
             let trace = ctx.trace_id.0;
-            if !seen.contains(&trace) {
-                seen.push(trace);
-            }
+            seen.insert(trace);
             match e.kind {
                 EventKind::SpanStart => *open.entry(trace).or_insert(0) += 1,
                 EventKind::SpanEnd => {
@@ -471,8 +584,11 @@ impl SpanGuard<'_> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let end = self.tracer.now_ms();
         self.tracer.pop_current(Some(self.ctx));
+        if self.ctx == SpanContext::UNSAMPLED {
+            return;
+        }
+        let end = self.tracer.now_ms();
         self.tracer.record(TraceEvent {
             name: String::new(),
             kind: EventKind::SpanEnd,
@@ -507,6 +623,132 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let tracer = Tracer::new(Arc::clone(&clock) as Arc<dyn Clock>);
         (clock, tracer)
+    }
+
+    /// A real-clock stand-in (not a `ManualClock`, so head sampling
+    /// applies) that steps 0.25 ms per read.
+    #[derive(Debug, Default)]
+    struct StepClock {
+        reads: AtomicU64,
+    }
+
+    impl Clock for StepClock {
+        fn now_ms(&self) -> f64 {
+            self.reads.fetch_add(1, Ordering::Relaxed) as f64 * 0.25
+        }
+    }
+
+    fn stepped_tracer() -> Tracer {
+        Tracer::new(Arc::new(StepClock::default()))
+    }
+
+    fn root_starts(tracer: &Tracer) -> Vec<f64> {
+        let events = tracer.events();
+        let roots = events.iter().filter(|e| e.kind == EventKind::SpanStart && e.parent.is_none());
+        roots.map(|e| e.at_ms).collect()
+    }
+
+    #[test]
+    fn head_sampling_keeps_the_first_root_then_one_per_gap() {
+        let tracer = stepped_tracer();
+        // a kept root reads the clock when it opens and when it closes, an
+        // unsampled one only when it opens: 0 and 0.25 (kept), 0.5 and
+        // 0.75 (within 1 ms of 0, dropped), 1.0 (kept), ...
+        for _ in 0..12 {
+            let _root = tracer.span("req", &[]);
+        }
+        assert_eq!(root_starts(&tracer), vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(tracer.len(), 8, "each kept root records a start and an end");
+        // a driver's parentless begin_span is always kept, and moves no stamp
+        let first = tracer.begin_span("driver", None, &[]);
+        let second = tracer.begin_span("driver", None, &[]);
+        assert!(first != SpanContext::UNSAMPLED && second != SpanContext::UNSAMPLED);
+        tracer.end_span(second, &[]);
+        tracer.end_span(first, &[]);
+        let _root = tracer.span("req", &[]);
+        assert_eq!(root_starts(&tracer), vec![0.0, 1.0, 2.0, 3.0, 4.0, 4.25, 5.0]);
+    }
+
+    #[test]
+    fn nothing_under_an_unsampled_root_records() {
+        let tracer = stepped_tracer();
+        drop(tracer.span("kept", &[]));
+        assert_eq!(tracer.len(), 2);
+        {
+            let root = tracer.span("dropped", &[]);
+            assert_eq!(root.context(), SpanContext::UNSAMPLED);
+            assert_eq!(tracer.current_context(), Some(SpanContext::UNSAMPLED));
+            let child = tracer.span("child", &[]);
+            assert_eq!(child.context(), SpanContext::UNSAMPLED);
+            tracer.event("note", &[]);
+            tracer.event_at(9.0, "note", &[]);
+            let carried = tracer.begin_span("carried", Some(root.context()), &[]);
+            assert_eq!(carried, SpanContext::UNSAMPLED);
+            tracer.end_span(carried, &[]);
+        }
+        {
+            let _entered = tracer.enter(Some(SpanContext::UNSAMPLED));
+            let _span = tracer.span("entered", &[]);
+            tracer.event("note", &[]);
+        }
+        assert_eq!(tracer.len(), 2, "nothing recorded: {:?}", tracer.events());
+        assert_eq!(tracer.current_context(), None, "the stack drains with the guards");
+    }
+
+    #[test]
+    fn a_manual_clock_tracer_keeps_every_root() {
+        let (_clock, tracer) = manual_tracer();
+        for _ in 0..5 {
+            let _root = tracer.span("req", &[]);
+        }
+        let driver = tracer.begin_span("driver", None, &[]);
+        assert_ne!(driver, SpanContext::UNSAMPLED);
+        assert_eq!(root_starts(&tracer), vec![0.0; 6]);
+    }
+
+    #[test]
+    fn the_log_keeps_the_newest_events_and_counts_evictions() {
+        let obs = crate::Obs::deterministic();
+        let tracer = obs.tracer();
+        let dropped =
+            || obs.registry().snapshot().counters.get("coda_obs_trace_dropped_total").copied();
+        for i in 0..10 * TRACE_CAPACITY {
+            if i == TRACE_CAPACITY {
+                assert_eq!(dropped(), None, "the counter appears at the first eviction");
+            }
+            tracer.event("tick", &[("i", &i.to_string())]);
+        }
+        assert_eq!(tracer.len(), TRACE_CAPACITY);
+        assert_eq!(dropped(), Some(9 * TRACE_CAPACITY as u64));
+        assert_eq!(tracer.dropped(), 9 * TRACE_CAPACITY as u64);
+        let held: Vec<usize> =
+            tracer.events().iter().map(|e| e.fields[0].1.parse().unwrap()).collect();
+        assert_eq!(held, (9 * TRACE_CAPACITY..10 * TRACE_CAPACITY).collect::<Vec<_>>());
+
+        // a standalone tracer counts on its own
+        let (_clock, standalone) = manual_tracer();
+        for _ in 0..=TRACE_CAPACITY {
+            standalone.event("tick", &[]);
+        }
+        assert_eq!((standalone.len(), standalone.dropped()), (TRACE_CAPACITY, 1));
+    }
+
+    #[test]
+    fn a_wrapped_log_reports_spans_whose_parent_was_evicted_as_orphans() {
+        let (_clock, tracer) = manual_tracer();
+        let root = tracer.span("old.root", &[]);
+        let child = tracer.span("old.child", &[]);
+        let child_id = child.context().span_id;
+        for _ in 0..TRACE_CAPACITY - 3 {
+            tracer.event("filler", &[]);
+        }
+        drop(child);
+        // the root's end fills the log past capacity and evicts its start
+        drop(root);
+        assert_eq!(tracer.dropped(), 1);
+        let forest = crate::TraceForest::from_events(&tracer.events());
+        assert_eq!(forest.orphans(), &[child_id]);
+        assert_eq!(forest.spans().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["old.child"]);
     }
 
     #[test]

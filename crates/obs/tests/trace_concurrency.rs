@@ -2,11 +2,82 @@
 //! implicit spans, spans under an entered context, point events — always
 //! reconstruct into a coherent forest with no orphaned parents, because
 //! parenting state is kept per thread and ids are allocated atomically.
+//! Head sampling holds across threads too: a context carried from an
+//! unsampled root records nothing wherever it is entered, and a sampled
+//! root's children all land in its trace.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use coda_obs::{Obs, SpanId};
+use std::sync::Arc;
+
+use coda_obs::{Clock, Obs, SpanContext, SpanId};
 use proptest::prelude::*;
+
+/// A real-clock stand-in that never advances: it is not a `ManualClock`,
+/// so after the first root every root falls within the sampling gap.
+#[derive(Debug)]
+struct FrozenClock;
+
+impl Clock for FrozenClock {
+    fn now_ms(&self) -> f64 {
+        0.0
+    }
+}
+
+/// Each of 8 threads enters `ctx` and, under it, opens nested spans, records
+/// events and opens and closes a non-lexical child, `rounds` times; then
+/// opens a root of its own (dropped by head sampling).
+fn enter_on_eight_threads(obs: &Obs, ctx: SpanContext, rounds: usize) {
+    std::thread::scope(|scope| {
+        for t in 0..8 {
+            scope.spawn(move || {
+                let label = format!("worker-{t}");
+                for _ in 0..rounds {
+                    {
+                        let _carried = obs.tracer().enter(Some(ctx));
+                        let outer = obs.span("outer", &[("worker", &label)]);
+                        obs.event("leaf", &[("worker", &label)]);
+                        let side = obs.tracer().begin_span("side", Some(outer.context()), &[]);
+                        obs.tracer().end_span(side, &[]);
+                    }
+                    let stray = obs.span("stray", &[]);
+                    assert_eq!(stray.context(), SpanContext::UNSAMPLED);
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn an_unsampled_roots_context_entered_on_eight_threads_records_nothing() {
+    let obs = Obs::with_clock(Arc::new(FrozenClock));
+    drop(obs.span("first", &[]));
+    let root = obs.span("root", &[]);
+    assert_eq!(root.context(), SpanContext::UNSAMPLED);
+    enter_on_eight_threads(&obs, root.context(), 4);
+    drop(root);
+    let forest = obs.forest();
+    let names: Vec<&str> = forest.spans().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["first"], "only the first root records");
+    assert_eq!(obs.tracer().len(), 2);
+}
+
+#[test]
+fn a_sampled_roots_children_on_eight_threads_all_land_in_its_trace() {
+    let obs = Obs::with_clock(Arc::new(FrozenClock));
+    let root = obs.span("root", &[]);
+    let ctx = root.context();
+    assert_ne!(ctx, SpanContext::UNSAMPLED, "the first root is always kept");
+    enter_on_eight_threads(&obs, ctx, 4);
+    drop(root);
+    let forest = obs.forest();
+    assert!(forest.orphans().is_empty());
+    assert_eq!(forest.unresolved_points(), 0);
+    assert_eq!(forest.trace_ids(), vec![ctx.trace_id]);
+    // the root, and per thread and round an outer span and its side span
+    assert_eq!(forest.len(), 1 + 8 * 4 * 2);
+    assert!(forest.spans().all(|s| s.name != "stray"), "later roots are dropped");
+}
 
 /// Each thread emits `depth` lexically nested spans with a point event at
 /// the bottom, repeated `rounds` times; one shared root is entered on every

@@ -31,6 +31,8 @@ const PUT_WEIGHT: u32 = 4;
 const PULL_WEIGHT: u32 = 4;
 /// Relative weight of claims in the mix.
 const CLAIM_WEIGHT: u32 = 2;
+/// Separates a thread's completion-score stream from its request stream.
+const SCORE_STREAM: u64 = 0x5c0e_5eed_d1ff_e2e7;
 
 /// Load-generator configuration. Requests mix puts, pulls and claims
 /// 4 : 4 : 2; claims that win are followed by a completion, so
@@ -150,7 +152,12 @@ pub fn closed_loop(
     obs: Option<&Obs>,
     mut send: impl FnMut(ServeRequest) -> Result<ServeResponse, ServeError>,
 ) -> LoadReport {
-    let mut rng = cfg.seed.wrapping_add(thread as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let stream = cfg.seed.wrapping_add(thread as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut rng = stream | 1;
+    // whether a claim wins depends on the other threads, so won claims draw
+    // their scores from a stream of their own: the requests `rng` picks
+    // never shift with the interleaving
+    let mut score_rng = stream ^ SCORE_STREAM;
     let zipf = ZipfCdf::new(cfg.key_space.max(1), ZIPF_S);
     let clients_per_thread = (cfg.n_clients / cfg.n_threads.max(1)).max(1);
     let mut tally = LoadReport::default();
@@ -202,7 +209,7 @@ pub fn closed_loop(
                 if outcome == coda_darr::ClaimOutcome::Claimed {
                     // the winning client publishes its result, cooperative
                     // style, so later claimers hit AlreadyComputed
-                    let score = unit(&mut rng);
+                    let score = unit(&mut score_rng);
                     let done = send(ServeRequest::Complete {
                         key: ComputationKey::new(
                             "serve-ds",
@@ -283,6 +290,38 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(splitmix64(&mut a), splitmix64(&mut b));
         }
+    }
+
+    #[test]
+    fn which_claims_win_never_shifts_the_request_stream() {
+        let cfg = LoadGenConfig { ops_per_thread: 2_000, ..LoadGenConfig::default() };
+        // every request but the completions a won claim sends, in order
+        let stream = |claimed: bool| {
+            let mut sent = Vec::new();
+            closed_loop(&cfg, 1, None, |req| {
+                if matches!(req, ServeRequest::Complete { .. }) {
+                    return Err(ServeError::Overloaded { shard: 0 });
+                }
+                sent.push(format!("{req:?}"));
+                Ok(match req {
+                    ServeRequest::Put { .. } => {
+                        ServeResponse::Put { version: 1, pushes: 0, trigger_fired: false }
+                    }
+                    ServeRequest::Claim { .. } if claimed => {
+                        ServeResponse::Claim(coda_darr::ClaimOutcome::Claimed)
+                    }
+                    ServeRequest::Claim { .. } => {
+                        ServeResponse::Claim(coda_darr::ClaimOutcome::HeldBy("other".into()))
+                    }
+                    _ => ServeResponse::Pull(None),
+                })
+            });
+            sent
+        };
+        let (won, held) = (stream(true), stream(false));
+        assert_eq!(won.len(), cfg.ops_per_thread);
+        assert!(won.iter().any(|r| r.starts_with("Claim")), "the stream claims");
+        assert_eq!(won, held);
     }
 
     #[test]

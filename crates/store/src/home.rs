@@ -274,7 +274,10 @@ impl HomeDataStore {
         let span = metrics
             .map(|m| m.obs.tracer().span("store.put", &[("object", id), ("store", &self.name)]));
         let push_ctx = span.as_ref().map(|s| s.context());
-        let entry = self.objects.entry(id.to_string()).or_default();
+        let entry = match self.objects.get_mut(id) {
+            Some(entry) => entry,
+            None => self.objects.entry(id.to_string()).or_default(),
+        };
         entry.advance(entry.version + 1, data, self.history_depth);
         let (cur_version, cur_data) = (entry.version, entry.data.clone());
         let now = self.clock;
@@ -698,6 +701,34 @@ mod tests {
         let put = forest.spans().find(|sp| sp.name == "store.put").unwrap();
         assert_eq!(put.parent, Some(carried.span_id));
         assert_eq!(pushed[0].context(), Some(put.ctx), "pushes carry the put's span");
+    }
+
+    #[test]
+    fn an_unsampled_put_pushes_the_unsampled_context_and_its_apply_records_nothing() {
+        /// Not a `ManualClock`, so head sampling applies; frozen, so every
+        /// root after the first falls within the sampling gap.
+        #[derive(Debug)]
+        struct FrozenClock;
+        impl coda_obs::Clock for FrozenClock {
+            fn now_ms(&self) -> f64 {
+                0.0
+            }
+        }
+        let obs = Obs::with_clock(std::sync::Arc::new(FrozenClock));
+        let mut s = HomeDataStore::new("h", 2);
+        s.attach_obs(obs.clone());
+        s.subscribe("c", "o", PushMode::Full, 100);
+        let (_, sampled) = s.put("o", patterned(64, 1));
+        let (_, pushed) = s.put("o", patterned(64, 2));
+        assert_ne!(sampled[0].context(), Some(coda_obs::SpanContext::UNSAMPLED));
+        assert_eq!(pushed[0].context(), Some(coda_obs::SpanContext::UNSAMPLED));
+        let mut client = crate::CachingClient::new("c");
+        client.attach_obs(obs.clone());
+        client.apply_push(&pushed[0]).unwrap();
+        assert_eq!(client.held_version("o"), Some(2), "the push applies all the same");
+        let forest = obs.forest();
+        let names: Vec<&str> = forest.spans().map(|sp| sp.name.as_str()).collect();
+        assert_eq!(names, ["store.put"], "only the first put records, and no apply does");
     }
 
     #[test]
